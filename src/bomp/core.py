@@ -10,6 +10,7 @@ functions and safe to call concurrently.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -25,6 +26,20 @@ def _frozen_array(values, shape, what: str) -> np.ndarray:
         raise ValueError(f"{what} contains non-finite entries")
     arr.setflags(write=False)
     return arr
+
+
+def as_int(value, what: str) -> int:
+    """``value`` as a plain int; ValueError unless it is an integer (not a bool)."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{what} must be an integer, got {value!r}")
+    return int(value)
+
+
+def as_real(value, what: str) -> float:
+    """``value`` as a plain float; ValueError unless it is a real number (not a bool)."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(f"{what} must be a number, got {value!r}")
+    return float(value)
 
 
 @dataclass(frozen=True)

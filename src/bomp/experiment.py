@@ -12,11 +12,19 @@ import json
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .core import BlockedMatrix, BlockLayout, BlockSignal, SensingProblem, block_support
+from .core import (
+    BlockedMatrix,
+    BlockLayout,
+    BlockSignal,
+    SensingProblem,
+    as_int,
+    as_real,
+    block_support,
+)
 from .errors import BompError
 from .io import load_layout, load_matrix, load_vector
 from .solver import FIXED_ITERATIONS, StoppingRule, run_bomp
@@ -24,12 +32,14 @@ from .solver import FIXED_ITERATIONS, StoppingRule, run_bomp
 GAUSSIAN = "gaussian"
 FROM_FILE = "from_file"
 
+_PATH_KEYS = ("matrix_path", "layout_path", "observation_path", "truth_path")
 _CONFIG_KEYS = {
     "m", "M", "d", "K",
     "noise_norm", "min_block_norm", "trials", "seed",
     "matrix_ensemble", "stopping",
-    "matrix_path", "layout_path", "observation_path", "truth_path",
+    *_PATH_KEYS,
 }
+_STOPPING_KEYS = {field.name for field in fields(StoppingRule)}
 
 
 @dataclass(frozen=True)
@@ -59,8 +69,16 @@ class ExperimentConfig:
 
     def __post_init__(self):
         for name in ("m", "M", "d", "K", "trials"):
-            if int(getattr(self, name)) < 1:
+            value = as_int(getattr(self, name), name)
+            if value < 1:
                 raise ValueError(f"{name} must be a positive integer")
+            object.__setattr__(self, name, value)
+        object.__setattr__(self, "seed", as_int(self.seed, "seed"))
+        for name in ("noise_norm", "min_block_norm"):
+            value = as_real(getattr(self, name), name)
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite")
+            object.__setattr__(self, name, value)
         if self.K > self.M:
             raise ValueError(f"K={self.K} exceeds the number of blocks M={self.M}")
         if self.K * self.d > self.m:
@@ -77,10 +95,12 @@ class ExperimentConfig:
                 f"unknown matrix_ensemble {self.matrix_ensemble!r}; "
                 f"expected {GAUSSIAN!r} or {FROM_FILE!r}"
             )
-        if self.matrix_ensemble == FROM_FILE:
-            for name in ("matrix_path", "layout_path", "observation_path", "truth_path"):
-                if getattr(self, name) is None:
-                    raise ValueError(f"matrix_ensemble={FROM_FILE!r} requires {name}")
+        for name in _PATH_KEYS:
+            value = getattr(self, name)
+            if value is None and self.matrix_ensemble == FROM_FILE:
+                raise ValueError(f"matrix_ensemble={FROM_FILE!r} requires {name}")
+            if value is not None and not isinstance(value, (str, os.PathLike)):
+                raise ValueError(f"{name} must be a path, got {value!r}")
         if self.stopping is None:
             object.__setattr__(
                 self,
@@ -103,7 +123,17 @@ class ExperimentConfig:
         data = dict(data)
         stopping = data.get("stopping")
         if isinstance(stopping, dict):
+            unknown = set(stopping) - _STOPPING_KEYS
+            if unknown:
+                raise ValueError(f"unknown stopping keys: {sorted(unknown)}")
+            if "mode" not in stopping:
+                raise ValueError("stopping is missing required key 'mode'")
             data["stopping"] = StoppingRule(**stopping)
+        elif stopping is not None:
+            raise ValueError(
+                f"stopping must be an object with keys {sorted(_STOPPING_KEYS)}, "
+                f"got {stopping!r}"
+            )
         return cls(**data)
 
     @classmethod
@@ -129,7 +159,7 @@ class ExperimentConfig:
                 "max_iterations": self.stopping.max_iterations,
             },
         }
-        for name in ("matrix_path", "layout_path", "observation_path", "truth_path"):
+        for name in _PATH_KEYS:
             value = getattr(self, name)
             if value is not None:
                 out[name] = value

@@ -12,7 +12,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import BlockedMatrix, BlockLayout
+from .core import BlockedMatrix, BlockLayout, as_int
 
 FLOAT_FMT = "%.17g"
 
@@ -40,11 +40,15 @@ def load_layout(path) -> tuple[int, BlockLayout]:
     """Read a layout sidecar; returns (rows, layout)."""
     with open(path, "r", encoding="utf-8") as handle:
         meta = json.load(handle)
+    if not isinstance(meta, dict):
+        raise ValueError(f"layout sidecar {path} must be a JSON object")
     try:
-        rows = int(meta["m"])
-        layout = BlockLayout(int(meta["M"]), int(meta["d"]))
+        rows, M, d = (
+            as_int(meta[key], f"layout sidecar {path}: {key}") for key in ("m", "M", "d")
+        )
     except KeyError as exc:
         raise ValueError(f"layout sidecar {path} is missing key {exc}") from exc
+    layout = BlockLayout(M, d)
     if rows < 1:
         raise ValueError("layout sidecar must declare m >= 1")
     return rows, layout

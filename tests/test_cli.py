@@ -214,6 +214,43 @@ def test_experiment_config_errors(tmp_path, capsys):
     capsys.readouterr()
 
 
+def _one_line_error(capsys) -> str:
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    return err
+
+
+def test_experiment_rejects_unknown_stopping_key(tmp_path, capsys):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({
+        "m": 24, "M": 6, "d": 2, "K": 2,
+        "stopping": {"mode": "fixed_iterations", "bogus": 1},
+    }))
+    assert main(["experiment", "--config", str(cfg_path)]) == 2
+    assert "bogus" in _one_line_error(capsys)
+
+
+def test_experiment_rejects_fractional_trials(tmp_path, capsys):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"m": 24, "M": 6, "d": 2, "K": 2, "trials": 2.5}))
+    assert main(["experiment", "--config", str(cfg_path)]) == 2
+    assert "trials must be an integer" in _one_line_error(capsys)
+
+
+def test_run_rejects_layout_that_is_a_list(instance_files, capsys):
+    layout = instance_files / "list.json"
+    layout.write_text("[12, 4, 2]")
+    code = main([
+        "run",
+        "--matrix", str(instance_files / "A.csv"),
+        "--layout", str(layout),
+        "--obs", str(instance_files / "y.csv"),
+        "--max-iter", "2",
+    ])
+    assert code == 2
+    assert "must be a JSON object" in _one_line_error(capsys)
+
+
 def test_experiment_from_file_failure_demo(tmp_path, capsys):
     params = AdversarialParams(d=1, K=2, delta=0.3, epsilon=1.0)
     problem, truth, _ = build_adversarial_instance(params)

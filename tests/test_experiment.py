@@ -36,6 +36,20 @@ def test_config_validation():
         _small_cfg(matrix_ensemble="laplace")
     with pytest.raises(ValueError):
         _small_cfg(matrix_ensemble="from_file")  # paths required
+    # wrong types from a JSON config are ValueErrors, not TypeErrors
+    for bad in (
+        {"trials": 2.5},
+        {"m": "24"},
+        {"K": True},
+        {"noise_norm": "0.1"},
+        {"noise_norm": float("nan")},
+        {"matrix_path": 5},
+        {"stopping": "fixed_iterations"},
+        {"stopping": {"epsilon": 0.1}},
+        {"stopping": {"mode": "fixed_iterations", "max_iterations": "3"}},
+    ):
+        with pytest.raises(ValueError):
+            ExperimentConfig.from_dict({**_small_cfg().to_dict(), **bad})
 
 
 def test_default_stopping_is_k_iterations():

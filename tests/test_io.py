@@ -51,9 +51,10 @@ def test_layout_missing_key(tmp_path):
 
 def test_layout_bad_rows(tmp_path):
     path = tmp_path / "bad.json"
-    path.write_text('{"m": 0, "M": 2, "d": 1}')
-    with pytest.raises(ValueError):
-        load_layout(path)
+    for m in ("0", "2.5", "null"):
+        path.write_text(f'{{"m": {m}, "M": 2, "d": 1}}')
+        with pytest.raises(ValueError):
+            load_layout(path)
 
 
 def test_matrix_size_mismatch(tmp_path):

@@ -185,3 +185,104 @@ def test_trace_serialization_mirrors_fields():
     assert d["iterations_run"] == 2
     assert d["status"] == STATUS_CONVERGED
     assert d["final_estimate"] == trace.final_estimate.values.tolist()
+
+
+def _reference_pursuit(problem, stop):
+    """The pursuit replayed with one SVD projection per pick.
+
+    Returns (chosen, residual norms, estimate, status), or raises what
+    ``project_least_squares`` raises on the first rank-deficient prefix.
+    """
+    A, y = problem.matrix, problem.observation
+    capacity = min(A.layout.num_blocks, A.rows // A.layout.block_width)
+    budget = capacity if stop.max_iterations is None else min(stop.max_iterations, capacity)
+    chosen, residual = [], y.copy()
+    norms = [float(np.linalg.norm(y))]
+    estimate = BlockSignal.zero(A.layout)
+    while True:
+        if stop.mode != FIXED_ITERATIONS and norms[-1] <= stop.epsilon:
+            return chosen, norms, estimate, STATUS_CONVERGED
+        if stop.mode != RESIDUAL_THRESHOLD and len(chosen) == stop.max_iterations:
+            return chosen, norms, estimate, STATUS_CONVERGED
+        if len(chosen) == budget:
+            return chosen, norms, estimate, STATUS_BUDGET_EXCEEDED
+        chosen.append(select_block(A, residual, exclude=chosen))
+        estimate, residual = project_least_squares(A, chosen, y)
+        norms.append(float(np.linalg.norm(residual)))
+
+
+def _differential_cases():
+    """Seeded (problem, stop) pairs over widths, stopping modes and noise."""
+    rng = np.random.default_rng(12)
+    for case in range(90):
+        d = (1, 2, 4)[case % 3]
+        M = int(rng.integers(3, 12))
+        m = d * int(rng.integers(2, M + 3))  # some runs fill all m rows
+        K = int(rng.integers(1, min(M, m // d) + 1))
+        support = tuple(int(i) for i in rng.choice(M, size=K, replace=False) + 1)
+        noise = (0.0, 0.3)[(case // 3) % 2]
+        problem, _ = _random_problem(rng, m=m, M=M, d=d, support=support, noise=noise)
+        # no pick is made from a residual that is only round-off
+        stop = (
+            StoppingRule(RESIDUAL_THRESHOLD, epsilon=1e-10 if noise == 0.0 else 0.0),
+            StoppingRule(FIXED_ITERATIONS, max_iterations=K),
+            StoppingRule(BOTH, epsilon=noise + 1e-10, max_iterations=K + 1),
+        )[(case // 6) % 3]
+        yield problem, stop
+    # nearly collinear columns (condition number ~3e3): one Gram-Schmidt pass
+    # loses enough orthogonality to move the estimate by ~1e-9
+    rng = np.random.default_rng(16)
+    entries = rng.normal(size=(30, 1)) + 3e-3 * rng.normal(size=(30, 16))
+    A = BlockedMatrix(BlockLayout(8, 2), entries)
+    yield (
+        SensingProblem(matrix=A, observation=rng.normal(size=30)),
+        StoppingRule(FIXED_ITERATIONS, max_iterations=6),
+    )
+
+
+def test_pursuit_matches_the_svd_reference_on_every_prefix():
+    for problem, stop in _differential_cases():
+        trace = run_bomp(problem, stop)
+        chosen, norms, estimate, status = _reference_pursuit(problem, stop)
+
+        assert list(trace.chosen_indices) == chosen
+        assert trace.status == status
+        y_norm = np.linalg.norm(problem.observation)
+        np.testing.assert_allclose(trace.residual_norms, norms, rtol=0, atol=1e-12 * y_norm)
+        np.testing.assert_allclose(
+            trace.final_estimate.values, estimate.values, rtol=0, atol=1e-10
+        )
+
+
+def test_mid_run_rank_deficiency_raises_the_reference_error():
+    # block 3 repeats the first column of block 1 next to a fresh column, so
+    # it scores high but spans nothing new once block 1 is in
+    rng = np.random.default_rng(15)
+    layout = BlockLayout(4, 2)
+    entries = rng.normal(size=(10, 8))
+    entries[:, 4] = entries[:, 0]
+    A = BlockedMatrix(layout, entries)
+    y = entries @ np.array([3.0, 2.5, 0.0, 0.0, 2.0, 4.0, 0.0, 0.0]) + 0.1 * rng.normal(size=10)
+    problem = SensingProblem(matrix=A, observation=y, noise_bound=0.1)
+    stop = StoppingRule(FIXED_ITERATIONS, max_iterations=4)
+
+    with pytest.raises(RankDeficientError) as reference:
+        _reference_pursuit(problem, stop)
+    # the second of four picks is the first failing prefix
+    assert "on blocks [1, 3] is rank deficient" in str(reference.value)
+    with pytest.raises(RankDeficientError) as got:
+        run_bomp(problem, stop)
+    assert str(got.value) == str(reference.value)
+
+
+def test_pursuit_does_not_fall_back_to_the_svd_projection(monkeypatch):
+    import bomp.solver
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("run_bomp called the one-shot SVD projection")
+
+    monkeypatch.setattr(bomp.solver, "project_least_squares", forbidden)
+    rng = np.random.default_rng(14)
+    problem, _ = _random_problem(rng, m=40, M=10, d=2, support=(1, 5, 9), noise=0.2)
+    trace = run_bomp(problem, StoppingRule(FIXED_ITERATIONS, max_iterations=5))
+    assert trace.iterations_run == 5
