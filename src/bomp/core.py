@@ -42,6 +42,15 @@ def as_real(value, what: str) -> float:
     return float(value)
 
 
+def as_seed(value) -> int:
+    """``value`` as a plain int usable as a generator seed; ValueError unless
+    it is a nonnegative integer."""
+    seed = as_int(value, "seed")
+    if seed < 0:
+        raise ValueError(f"seed must be a nonnegative integer, got {seed}")
+    return seed
+
+
 @dataclass(frozen=True)
 class BlockLayout:
     """Partition of ``num_blocks * block_width`` coordinates into uniform blocks."""
@@ -198,3 +207,32 @@ def extract_blocks(A: BlockedMatrix, support) -> np.ndarray:
     if not indices:
         return np.zeros((A.rows, 0))
     return np.hstack([A.block(i) for i in indices])
+
+
+def gaussian_instance(
+    rng: np.random.Generator,
+    layout: BlockLayout,
+    rows: int,
+    sparsity: int,
+    draw_blocks,
+    epsilon: float,
+):
+    """Random block-sparse instance over a Gaussian dictionary; returns
+    (problem, truth).
+
+    Draws from ``rng`` in this order, which seeded streams depend on: the
+    dictionary with i.i.d. entries of variance 1/rows; a uniform random
+    size-``sparsity`` block support; the supported blocks as
+    ``draw_blocks(rng, sparsity)``, in ascending index order; and, only when
+    ``epsilon > 0``, noise rescaled to norm exactly ``epsilon``.
+    """
+    A = BlockedMatrix(layout, rng.normal(size=(rows, layout.ambient_dim)) / math.sqrt(rows))
+    chosen = rng.choice(layout.num_blocks, size=sparsity, replace=False) + 1
+    support = sorted(int(i) for i in chosen)
+    truth = BlockSignal.from_blocks(layout, dict(zip(support, draw_blocks(rng, sparsity))))
+    noise = np.zeros(rows)
+    if epsilon > 0.0:
+        raw = rng.normal(size=rows)
+        noise = raw * (epsilon / np.linalg.norm(raw))
+    y = A.entries @ truth.values + noise
+    return SensingProblem(matrix=A, observation=y, noise_bound=epsilon), truth

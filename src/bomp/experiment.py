@@ -16,28 +16,13 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .core import (
-    BlockedMatrix,
-    BlockLayout,
-    BlockSignal,
-    SensingProblem,
-    as_int,
-    as_real,
-    block_support,
-)
+from .core import BlockLayout, as_int, as_real, as_seed, block_support, gaussian_instance
 from .errors import BompError
-from .io import load_layout, load_matrix, load_vector
 from .solver import FIXED_ITERATIONS, StoppingRule, run_bomp
 
-GAUSSIAN = "gaussian"
-FROM_FILE = "from_file"
-
-_PATH_KEYS = ("matrix_path", "layout_path", "observation_path", "truth_path")
 _CONFIG_KEYS = {
     "m", "M", "d", "K",
-    "noise_norm", "min_block_norm", "trials", "seed",
-    "matrix_ensemble", "stopping",
-    *_PATH_KEYS,
+    "noise_norm", "min_block_norm", "trials", "seed", "stopping",
 }
 _STOPPING_KEYS = {field.name for field in fields(StoppingRule)}
 
@@ -46,10 +31,8 @@ _STOPPING_KEYS = {field.name for field in fields(StoppingRule)}
 class ExperimentConfig:
     """Batch description. JSON config files mirror these field names.
 
-    With ``matrix_ensemble="from_file"`` every trial runs on the single
-    instance loaded from the four path fields; the layout and truth still
-    have to agree with (m, M, d, K). ``stopping`` left as None means a
-    fixed budget of exactly K iterations.
+    Every trial draws its own Gaussian instance (see ``generate_instance``).
+    ``stopping`` left as None means a fixed budget of exactly K iterations.
     """
 
     m: int
@@ -60,12 +43,7 @@ class ExperimentConfig:
     min_block_norm: float = 1.0
     trials: int = 100
     seed: int = 0
-    matrix_ensemble: str = GAUSSIAN
     stopping: StoppingRule | None = None
-    matrix_path: str | None = None
-    layout_path: str | None = None
-    observation_path: str | None = None
-    truth_path: str | None = None
 
     def __post_init__(self):
         for name in ("m", "M", "d", "K", "trials"):
@@ -73,7 +51,7 @@ class ExperimentConfig:
             if value < 1:
                 raise ValueError(f"{name} must be a positive integer")
             object.__setattr__(self, name, value)
-        object.__setattr__(self, "seed", as_int(self.seed, "seed"))
+        object.__setattr__(self, "seed", as_seed(self.seed))
         for name in ("noise_norm", "min_block_norm"):
             value = as_real(getattr(self, name), name)
             if not math.isfinite(value):
@@ -90,17 +68,6 @@ class ExperimentConfig:
             raise ValueError("noise_norm must be nonnegative")
         if self.min_block_norm <= 0.0:
             raise ValueError("min_block_norm must be positive")
-        if self.matrix_ensemble not in (GAUSSIAN, FROM_FILE):
-            raise ValueError(
-                f"unknown matrix_ensemble {self.matrix_ensemble!r}; "
-                f"expected {GAUSSIAN!r} or {FROM_FILE!r}"
-            )
-        for name in _PATH_KEYS:
-            value = getattr(self, name)
-            if value is None and self.matrix_ensemble == FROM_FILE:
-                raise ValueError(f"matrix_ensemble={FROM_FILE!r} requires {name}")
-            if value is not None and not isinstance(value, (str, os.PathLike)):
-                raise ValueError(f"{name} must be a path, got {value!r}")
         if self.stopping is None:
             object.__setattr__(
                 self,
@@ -147,23 +114,17 @@ class ExperimentConfig:
         return cls.from_dict(data)
 
     def to_dict(self) -> dict:
-        out = {
+        return {
             "m": self.m, "M": self.M, "d": self.d, "K": self.K,
             "noise_norm": self.noise_norm,
             "min_block_norm": self.min_block_norm,
             "trials": self.trials, "seed": self.seed,
-            "matrix_ensemble": self.matrix_ensemble,
             "stopping": {
                 "mode": self.stopping.mode,
                 "epsilon": self.stopping.epsilon,
                 "max_iterations": self.stopping.max_iterations,
             },
         }
-        for name in _PATH_KEYS:
-            value = getattr(self, name)
-            if value is not None:
-                out[name] = value
-        return out
 
 
 def _unit_direction(rng: np.random.Generator, d: int) -> np.ndarray:
@@ -174,58 +135,26 @@ def _unit_direction(rng: np.random.Generator, d: int) -> np.ndarray:
             return g / norm
 
 
-def _load_instance(cfg: ExperimentConfig):
-    rows, layout = load_layout(cfg.layout_path)
-    if (rows, layout.num_blocks, layout.block_width) != (cfg.m, cfg.M, cfg.d):
-        raise ValueError(
-            f"layout file describes m={rows}, M={layout.num_blocks}, "
-            f"d={layout.block_width}; config says m={cfg.m}, M={cfg.M}, d={cfg.d}"
-        )
-    A = load_matrix(cfg.matrix_path, cfg.layout_path)
-    y = load_vector(cfg.observation_path)
-    truth = BlockSignal(layout, load_vector(cfg.truth_path))
-    support = block_support(truth)
-    if len(support) != cfg.K:
-        raise ValueError(
-            f"truth file has {len(support)} active blocks; config says K={cfg.K}"
-        )
-    problem = SensingProblem(matrix=A, observation=y, noise_bound=cfg.noise_norm)
-    return problem, truth
-
-
 def generate_instance(cfg: ExperimentConfig, trial_index: int):
-    """Build the instance for one trial; returns (problem, truth).
+    """Build the Gaussian instance for one trial; returns (problem, truth).
 
-    Gaussian ensemble: i.i.d. matrix entries of variance 1/m; uniform random
-    size-K block support; supported blocks are random directions with norms
-    at least min_block_norm and the smallest norm equal to it exactly; noise
-    rescaled to the exact norm noise_norm. Everything is a pure function of
+    Drawn by :func:`gaussian_instance`: i.i.d. matrix entries of variance
+    1/m; uniform random size-K block support; supported blocks are random
+    directions with norms at least
+    min_block_norm and the smallest norm equal to it exactly; noise rescaled
+    to the exact norm noise_norm. Everything is a pure function of
     (seed, trial_index).
     """
     if trial_index < 0:
         raise ValueError("trial_index must be nonnegative")
-    if cfg.matrix_ensemble == FROM_FILE:
-        return _load_instance(cfg)
+
+    def floored_blocks(rng, count):
+        excess = np.abs(rng.normal(size=count))
+        excess[int(np.argmin(excess))] = 0.0
+        return [cfg.min_block_norm * (1.0 + e) * _unit_direction(rng, cfg.d) for e in excess]
 
     rng = np.random.default_rng((cfg.seed, trial_index))
-    layout = cfg.layout
-    A = BlockedMatrix(layout, rng.normal(size=(cfg.m, layout.ambient_dim)) / math.sqrt(cfg.m))
-
-    support = sorted(int(i) for i in rng.choice(cfg.M, size=cfg.K, replace=False) + 1)
-    excess = np.abs(rng.normal(size=cfg.K))
-    excess[int(np.argmin(excess))] = 0.0
-    blocks = {
-        i: cfg.min_block_norm * (1.0 + excess[k]) * _unit_direction(rng, cfg.d)
-        for k, i in enumerate(support)
-    }
-    truth = BlockSignal.from_blocks(layout, blocks)
-
-    noise = np.zeros(cfg.m)
-    if cfg.noise_norm > 0.0:
-        raw = rng.normal(size=cfg.m)
-        noise = raw * (cfg.noise_norm / np.linalg.norm(raw))
-    y = A.entries @ truth.values + noise
-    return SensingProblem(matrix=A, observation=y, noise_bound=cfg.noise_norm), truth
+    return gaussian_instance(rng, cfg.layout, cfg.m, cfg.K, floored_blocks, cfg.noise_norm)
 
 
 @dataclass(frozen=True)
@@ -274,9 +203,9 @@ def _worker_count(trials: int) -> int:
     return max(1, min(workers, trials))
 
 
-def _run_trial(cfg: ExperimentConfig, trial_index: int, shared=None) -> TrialRecord:
+def _run_trial(cfg: ExperimentConfig, trial_index: int) -> TrialRecord:
     try:
-        problem, truth = shared if shared is not None else generate_instance(cfg, trial_index)
+        problem, truth = generate_instance(cfg, trial_index)
         trace = run_bomp(problem, cfg.stopping)
         recovered = set(trace.chosen_indices) == set(block_support(truth))
         return TrialRecord(trial_index, recovered, trace.iterations_run)
@@ -291,18 +220,12 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     Per-trial solver failures land in the record's error field instead of
     aborting the batch. Output is identical for any worker count.
     """
-    # one shared read for the fixed-instance ensemble; file errors are
-    # config errors and should abort before the pool spins up
-    shared = _load_instance(cfg) if cfg.matrix_ensemble == FROM_FILE else None
-
     workers = _worker_count(cfg.trials)
     if workers == 1:
-        records = [_run_trial(cfg, k, shared) for k in range(cfg.trials)]
+        records = [_run_trial(cfg, k) for k in range(cfg.trials)]
     else:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            records = list(
-                pool.map(lambda k: _run_trial(cfg, k, shared), range(cfg.trials))
-            )
+            records = list(pool.map(lambda k: _run_trial(cfg, k), range(cfg.trials)))
 
     recovered = sum(record.recovered for record in records)
     avg = sum(record.iterations for record in records) / cfg.trials

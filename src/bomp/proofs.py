@@ -30,13 +30,15 @@ from .core import (
     BlockLayout,
     BlockSignal,
     SensingProblem,
+    as_seed,
     block_norms,
     block_support,
     extract_blocks,
+    gaussian_instance,
 )
-from .errors import DegenerateProbeError, InfeasibleError, RankDeficientError
+from .errors import DegenerateProbeError, InfeasibleError
 from .rip import exact_block_rip
-from .solver import RANK_TOL, project_least_squares
+from .solver import RANK_TOL, _rank_failure, project_least_squares
 
 LEMMA_SLACK = 1e-10
 
@@ -103,10 +105,9 @@ def _range_basis(A: BlockedMatrix, support, rank_tol: float = RANK_TOL) -> np.nd
     if sub.shape[1] == 0:
         return np.zeros((A.rows, 0))
     U, sigma, _ = np.linalg.svd(sub, full_matrices=False)
-    if sigma[0] == 0.0 or sigma[-1] < rank_tol * sigma[0]:
-        raise RankDeficientError(
-            f"blocks {sorted(support)} do not span a full-rank subdictionary"
-        )
+    error = _rank_failure(sorted(support), sigma, rank_tol)
+    if error is not None:
+        raise error
     return U
 
 
@@ -279,23 +280,14 @@ def random_recovery_problem(
 
     Returns (problem, truth).
     """
-    layout = BlockLayout(num_blocks, block_width)
-    n = layout.ambient_dim
-    A = BlockedMatrix(layout, rng.normal(size=(rows, n)) / math.sqrt(rows))
-
-    support = sorted(rng.choice(num_blocks, size=sparsity, replace=False) + 1)
-    truth = BlockSignal.from_blocks(
-        layout, {int(i): rng.normal(size=block_width) for i in support}
+    return gaussian_instance(
+        rng,
+        BlockLayout(num_blocks, block_width),
+        rows,
+        sparsity,
+        lambda rng, count: [rng.normal(size=block_width) for _ in range(count)],
+        epsilon,
     )
-
-    if epsilon > 0.0:
-        raw = rng.normal(size=rows)
-        noise = raw * (epsilon / np.linalg.norm(raw))
-    else:
-        noise = np.zeros(rows)
-    y = A.entries @ truth.values + noise
-    problem = SensingProblem(matrix=A, observation=y, noise_bound=epsilon)
-    return problem, truth
 
 
 def random_proof_instance(
@@ -389,7 +381,7 @@ def run_proof_verification(
     """
     if trials < 1:
         raise ValueError("trials must be a positive integer")
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(as_seed(seed))
     identity_ok = lemma_ok = theta_ok = 0
     worst = 0.0
     for _ in range(trials):

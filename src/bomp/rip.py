@@ -17,7 +17,7 @@ from math import comb
 
 import numpy as np
 
-from .core import BlockedMatrix, extract_blocks
+from .core import BlockedMatrix, as_seed, extract_blocks
 from .errors import BudgetExceededError
 
 # roughly 1e8 floating operations of eigen-decomposition work
@@ -124,7 +124,7 @@ def rip_lower_bound_sampled(
         raise ValueError(f"order K must be in 1..{M}, got {K}")
     if trials < 1:
         raise ValueError("trials must be a positive integer")
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(as_seed(seed))
     worst = 0.0
     for _ in range(trials):
         support = tuple(sorted(rng.choice(M, size=K, replace=False) + 1))

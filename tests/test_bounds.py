@@ -41,8 +41,9 @@ def test_inputs_validation():
         BoundInputs(K=1, delta=0.0)
     with pytest.raises(ValueError):
         BoundInputs(K=1, delta=1.0)
-    with pytest.raises(ValueError):
-        BoundInputs(K=1, delta=0.1, epsilon=0.0)
+    for epsilon in (0.0, float("inf"), float("nan")):
+        with pytest.raises(ValueError, match="epsilon"):
+            BoundInputs(K=1, delta=0.1, epsilon=epsilon)
 
 
 def test_feasibility_edge():

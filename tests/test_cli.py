@@ -3,7 +3,6 @@ import json
 import numpy as np
 import pytest
 
-from bomp.adversarial import AdversarialParams, build_adversarial_instance
 from bomp.cli import main
 from bomp.core import BlockedMatrix, BlockLayout, BlockSignal
 from bomp.io import save_matrix, save_vector
@@ -237,6 +236,41 @@ def test_experiment_rejects_fractional_trials(tmp_path, capsys):
     assert "trials must be an integer" in _one_line_error(capsys)
 
 
+def test_experiment_rejects_removed_ensemble_key(tmp_path, capsys):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({
+        "m": 24, "M": 6, "d": 2, "K": 2, "matrix_ensemble": "from_file",
+    }))
+    assert main(["experiment", "--config", str(cfg_path)]) == 2
+    assert "unknown config keys" in _one_line_error(capsys)
+
+
+def test_negative_seed_is_a_usage_error(instance_files, capsys):
+    cfg_path = instance_files / "cfg.json"
+    cfg_path.write_text(json.dumps({"m": 24, "M": 6, "d": 2, "K": 2}))
+    for argv in (
+        ["experiment", "--config", str(cfg_path), "--seed", "-1"],
+        ["verify-proofs", "--trials", "1", "--seed", "-1"],
+        [
+            "rip",
+            "--matrix", str(instance_files / "A.csv"),
+            "--layout", str(instance_files / "A.json"),
+            "--order", "2", "--sample", "5", "--seed", "-1",
+        ],
+    ):
+        assert main(argv) == 2, argv
+        assert "seed" in _one_line_error(capsys)
+
+
+def test_bounds_reject_infinite_epsilon(capsys):
+    for argv in (
+        ["bounds", "--K", "2", "--delta", "0.1", "--epsilon", "inf"],
+        ["figure1", "--K", "2", "--points", "3", "--epsilon", "inf"],
+    ):
+        assert main(argv) == 2, argv
+        assert "epsilon" in _one_line_error(capsys)
+
+
 def test_run_rejects_layout_that_is_a_list(instance_files, capsys):
     layout = instance_files / "list.json"
     layout.write_text("[12, 4, 2]")
@@ -249,26 +283,6 @@ def test_run_rejects_layout_that_is_a_list(instance_files, capsys):
     ])
     assert code == 2
     assert "must be a JSON object" in _one_line_error(capsys)
-
-
-def test_experiment_from_file_failure_demo(tmp_path, capsys):
-    params = AdversarialParams(d=1, K=2, delta=0.3, epsilon=1.0)
-    problem, truth, _ = build_adversarial_instance(params)
-    save_matrix(tmp_path / "A.csv", problem.matrix, tmp_path / "layout.json")
-    save_vector(tmp_path / "y.csv", problem.observation)
-    save_vector(tmp_path / "truth.csv", truth.values)
-    cfg = {
-        "m": 3, "M": 3, "d": 1, "K": 2, "noise_norm": 1.0, "trials": 3,
-        "seed": 0, "matrix_ensemble": "from_file",
-        "matrix_path": str(tmp_path / "A.csv"),
-        "layout_path": str(tmp_path / "layout.json"),
-        "observation_path": str(tmp_path / "y.csv"),
-        "truth_path": str(tmp_path / "truth.csv"),
-    }
-    cfg_path = tmp_path / "cfg.json"
-    cfg_path.write_text(json.dumps(cfg))
-    assert main(["experiment", "--config", str(cfg_path)]) == 0
-    assert _json_out(capsys)["recovery_rate"] == 0.0
 
 
 def test_usage_errors_exit_2(capsys):

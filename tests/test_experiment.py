@@ -3,14 +3,19 @@ import json
 import numpy as np
 import pytest
 
-from bomp.adversarial import AdversarialParams, build_adversarial_instance
-from bomp.core import block_norms, block_support
+from bomp.core import (
+    BlockedMatrix,
+    BlockLayout,
+    BlockSignal,
+    SensingProblem,
+    block_norms,
+    block_support,
+)
 from bomp.experiment import (
     ExperimentConfig,
     generate_instance,
     run_experiment,
 )
-from bomp.io import save_matrix, save_vector
 from bomp.solver import FIXED_ITERATIONS, RESIDUAL_THRESHOLD, StoppingRule
 
 
@@ -32,10 +37,6 @@ def test_config_validation():
         _small_cfg(noise_norm=-1.0)
     with pytest.raises(ValueError):
         _small_cfg(min_block_norm=0.0)
-    with pytest.raises(ValueError):
-        _small_cfg(matrix_ensemble="laplace")
-    with pytest.raises(ValueError):
-        _small_cfg(matrix_ensemble="from_file")  # paths required
     # wrong types from a JSON config are ValueErrors, not TypeErrors
     for bad in (
         {"trials": 2.5},
@@ -43,7 +44,7 @@ def test_config_validation():
         {"K": True},
         {"noise_norm": "0.1"},
         {"noise_norm": float("nan")},
-        {"matrix_path": 5},
+        {"seed": -1},
         {"stopping": "fixed_iterations"},
         {"stopping": {"epsilon": 0.1}},
         {"stopping": {"mode": "fixed_iterations", "max_iterations": "3"}},
@@ -147,61 +148,19 @@ def test_bomp_threads_validation(monkeypatch):
         run_experiment(cfg)
 
 
-def test_from_file_adversarial_instance_never_recovers(tmp_path):
-    params = AdversarialParams(d=2, K=3, delta=0.2, epsilon=1.0)
-    problem, truth, _ = build_adversarial_instance(params)
-    save_matrix(tmp_path / "A.csv", problem.matrix, tmp_path / "layout.json")
-    save_vector(tmp_path / "y.csv", problem.observation)
-    save_vector(tmp_path / "truth.csv", truth.values)
-    cfg = ExperimentConfig(
-        m=8, M=4, d=2, K=3, noise_norm=1.0, trials=5, seed=0,
-        matrix_ensemble="from_file",
-        matrix_path=str(tmp_path / "A.csv"),
-        layout_path=str(tmp_path / "layout.json"),
-        observation_path=str(tmp_path / "y.csv"),
-        truth_path=str(tmp_path / "truth.csv"),
-    )
-    result = run_experiment(cfg)
-    assert result.recovery_rate == 0.0
-    assert all(r.iterations == 3 for r in result.records)
-
-
-def test_from_file_shape_mismatch_is_rejected(tmp_path):
-    params = AdversarialParams(d=2, K=3, delta=0.2, epsilon=1.0)
-    problem, truth, _ = build_adversarial_instance(params)
-    save_matrix(tmp_path / "A.csv", problem.matrix, tmp_path / "layout.json")
-    save_vector(tmp_path / "y.csv", problem.observation)
-    save_vector(tmp_path / "truth.csv", truth.values)
-    cfg = ExperimentConfig(
-        m=8, M=4, d=2, K=2,  # truth actually has 3 active blocks
-        noise_norm=1.0, trials=2, seed=0, matrix_ensemble="from_file",
-        matrix_path=str(tmp_path / "A.csv"),
-        layout_path=str(tmp_path / "layout.json"),
-        observation_path=str(tmp_path / "y.csv"),
-        truth_path=str(tmp_path / "truth.csv"),
-    )
-    with pytest.raises(ValueError, match="active blocks"):
-        run_experiment(cfg)
-
-
-def test_solver_errors_are_recorded_not_raised(tmp_path):
+def test_solver_errors_are_recorded_not_raised(monkeypatch):
     # two identical column blocks: the second pick makes the least squares
     # rank deficient, which must land in the record, not abort the batch
-    from bomp.core import BlockedMatrix, BlockLayout
-
     layout = BlockLayout(2, 1)
     A = BlockedMatrix(layout, np.array([[1.0, 1.0], [0.0, 0.0]]))
-    save_matrix(tmp_path / "A.csv", A, tmp_path / "layout.json")
-    save_vector(tmp_path / "y.csv", np.array([1.0, 0.3]))
-    save_vector(tmp_path / "truth.csv", np.array([1.0, 0.0]))
+    instance = (
+        SensingProblem(matrix=A, observation=np.array([1.0, 0.3]), noise_bound=1.0),
+        BlockSignal(layout, np.array([1.0, 0.0])),
+    )
+    monkeypatch.setattr("bomp.experiment.generate_instance", lambda cfg, k: instance)
     cfg = ExperimentConfig(
         m=2, M=2, d=1, K=1, noise_norm=1.0, trials=3, seed=0,
-        matrix_ensemble="from_file",
         stopping=StoppingRule(FIXED_ITERATIONS, max_iterations=2),
-        matrix_path=str(tmp_path / "A.csv"),
-        layout_path=str(tmp_path / "layout.json"),
-        observation_path=str(tmp_path / "y.csv"),
-        truth_path=str(tmp_path / "truth.csv"),
     )
     result = run_experiment(cfg)
     assert len(result.records) == 3
