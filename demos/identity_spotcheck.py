@@ -4,8 +4,10 @@ The selection margin eta of a candidate block can be computed two ways:
 directly from least-squares residuals, or through a polarization identity
 with a free parameter t that must cancel out. The second check is the
 floor on surviving block norms after a partial solve. Both are exercised
-on freshly drawn random instances here; no shared intermediate values, so
-agreement is evidence, not bookkeeping.
+on freshly drawn random instances here. The two margin routes share only
+the projection coefficients xi of the observation on the true support; each
+computes its own residual, and the identity route its own projected
+dictionary, so agreement is evidence, not bookkeeping.
 """
 
 import argparse
@@ -27,7 +29,7 @@ def main():
     print("one instance, margin eta along t (the identity route must not move):")
     direct = eta_direct(inst)
     for t in (0.05, 0.5, 1.0, 5.0, 50.0):
-        via = eta_via_identity(inst.at_t(t))
+        via = eta_via_identity(inst, t)
         print(f"  t = {t:>6}: direct {direct:+.12f}   identity {via:+.12f}   "
               f"diff {abs(direct - via):.2e}")
 

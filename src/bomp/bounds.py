@@ -62,18 +62,31 @@ class BoundInputs:
             )
 
 
+def _finite(name: str, value: float, b: BoundInputs) -> float:
+    """``value`` unchanged; ValueError when the bound overflowed to inf or nan."""
+    if not math.isfinite(value):
+        raise ValueError(
+            f"{name} bound is not finite at K={b.K}, delta={b.delta}, "
+            f"epsilon={b.epsilon}: got {value}"
+        )
+    return value
+
+
 def z1_sufficient_bound(b: BoundInputs) -> float:
     """eps/sqrt(1-delta) + eps*sqrt(1+delta)/(1 - sqrt(K+1)*delta)."""
     b.require_feasible()
-    return b.epsilon / math.sqrt(1.0 - b.delta) + b.epsilon * math.sqrt(
-        1.0 + b.delta
-    ) / (1.0 - math.sqrt(b.K + 1) * b.delta)
+    return _finite(
+        "z1",
+        b.epsilon / math.sqrt(1.0 - b.delta)
+        + b.epsilon * math.sqrt(1.0 + b.delta) / (1.0 - math.sqrt(b.K + 1) * b.delta),
+        b,
+    )
 
 
 def z2_prior_bound(b: BoundInputs) -> float:
     """2*eps/(1 - sqrt(K+1)*delta)."""
     b.require_feasible()
-    return 2.0 * b.epsilon / (1.0 - math.sqrt(b.K + 1) * b.delta)
+    return _finite("z2", 2.0 * b.epsilon / (1.0 - math.sqrt(b.K + 1) * b.delta), b)
 
 
 def necessary_bound(b: BoundInputs) -> float:
@@ -81,9 +94,10 @@ def necessary_bound(b: BoundInputs) -> float:
     b.require_feasible()
     root = math.sqrt(1.0 - b.delta**2)
     denominator = root * (root - math.sqrt(b.K) * b.delta)
-    # delta < 1/sqrt(K+1) is equivalent to a positive denominator
-    assert denominator > 0.0
-    return b.epsilon / denominator
+    # delta < 1/sqrt(K+1) is equivalent to a positive denominator, but within
+    # a few ulps of that edge it rounds to zero
+    quotient = b.epsilon / denominator if denominator > 0.0 else math.inf
+    return _finite("necessary", quotient, b)
 
 
 @dataclass(frozen=True)
@@ -109,6 +123,8 @@ def check_sufficient(
     exceeds the z1 threshold; the verdict lists which clause failed.
     """
     b = BoundInputs(K=K, delta=delta, epsilon=epsilon)
+    if math.isnan(min_block_norm):
+        raise ValueError("min_block_norm must be a number, got nan")
     if not b.feasible:
         return SufficiencyVerdict(guaranteed=False, reasons=(REASON_RIP,))
     z1 = z1_sufficient_bound(b)

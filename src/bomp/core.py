@@ -226,7 +226,9 @@ def gaussian_instance(
     ``draw_blocks(rng, sparsity)``, in ascending index order; and, only when
     ``epsilon > 0``, noise rescaled to norm exactly ``epsilon``.
     """
-    A = BlockedMatrix(layout, rng.normal(size=(rows, layout.ambient_dim)) / math.sqrt(rows))
+    entries = rng.normal(size=(rows, layout.ambient_dim))
+    entries /= math.sqrt(rows)  # in place: no second dictionary-sized temporary
+    A = BlockedMatrix(layout, entries)
     chosen = rng.choice(layout.num_blocks, size=sparsity, replace=False) + 1
     support = sorted(int(i) for i in chosen)
     truth = BlockSignal.from_blocks(layout, dict(zip(support, draw_blocks(rng, sparsity))))

@@ -9,7 +9,7 @@ class RankDeficientError(BompError):
     """A subdictionary is numerically rank deficient.
 
     Raised when the smallest singular value of the selected column blocks
-    falls below ``rank_tol`` times the largest; least squares on such a
+    falls below ``RANK_TOL`` times the largest; least squares on such a
     dictionary is meaningless.
     """
 

@@ -1,7 +1,7 @@
 """Numerical verification of the analysis behind the recovery guarantee.
 
 Two facts carry the proof of the sufficient condition and both are checked
-here on randomized instances, by two genuinely independent routes each:
+here on randomized instances:
 
 * an exact algebraic identity rewriting the selection margin
   ``eta = (||r||^2 - ||Pperp_T e||^2)/||alpha||_{2,1} - ||A[j]' r||_2``
@@ -12,16 +12,21 @@ here on randomized instances, by two genuinely independent routes each:
   ``epsilon/sqrt(1 - delta)``, where delta is the exact isometry constant
   of order K+1.
 
-The direct route evaluates margins from SVD-based least squares; the
-identity route assembles the quadratic form from an orthonormal basis of
-the projected-out subspace. Agreement to 1e-9 across instances and t
-values is strong evidence both are implemented as stated.
+The margin is computed by two routes. Both read the projection
+coefficients ``xi`` of y on the true support (and so alpha, their part on
+the unchosen blocks) from :class:`ProofInstance`. Each route computes the
+rest on its own: the direct route takes the residual r from SVD-based least
+squares, and the identity route takes r and the projected dictionary from
+an orthonormal basis of the projected-out subspace. Agreement to 1e-9
+across instances and t values is strong evidence both are implemented as
+stated.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -38,9 +43,12 @@ from .core import (
 )
 from .errors import DegenerateProbeError, InfeasibleError
 from .rip import exact_block_rip
-from .solver import RANK_TOL, _rank_failure, project_least_squares
+from .solver import _checked_svd, project_least_squares
 
 LEMMA_SLACK = 1e-10
+MAX_ATTEMPTS = 200
+T_VALUES = (0.1, 1.0, 10.0)
+IDENTITY_REL_TOL = 1e-9
 
 
 @dataclass(frozen=True, eq=False)
@@ -49,16 +57,14 @@ class ProofInstance:
 
     ``partial_support`` plays the role of the blocks already (correctly)
     chosen, so it must be a strict subset of the truth's support; the probe
-    index is a block outside the support competing for selection. ``t`` is
-    the free parameter of the algebraic identity; the direct margin does
-    not depend on it.
+    index is a block outside the support competing for selection. The
+    quantities both margin routes read are derived once, on first use.
     """
 
     problem: SensingProblem
     truth: BlockSignal
     partial_support: tuple
     probe_index: int
-    t: float = 1.0
 
     def __post_init__(self):
         object.__setattr__(
@@ -74,19 +80,49 @@ class ProofInstance:
         self.problem.matrix.layout.check_index(self.probe_index)
         if self.probe_index in T:
             raise ValueError(f"probe index {self.probe_index} lies in the support")
-        if not self.t > 0.0:
-            raise ValueError("t must be positive")
 
-    @property
+    @cached_property
     def support(self) -> tuple:
         return block_support(self.truth)
 
-    @property
+    @cached_property
+    def remaining(self) -> tuple:
+        """The support blocks not yet chosen."""
+        return tuple(i for i in self.support if i not in self.partial_support)
+
+    @cached_property
     def noise(self) -> np.ndarray:
         return self.problem.observation - self.problem.matrix.entries @ self.truth.values
 
-    def at_t(self, t: float) -> "ProofInstance":
-        return replace(self, t=t)
+    @cached_property
+    def xi(self) -> BlockSignal:
+        """Projection coefficients of y on the true support."""
+        return compute_xi(self.problem, self.support)
+
+    @cached_property
+    def alpha_21(self) -> float:
+        """``||alpha||_{2,1}``: the block norms of ``xi`` summed over ``remaining``.
+
+        Raises ZeroDivisionError when it is zero, since both margins divide by it.
+        """
+        w = block_norms(self.xi)
+        alpha_21 = float(sum(w[i - 1] for i in self.remaining))
+        if alpha_21 == 0.0:
+            raise ZeroDivisionError(
+                "projection coefficients vanish on the unchosen support blocks"
+            )
+        return alpha_21
+
+    @cached_property
+    def partial_residual(self) -> np.ndarray:
+        """Residual of y after least squares on the partial support."""
+        A = self.problem.matrix
+        return project_least_squares(A, self.partial_support, self.problem.observation)[1]
+
+    @cached_property
+    def noise_off_support(self) -> np.ndarray:
+        """The part of the noise orthogonal to the span of the true support."""
+        return project_least_squares(self.problem.matrix, self.support, self.noise)[1]
 
 
 def compute_xi(problem: SensingProblem, support) -> BlockSignal:
@@ -99,27 +135,13 @@ def compute_xi(problem: SensingProblem, support) -> BlockSignal:
     return estimate
 
 
-def _range_basis(A: BlockedMatrix, support, rank_tol: float = RANK_TOL) -> np.ndarray:
+def _range_basis(A: BlockedMatrix, support) -> np.ndarray:
     """Orthonormal basis of the span of the supported column blocks."""
-    sub = extract_blocks(A, support)
-    if sub.shape[1] == 0:
-        return np.zeros((A.rows, 0))
-    U, sigma, _ = np.linalg.svd(sub, full_matrices=False)
-    error = _rank_failure(sorted(support), sigma, rank_tol)
-    if error is not None:
-        raise error
-    return U
+    return _checked_svd(A, sorted(support))[1]
 
 
 def _project_out(basis: np.ndarray, w: np.ndarray) -> np.ndarray:
-    if basis.shape[1] == 0:
-        return w.copy()
     return w - basis @ (basis.T @ w)
-
-
-def _alpha_norm_21(xi: BlockSignal, remaining) -> float:
-    w = block_norms(xi)
-    return float(sum(w[i - 1] for i in remaining))
 
 
 def eta_direct(inst: ProofInstance) -> float:
@@ -129,28 +151,17 @@ def eta_direct(inst: ProofInstance) -> float:
     the residual after projecting onto the partial support and alpha the
     projection coefficients on the not-yet-chosen support blocks.
     """
-    A = inst.problem.matrix
-    y = inst.problem.observation
-    T = inst.support
-    remaining = [i for i in T if i not in inst.partial_support]
-
-    xi = compute_xi(inst.problem, T)
-    alpha_21 = _alpha_norm_21(xi, remaining)
-    if alpha_21 == 0.0:
-        raise ZeroDivisionError(
-            "projection coefficients vanish on the unchosen support blocks"
-        )
-
-    _, r = project_least_squares(A, inst.partial_support, y)
-    _, e_off_support = project_least_squares(A, T, inst.noise)
-    probe_score = float(np.linalg.norm(A.block(inst.probe_index).T @ r))
+    alpha_21 = inst.alpha_21
+    r = inst.partial_residual
+    e_off_support = inst.noise_off_support
+    probe_score = float(np.linalg.norm(inst.problem.matrix.block(inst.probe_index).T @ r))
 
     r2 = float(np.dot(r, r))
     e2 = float(np.dot(e_off_support, e_off_support))
     return (r2 - e2) / alpha_21 - probe_score
 
 
-def eta_via_identity(inst: ProofInstance) -> float:
+def eta_via_identity(inst: ProofInstance, t: float = 1.0) -> float:
     """Selection margin through the exact quadratic-difference identity.
 
     Builds the projected dictionary ``B`` on the unchosen support blocks
@@ -158,26 +169,17 @@ def eta_via_identity(inst: ProofInstance) -> float:
     v, and evaluates
     ``(||B((t+1/||alpha||)u - v)||^2 - ||B((t-1/||alpha||)u + v)||^2)/(4t)``
     minus the noise correlation with the projected probe direction. The
-    value is independent of t.
+    value is independent of the free parameter ``t``, which must be positive.
     """
+    if not t > 0.0:
+        raise ValueError("t must be positive")
     A = inst.problem.matrix
-    y = inst.problem.observation
-    d = A.layout.block_width
-    T = inst.support
-    remaining = [i for i in T if i not in inst.partial_support]
     j = inst.probe_index
-    t = inst.t
-
-    xi = compute_xi(inst.problem, T)
-    alpha = np.concatenate([xi.block(i) for i in remaining])
-    alpha_21 = _alpha_norm_21(xi, remaining)
-    if alpha_21 == 0.0:
-        raise ZeroDivisionError(
-            "projection coefficients vanish on the unchosen support blocks"
-        )
+    c = 1.0 / inst.alpha_21
+    alpha = np.concatenate([inst.xi.block(i) for i in inst.remaining])
 
     chosen_basis = _range_basis(A, inst.partial_support)
-    r = _project_out(chosen_basis, y)
+    r = _project_out(chosen_basis, inst.problem.observation)
     probe_correlation = A.block(j).T @ r
     scale = float(np.linalg.norm(probe_correlation))
     if scale == 0.0:
@@ -187,16 +189,15 @@ def eta_via_identity(inst: ProofInstance) -> float:
     h = probe_correlation / scale
 
     B = _project_out(
-        chosen_basis, np.hstack([extract_blocks(A, remaining), A.block(j)])
+        chosen_basis, np.hstack([extract_blocks(A, inst.remaining), A.block(j)])
     )
-    u = np.concatenate([alpha, np.zeros(d)])
+    u = np.concatenate([alpha, np.zeros(A.layout.block_width)])
     v = np.concatenate([np.zeros(alpha.size), h])
 
-    c = 1.0 / alpha_21
     plus = B @ ((t + c) * u - v)
     minus = B @ ((t - c) * u + v)
 
-    support_basis = _range_basis(A, T)
+    support_basis = _range_basis(A, inst.support)
     probe_off_support = _project_out(support_basis, A.block(j) @ h)
     noise_term = float(np.dot(inst.noise, probe_off_support))
 
@@ -228,16 +229,14 @@ class Lemma1Report:
         }
 
 
-def lemma1_check(
-    problem: SensingProblem, truth: BlockSignal, support=None
-) -> Lemma1Report:
+def lemma1_check(problem: SensingProblem, truth: BlockSignal) -> Lemma1Report:
     """Check the minimum-block-norm perturbation bound on one instance.
 
     Uses the exact isometry constant of order |T|+1, so the instance must
     be small enough to enumerate; raises :class:`InfeasibleError` when that
     constant is not below 1.
     """
-    T = tuple(support) if support is not None else block_support(truth)
+    T = block_support(truth)
     A = problem.matrix
     if len(T) + 1 > A.layout.num_blocks:
         raise ValueError("need at least one block outside the support")
@@ -297,21 +296,20 @@ def random_proof_instance(
     sparsity: int = 3,
     rows: int | None = None,
     epsilon: float = 0.25,
-    max_attempts: int = 200,
 ) -> ProofInstance:
     """Draw an instance whose exact order-(K+1) constant sits below 1.
 
-    Rejection-resamples the whole instance until the isometry constant
-    qualifies and every needed subdictionary is well conditioned, so the
-    perturbation bound applies with a true constant rather than an
-    estimate. Deterministic given the generator state.
+    Rejection-resamples the whole instance, up to ``MAX_ATTEMPTS`` times,
+    until the isometry constant qualifies and every needed subdictionary is
+    well conditioned, so the perturbation bound applies with a true constant
+    rather than an estimate. Deterministic given the generator state.
     """
     if sparsity >= num_blocks:
         raise ValueError("need sparsity < num_blocks to leave a probe block")
     if rows is None:
         rows = 10 * (sparsity + 1) * block_width
 
-    for _ in range(max_attempts):
+    for _ in range(MAX_ATTEMPTS):
         problem, truth = random_recovery_problem(
             rng, num_blocks, block_width, sparsity, rows, epsilon
         )
@@ -321,30 +319,26 @@ def random_proof_instance(
         if exact_block_rip(problem.matrix, sparsity + 1).delta >= 1.0:
             continue
         k = int(rng.integers(0, sparsity))
-        chosen = tuple(sorted(rng.choice(np.array(T), size=k, replace=False)))
+        chosen = rng.choice(np.array(T), size=k, replace=False)
         off = [i for i in problem.matrix.layout.block_indices() if i not in T]
         probe = int(off[rng.integers(0, len(off))])
         inst = ProofInstance(
-            problem=problem,
-            truth=truth,
-            partial_support=tuple(int(i) for i in chosen),
-            probe_index=probe,
+            problem=problem, truth=truth, partial_support=chosen, probe_index=probe
         )
         # degenerate draws are measure zero; re-sample if one shows up anyway
-        xi = compute_xi(problem, T)
-        if _alpha_norm_21(xi, [i for i in T if i not in inst.partial_support]) == 0.0:
+        try:
+            inst.alpha_21
+        except ZeroDivisionError:
             continue
-        _, r = project_least_squares(problem.matrix, inst.partial_support, problem.observation)
-        if np.linalg.norm(problem.matrix.block(probe).T @ r) == 0.0:
+        if np.linalg.norm(problem.matrix.block(probe).T @ inst.partial_residual) == 0.0:
             continue
         return inst
-    raise RuntimeError(f"no acceptable instance after {max_attempts} attempts")
+    raise RuntimeError(f"no acceptable instance after {MAX_ATTEMPTS} attempts")
 
 
 @dataclass(frozen=True)
 class ProofVerificationSummary:
     trials: int
-    t_values: tuple
     identity_passes: int
     identity_failures: int
     lemma_passes: int
@@ -356,7 +350,7 @@ class ProofVerificationSummary:
     def to_dict(self) -> dict:
         return {
             "trials": self.trials,
-            "t_values": list(self.t_values),
+            "t_values": list(T_VALUES),
             "identity_passes": self.identity_passes,
             "identity_failures": self.identity_failures,
             "lemma_passes": self.lemma_passes,
@@ -367,17 +361,12 @@ class ProofVerificationSummary:
         }
 
 
-def run_proof_verification(
-    trials: int,
-    seed: int,
-    t_values=(0.1, 1.0, 10.0),
-    identity_rel_tol: float = 1e-9,
-) -> ProofVerificationSummary:
+def run_proof_verification(trials: int, seed: int) -> ProofVerificationSummary:
     """Randomized sweep over both checks; returns aggregate pass counts.
 
     Instance shapes vary trial to trial (block counts 4..8, widths 1..3,
     sparsity 1..3). An identity trial passes when the two margin routes
-    agree within ``identity_rel_tol`` relative at every t.
+    agree within ``IDENTITY_REL_TOL`` relative at every t in ``T_VALUES``.
     """
     if trials < 1:
         raise ValueError("trials must be a positive integer")
@@ -397,11 +386,11 @@ def run_proof_verification(
         )
         direct = eta_direct(inst)
         ok = True
-        for t in t_values:
-            via = eta_via_identity(inst.at_t(t))
+        for t in T_VALUES:
+            via = eta_via_identity(inst, t)
             residual = abs(direct - via) / max(1.0, abs(direct))
             worst = max(worst, residual)
-            ok = ok and residual <= identity_rel_tol
+            ok = ok and residual <= IDENTITY_REL_TOL
         identity_ok += ok
 
         report = lemma1_check(inst.problem, inst.truth)
@@ -409,7 +398,6 @@ def run_proof_verification(
         theta_ok += report.theta_holds
     return ProofVerificationSummary(
         trials=trials,
-        t_values=tuple(t_values),
         identity_passes=identity_ok,
         identity_failures=trials - identity_ok,
         lemma_passes=lemma_ok,

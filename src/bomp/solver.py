@@ -61,10 +61,9 @@ class StoppingRule:
             )
         if self.mode in (RESIDUAL_THRESHOLD, BOTH) and not self.epsilon >= 0.0:
             raise ValueError("epsilon must be nonnegative")
-        if self.mode in (FIXED_ITERATIONS, BOTH):
-            if self.max_iterations is None or self.max_iterations < 1:
-                raise ValueError("max_iterations must be a positive integer")
-        if self.max_iterations is not None and self.max_iterations < 1:
+        if (self.max_iterations is None and self.mode in (FIXED_ITERATIONS, BOTH)) or (
+            self.max_iterations is not None and self.max_iterations < 1
+        ):
             raise ValueError("max_iterations must be a positive integer")
 
 
@@ -119,10 +118,10 @@ def block_correlation_scores(A: BlockedMatrix, r: np.ndarray) -> np.ndarray:
     )
 
 
-def _rank_failure(indices, sigma: np.ndarray, rank_tol: float = RANK_TOL):
+def _rank_failure(indices, sigma: np.ndarray):
     """The error for the subdictionary on ``indices`` with descending singular
-    values ``sigma``, or None when it clears ``rank_tol``."""
-    if sigma[0] == 0.0 or sigma[-1] < rank_tol * sigma[0]:
+    values ``sigma``, or None when it clears ``RANK_TOL``."""
+    if sigma[0] == 0.0 or sigma[-1] < RANK_TOL * sigma[0]:
         return RankDeficientError(
             f"subdictionary on blocks {indices} is rank deficient "
             f"(singular values {sigma[-1]:.3e} .. {sigma[0]:.3e})"
@@ -130,15 +129,32 @@ def _rank_failure(indices, sigma: np.ndarray, rank_tol: float = RANK_TOL):
     return None
 
 
-def project_least_squares(
-    A: BlockedMatrix, support, y: np.ndarray, rank_tol: float = RANK_TOL
-):
+def _checked_svd(A: BlockedMatrix, indices: list):
+    """Thin SVD of the subdictionary on the sorted block ``indices``.
+
+    Returns ``(sub, U, sigma, Vt)``; raises :class:`RankDeficientError` when
+    ``sub`` has more columns than rows or fails :func:`_rank_failure`.
+    """
+    sub = extract_blocks(A, indices)
+    if sub.shape[1] > A.rows:
+        raise RankDeficientError(
+            f"support spans {sub.shape[1]} columns but only {A.rows} rows"
+        )
+    U, sigma, Vt = np.linalg.svd(sub, full_matrices=False)
+    if sigma.size:
+        error = _rank_failure(indices, sigma)
+        if error is not None:
+            raise error
+    return sub, U, sigma, Vt
+
+
+def project_least_squares(A: BlockedMatrix, support, y: np.ndarray):
     """Least-squares fit of ``y`` on the blocks in ``support``.
 
     Returns ``(estimate, residual)`` where the estimate is zero outside the
     support and ``residual = y - A @ estimate``; the residual is orthogonal
     to every supported column. Raises :class:`RankDeficientError` when the
-    subdictionary's smallest singular value falls below ``rank_tol`` times
+    subdictionary's smallest singular value falls below ``RANK_TOL`` times
     its largest.
 
     This is the reference route: one SVD of the whole subdictionary per call.
@@ -149,17 +165,7 @@ def project_least_squares(
     if y.shape != (A.rows,):
         raise ValueError(f"observation must have length {A.rows}")
     indices = sorted(int(i) for i in support)
-    sub = extract_blocks(A, indices)
-    if sub.shape[1] == 0:
-        return BlockSignal.zero(A.layout), y.copy()
-    if sub.shape[1] > A.rows:
-        raise RankDeficientError(
-            f"support spans {sub.shape[1]} columns but only {A.rows} rows"
-        )
-    U, sigma, Vt = np.linalg.svd(sub, full_matrices=False)
-    error = _rank_failure(indices, sigma, rank_tol)
-    if error is not None:
-        raise error
+    sub, U, sigma, Vt = _checked_svd(A, indices)
     coef = Vt.T @ ((U.T @ y) / sigma)
     values = np.zeros(A.layout.ambient_dim)
     d = A.layout.block_width

@@ -195,7 +195,7 @@ def test_criterion_7_margin_identity_on_1000_instances():
         )
         direct = eta_direct(inst)
         for t in (0.1, 1.0, 10.0):
-            via = eta_via_identity(inst.at_t(t))
+            via = eta_via_identity(inst, t)
             err = abs(direct - via)
             tol = 1e-9 * max(1.0, abs(direct))
             worst = max(worst, err / max(1.0, abs(direct)))

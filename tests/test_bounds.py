@@ -1,7 +1,10 @@
 import math
+import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bomp.bounds import (
     REASON_NORM,
@@ -127,3 +130,50 @@ def test_figure1_curves_shape_and_content():
 def test_inequality_20_holds_on_the_open_interval():
     assert verify_inequality_20()
     assert verify_inequality_20(grid_points=100)
+
+
+BOUNDS = (necessary_bound, z1_sufficient_bound, z2_prior_bound)
+PROPERTY = settings(derandomize=True, max_examples=200, deadline=None)
+
+
+@st.composite
+def feasible_inputs(draw, epsilons, margin=0.0):
+    """``BoundInputs`` with delta inside (0, 1/sqrt(K+1)), keeping a relative
+    ``margin`` of that edge clear at both ends."""
+    K = draw(st.integers(1, 1000))
+    limit = 1.0 / math.sqrt(K + 1)
+    delta = draw(
+        st.floats(margin * limit, (1.0 - margin) * limit, exclude_min=True, exclude_max=True)
+    )
+    return BoundInputs(K=K, delta=delta, epsilon=draw(epsilons))
+
+
+# below a delta of about 1e-6 of the edge, z2 - z1 drops under the
+# resolution of doubles near 2*epsilon and the strict order cannot show
+MODERATE = feasible_inputs(st.floats(1e-100, 1e100), margin=1e-6)
+ANY = feasible_inputs(st.floats(0.0, sys.float_info.max, exclude_min=True))
+
+
+@PROPERTY
+@given(MODERATE)
+def test_property_bounds_are_ordered(b):
+    assert necessary_bound(b) <= z1_sufficient_bound(b) < z2_prior_bound(b)
+
+
+@PROPERTY
+@given(MODERATE)
+def test_property_bounds_scale_linearly_in_epsilon(b):
+    unit = BoundInputs(K=b.K, delta=b.delta, epsilon=1.0)
+    for bound in BOUNDS:
+        assert bound(b) == pytest.approx(b.epsilon * bound(unit), rel=1e-12)
+
+
+@PROPERTY
+@given(ANY)
+def test_property_bounds_are_finite_or_refused(b):
+    for bound in BOUNDS:
+        try:
+            value = bound(b)
+        except ValueError:
+            continue
+        assert math.isfinite(value) and value >= 0.0

@@ -271,6 +271,27 @@ def test_bounds_reject_infinite_epsilon(capsys):
         assert "epsilon" in _one_line_error(capsys)
 
 
+def test_bounds_reject_overflowing_epsilon(capsys):
+    assert main(["bounds", "--K", "2", "--delta", "0.1", "--epsilon", "1e308"]) == 2
+    assert "not finite" in _one_line_error(capsys)
+
+
+def test_figure1_rejects_overflowing_epsilon(capsys):
+    assert main(["figure1", "--K", "2", "--points", "3", "--epsilon", "1e308"]) == 2
+    assert "not finite" in _one_line_error(capsys)
+
+
+def test_bounds_reject_delta_at_the_rounding_edge(capsys):
+    # just below 1/sqrt(3), where the necessary bound's denominator rounds to 0
+    assert main(["bounds", "--K", "2", "--delta", "0.5773502691896257"]) == 2
+    assert "necessary bound is not finite" in _one_line_error(capsys)
+
+
+def test_bounds_reject_nan_min_block_norm(capsys):
+    assert main(["bounds", "--K", "2", "--delta", "0.1", "--min-block-norm", "nan"]) == 2
+    assert "min_block_norm" in _one_line_error(capsys)
+
+
 def test_run_rejects_layout_that_is_a_list(instance_files, capsys):
     layout = instance_files / "list.json"
     layout.write_text("[12, 4, 2]")

@@ -1,10 +1,14 @@
+import re
+
 import numpy as np
 import pytest
 
+import bomp.proofs
 from bomp.core import BlockedMatrix, BlockLayout, BlockSignal, SensingProblem, block_support
-from bomp.errors import DegenerateProbeError, InfeasibleError
+from bomp.errors import DegenerateProbeError, InfeasibleError, RankDeficientError
 from bomp.proofs import (
     ProofInstance,
+    _range_basis,
     compute_xi,
     eta_direct,
     eta_via_identity,
@@ -13,6 +17,7 @@ from bomp.proofs import (
     random_recovery_problem,
     run_proof_verification,
 )
+from bomp.solver import project_least_squares
 
 
 def _identity_instance(values, partial, probe, noise_bound=1.0):
@@ -41,8 +46,10 @@ def test_instance_validation():
         ProofInstance(problem, truth, partial_support=(), probe_index=2)
     with pytest.raises(ValueError):
         ProofInstance(problem, truth, partial_support=(), probe_index=4)
+    # t is a parameter of the identity, not of the instance
+    inst = ProofInstance(problem, truth, partial_support=(), probe_index=3)
     with pytest.raises(ValueError):
-        ProofInstance(problem, truth, partial_support=(), probe_index=3, t=0.0)
+        eta_via_identity(inst, 0.0)
 
 
 def test_compute_xi_reproduces_projection():
@@ -55,20 +62,31 @@ def test_compute_xi_reproduces_projection():
         assert np.linalg.norm(problem.matrix.block(i).T @ residual) < 1e-10
 
 
+def test_range_basis_refuses_what_the_solver_refuses():
+    layout = BlockLayout(3, 1)
+    wide = BlockedMatrix(layout, np.array([[1.0, 0.0, 1.0], [0.0, 1.0, 1.0]]))
+    repeated = BlockedMatrix(layout, np.array([[1.0, 1.0, 0.0], [0.0, 0.0, 1.0]]))
+    for A, support in ((wide, (1, 2, 3)), (repeated, (1, 2))):
+        with pytest.raises(RankDeficientError) as reference:
+            project_least_squares(A, support, np.ones(2))
+        with pytest.raises(RankDeficientError, match=re.escape(str(reference.value))):
+            _range_basis(A, support)
+
+
 def test_identity_agrees_with_direct_margin():
     rng = np.random.default_rng(31)
     for _ in range(25):
         inst = random_proof_instance(rng, num_blocks=6, block_width=2, sparsity=3)
         direct = eta_direct(inst)
         for t in (0.1, 1.0, 10.0):
-            via = eta_via_identity(inst.at_t(t))
+            via = eta_via_identity(inst, t)
             assert abs(direct - via) <= 1e-9 * max(1.0, abs(direct))
 
 
 def test_identity_value_does_not_depend_on_t():
     rng = np.random.default_rng(32)
     inst = random_proof_instance(rng, num_blocks=5, block_width=1, sparsity=2)
-    values = [eta_via_identity(inst.at_t(t)) for t in (0.01, 0.1, 1.0, 10.0, 100.0)]
+    values = [eta_via_identity(inst, t) for t in (0.01, 0.1, 1.0, 10.0, 100.0)]
     np.testing.assert_allclose(values, values[0], rtol=1e-9, atol=1e-12)
 
 
@@ -173,3 +191,32 @@ def test_verification_batch_summary():
     assert d["t_values"] == [0.1, 1.0, 10.0]
     with pytest.raises(ValueError):
         run_proof_verification(trials=0, seed=1)
+
+
+def _count_projections(monkeypatch):
+    calls = []
+    original = bomp.proofs.project_least_squares
+
+    def counting(*args, **kwargs):
+        calls.append(args[1])
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(bomp.proofs, "project_least_squares", counting)
+    return calls
+
+
+def test_sweep_projects_at_most_five_times_per_trial(monkeypatch):
+    calls = _count_projections(monkeypatch)
+    run_proof_verification(20, 3)
+    assert len(calls) <= 5 * 20
+
+
+def test_instance_derives_each_projection_once(monkeypatch):
+    inst = random_proof_instance(np.random.default_rng(37))
+    calls = _count_projections(monkeypatch)
+    direct = eta_direct(inst)
+    seen = len(calls)
+    assert eta_direct(inst) == direct
+    for t in (0.1, 1.0, 10.0):
+        eta_via_identity(inst, t)
+    assert len(calls) == seen
