@@ -33,7 +33,7 @@ def main():
         print(f"  t = {t:>6}: direct {direct:+.12f}   identity {via:+.12f}   "
               f"diff {abs(direct - via):.2e}")
 
-    rep = lemma1_check(inst.problem, inst.truth)
+    rep = lemma1_check(inst)
     print()
     print("block-norm floor on the same instance:")
     print(f"  smallest surviving norm {rep.lhs:.6f} >= floor {rep.rhs:.6f}: {rep.holds}")

@@ -18,13 +18,31 @@ import numpy as np
 DEFAULT_ZERO_TOL = 1e-10
 
 
-def _frozen_array(values, shape, what: str) -> np.ndarray:
+def _read_only(values) -> np.ndarray:
+    """``values`` as a read-only float64 array.
+
+    An ndarray that is already float64, owns its memory and is read-only is
+    adopted without a copy; anything else, in particular any writable array,
+    is copied and the copy made read-only.
+    """
+    if (
+        type(values) is np.ndarray
+        and values.dtype == np.float64
+        and values.flags.owndata
+        and not values.flags.writeable
+    ):
+        return values
     arr = np.array(values, dtype=float, copy=True)
+    arr.setflags(write=False)
+    return arr
+
+
+def _frozen_array(values, shape, what: str) -> np.ndarray:
+    arr = _read_only(values)
     if arr.shape != shape:
         raise ValueError(f"{what} must have shape {shape}, got {arr.shape}")
     if not np.all(np.isfinite(arr)):
         raise ValueError(f"{what} contains non-finite entries")
-    arr.setflags(write=False)
     return arr
 
 
@@ -120,7 +138,7 @@ class BlockedMatrix:
     entries: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        arr = np.array(self.entries, dtype=float, copy=True)
+        arr = _read_only(self.entries)
         if arr.ndim != 2:
             raise ValueError("matrix entries must be two-dimensional")
         if arr.shape[1] != self.layout.ambient_dim:
@@ -130,7 +148,6 @@ class BlockedMatrix:
             )
         if not np.all(np.isfinite(arr)):
             raise ValueError("matrix contains non-finite entries")
-        arr.setflags(write=False)
         object.__setattr__(self, "entries", arr)
 
     @property
@@ -228,6 +245,7 @@ def gaussian_instance(
     """
     entries = rng.normal(size=(rows, layout.ambient_dim))
     entries /= math.sqrt(rows)  # in place: no second dictionary-sized temporary
+    entries.setflags(write=False)  # so the matrix adopts it without a copy
     A = BlockedMatrix(layout, entries)
     chosen = rng.choice(layout.num_blocks, size=sparsity, replace=False) + 1
     support = sorted(int(i) for i in chosen)

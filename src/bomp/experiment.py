@@ -207,7 +207,8 @@ def _run_trial(cfg: ExperimentConfig, trial_index: int) -> TrialRecord:
     try:
         problem, truth = generate_instance(cfg, trial_index)
         trace = run_bomp(problem, cfg.stopping)
-        recovered = set(trace.chosen_indices) == set(block_support(truth))
+        # off-support entries are exact zeros, so any nonzero block was drawn
+        recovered = set(trace.chosen_indices) == set(block_support(truth, zero_tol=0.0))
         return TrialRecord(trial_index, recovered, trace.iterations_run)
     except (BompError, np.linalg.LinAlgError) as exc:
         return TrialRecord(trial_index, False, 0, error=f"{type(exc).__name__}: {exc}")

@@ -7,8 +7,8 @@ here on randomized instances:
   ``eta = (||r||^2 - ||Pperp_T e||^2)/||alpha||_{2,1} - ||A[j]' r||_2``
   as a difference of two squared norms of images under the projected
   dictionary, minus a noise correlation term, valid for every t > 0;
-* a perturbation bound: projecting the observation onto the true support
-  shrinks the minimum block norm of the coefficients by at most
+* a perturbation bound (Lemma 1): projecting the observation onto the true
+  support shrinks the minimum block norm of the coefficients by at most
   ``epsilon/sqrt(1 - delta)``, where delta is the exact isometry constant
   of order K+1.
 
@@ -19,13 +19,14 @@ rest on its own: the direct route takes the residual r from SVD-based least
 squares, and the identity route takes r and the projected dictionary from
 an orthonormal basis of the projected-out subspace. Agreement to 1e-9
 across instances and t values is strong evidence both are implemented as
-stated.
+stated. The perturbation bound has one route; it reads ``xi``, ``theta``
+and the exact constant from the same instance, each computed once per draw.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from functools import cached_property
 
 import numpy as np
@@ -57,8 +58,9 @@ class ProofInstance:
 
     ``partial_support`` plays the role of the blocks already (correctly)
     chosen, so it must be a strict subset of the truth's support; the probe
-    index is a block outside the support competing for selection. The
-    quantities both margin routes read are derived once, on first use.
+    index is a block outside the support competing for selection. Each
+    quantity the margin routes and the perturbation bound read is derived
+    once, on first use.
     """
 
     problem: SensingProblem
@@ -120,9 +122,24 @@ class ProofInstance:
         return project_least_squares(A, self.partial_support, self.problem.observation)[1]
 
     @cached_property
+    def noise_projection(self) -> tuple:
+        """Least squares of the noise on the true support, as (theta, residual)."""
+        return project_least_squares(self.problem.matrix, self.support, self.noise)
+
+    @property
+    def theta(self) -> BlockSignal:
+        """Projected-noise coefficients, the theta of the perturbation bound."""
+        return self.noise_projection[0]
+
+    @property
     def noise_off_support(self) -> np.ndarray:
         """The part of the noise orthogonal to the span of the true support."""
-        return project_least_squares(self.problem.matrix, self.support, self.noise)[1]
+        return self.noise_projection[1]
+
+    @cached_property
+    def rip_delta(self) -> float:
+        """Exact block isometry constant of order |T|+1."""
+        return exact_block_rip(self.problem.matrix, len(self.support) + 1).delta
 
 
 def compute_xi(problem: SensingProblem, support) -> BlockSignal:
@@ -131,8 +148,7 @@ def compute_xi(problem: SensingProblem, support) -> BlockSignal:
     Zero off the support; applying the dictionary to the result reproduces
     the orthogonal projection of the observation.
     """
-    estimate, _ = project_least_squares(problem.matrix, support, problem.observation)
-    return estimate
+    return project_least_squares(problem.matrix, support, problem.observation)[0]
 
 
 def _range_basis(A: BlockedMatrix, support) -> np.ndarray:
@@ -219,49 +235,32 @@ class Lemma1Report:
         return self.theta_norm <= self.theta_bound + LEMMA_SLACK
 
     def to_dict(self) -> dict:
-        return {
-            "lhs": self.lhs,
-            "rhs": self.rhs,
-            "holds": self.holds,
-            "theta_norm": self.theta_norm,
-            "theta_bound": self.theta_bound,
-            "theta_holds": self.theta_holds,
-        }
+        return {**asdict(self), "theta_holds": self.theta_holds}
 
 
-def lemma1_check(problem: SensingProblem, truth: BlockSignal) -> Lemma1Report:
+def lemma1_check(inst: ProofInstance) -> Lemma1Report:
     """Check the minimum-block-norm perturbation bound on one instance.
 
-    Uses the exact isometry constant of order |T|+1, so the instance must
-    be small enough to enumerate; raises :class:`InfeasibleError` when that
-    constant is not below 1.
+    Reads ``xi``, ``theta`` and the exact isometry constant of order |T|+1
+    from the instance, so the instance must be small enough to enumerate;
+    raises :class:`InfeasibleError` when that constant is not below 1.
     """
-    T = block_support(truth)
-    A = problem.matrix
-    if len(T) + 1 > A.layout.num_blocks:
-        raise ValueError("need at least one block outside the support")
-    delta = exact_block_rip(A, len(T) + 1).delta
+    delta = inst.rip_delta
     if delta >= 1.0:
         raise InfeasibleError(
-            f"exact isometry constant {delta:.4f} of order {len(T) + 1} "
+            f"exact isometry constant {delta:.4f} of order {len(inst.support) + 1} "
             "is not below 1"
         )
 
-    epsilon = problem.noise_bound
-    noise = problem.observation - A.entries @ truth.values
-    xi = compute_xi(problem, T)
-    theta, _ = project_least_squares(A, T, noise)
-
-    xi_norms = block_norms(xi)
-    truth_norms = block_norms(truth)
-    margin = epsilon / math.sqrt(1.0 - delta)
-    lhs = float(min(xi_norms[i - 1] for i in T))
-    rhs = float(min(truth_norms[i - 1] for i in T)) - margin
+    on_support = [i - 1 for i in inst.support]
+    margin = inst.problem.noise_bound / math.sqrt(1.0 - delta)
+    lhs = float(block_norms(inst.xi)[on_support].min())
+    rhs = float(block_norms(inst.truth)[on_support].min()) - margin
     return Lemma1Report(
         lhs=lhs,
         rhs=rhs,
         holds=lhs >= rhs - LEMMA_SLACK,
-        theta_norm=float(np.linalg.norm(theta.values)),
+        theta_norm=float(np.linalg.norm(inst.theta.values)),
         theta_bound=margin,
     )
 
@@ -316,8 +315,6 @@ def random_proof_instance(
         T = block_support(truth)
         if len(T) != sparsity:
             continue
-        if exact_block_rip(problem.matrix, sparsity + 1).delta >= 1.0:
-            continue
         k = int(rng.integers(0, sparsity))
         chosen = rng.choice(np.array(T), size=k, replace=False)
         off = [i for i in problem.matrix.layout.block_indices() if i not in T]
@@ -325,6 +322,8 @@ def random_proof_instance(
         inst = ProofInstance(
             problem=problem, truth=truth, partial_support=chosen, probe_index=probe
         )
+        if inst.rip_delta >= 1.0:
+            continue
         # degenerate draws are measure zero; re-sample if one shows up anyway
         try:
             inst.alpha_21
@@ -393,7 +392,7 @@ def run_proof_verification(trials: int, seed: int) -> ProofVerificationSummary:
             ok = ok and residual <= IDENTITY_REL_TOL
         identity_ok += ok
 
-        report = lemma1_check(inst.problem, inst.truth)
+        report = lemma1_check(inst)
         lemma_ok += report.holds
         theta_ok += report.theta_holds
     return ProofVerificationSummary(

@@ -221,7 +221,7 @@ def test_criterion_8_projection_perturbation_bound_on_1000_instances():
             sparsity=sparsity,
             epsilon=float(rng.uniform(0.05, 0.5)),
         )
-        report = lemma1_check(inst.problem, inst.truth)
+        report = lemma1_check(inst)
         inequality_passes += report.holds
         theta_passes += report.theta_holds
     ok = inequality_passes == 1000 and theta_passes == 1000

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bomp.adversarial import (
     AdversarialParams,
@@ -98,6 +100,14 @@ def test_exact_constant_of_the_family_equals_delta():
         p = AdversarialParams(d=d, K=K, delta=delta, epsilon=1.0)
         report = exact_block_rip(build_matrix(p), K + 1)
         assert report.delta == pytest.approx(delta, abs=1e-10)
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(st.integers(1, 4), st.integers(1, 6), st.floats(1e-6, 1.0 - 1e-6))
+def test_property_exact_constant_of_the_family_equals_delta(d, K, delta):
+    # an explicit t0 builds the family outside the failure regime as well
+    p = AdversarialParams(d=d, K=K, delta=delta, epsilon=1.0, t0=1.0)
+    assert abs(exact_block_rip(build_matrix(p), K + 1).delta - delta) <= 1e-12
 
 
 def test_failure_scores_match_closed_forms():

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -71,6 +72,36 @@ def test_matrix_views():
     np.testing.assert_array_equal(A.block(2), A.entries[:, 2:4])
     with pytest.raises(ValueError):
         A.entries[0, 0] = 1.0
+
+
+def test_matrix_copies_what_the_caller_can_still_write():
+    layout = BlockLayout(3, 2)
+    raw = np.arange(24.0).reshape(4, 6)
+    A = BlockedMatrix(layout, raw)
+    raw[0, 0] = 99.0
+    assert A.entries[0, 0] == 0.0
+    assert raw.flags.writeable
+    # a read-only view of a writable buffer is copied too
+    view = raw[:, :]
+    view.setflags(write=False)
+    B = BlockedMatrix(layout, view)
+    raw[0, 1] = 99.0
+    assert B.entries[0, 1] == 1.0
+    # a frozen array that owns its memory is adopted as is
+    frozen = np.arange(24.0).reshape(4, 6).copy()
+    frozen.setflags(write=False)
+    assert BlockedMatrix(layout, frozen).entries is frozen
+
+
+def test_gaussian_draw_holds_one_dictionary():
+    cfg = ExperimentConfig(m=1024, M=512, d=4, K=64)
+    tracemalloc.start()
+    try:
+        problem, _ = generate_instance(cfg, 0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.25 * problem.matrix.entries.nbytes
 
 
 def test_matrix_rejects_wrong_columns():

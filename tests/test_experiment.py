@@ -129,6 +129,12 @@ def test_noiseless_batch_recovers_everything():
     assert all(r.error is None for r in result.records)
 
 
+def test_recovery_is_judged_against_the_drawn_support():
+    # every drawn block lies under block_support's default zero tolerance
+    cfg = ExperimentConfig(m=40, M=10, d=2, K=3, min_block_norm=1e-11, trials=50)
+    assert run_experiment(cfg).recovery_rate == 1.0
+
+
 def test_result_is_identical_for_any_worker_count(monkeypatch):
     cfg = _small_cfg(noise_norm=0.4, trials=24)
     monkeypatch.setenv("BOMP_THREADS", "1")

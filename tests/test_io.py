@@ -1,7 +1,10 @@
 import json
+import sys
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from bomp.core import BlockedMatrix, BlockLayout
 from bomp.io import (
@@ -21,6 +24,19 @@ def test_vector_roundtrip_is_exact(tmp_path):
     save_vector(path, v)
     # 17 significant digits reproduce doubles bit for bit
     np.testing.assert_array_equal(load_vector(path), v)
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(
+    values=st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1, max_size=64)
+)
+# negative zero, the smallest subnormal, the smallest normal and the largest float
+@example(values=[-0.0, 5e-324, 2.2250738585072009e-308, sys.float_info.max, -sys.float_info.max])
+def test_property_vector_roundtrip_is_bit_exact(tmp_path_factory, values):
+    path = tmp_path_factory.getbasetemp() / "roundtrip.csv"
+    save_vector(path, values)
+    want = np.array(values, dtype=float)
+    np.testing.assert_array_equal(load_vector(path).view(np.uint64), want.view(np.uint64))
 
 
 def test_matrix_roundtrip_with_sidecar(tmp_path):

@@ -118,7 +118,8 @@ def test_orthogonal_probe_raises_degenerate_error():
 def test_lemma_noiseless_is_tight():
     rng = np.random.default_rng(33)
     problem, truth = random_recovery_problem(rng, 5, 2, 2, rows=40, epsilon=0.0)
-    report = lemma1_check(problem, truth)
+    probe = next(i for i in range(1, 6) if i not in block_support(truth))
+    report = lemma1_check(ProofInstance(problem, truth, (), probe))
     assert report.holds
     assert report.theta_norm == pytest.approx(0.0, abs=1e-10)
     # with no noise the projection reproduces the truth exactly
@@ -134,7 +135,7 @@ def test_lemma_on_random_noisy_instances():
             rng, num_blocks=6, block_width=2, sparsity=3,
             epsilon=float(rng.uniform(0.05, 0.4)),
         )
-        report = lemma1_check(inst.problem, inst.truth)
+        report = lemma1_check(inst)
         assert report.holds
         assert report.theta_holds
         assert report.theta_bound > 0.0
@@ -145,8 +146,9 @@ def test_lemma_requires_room_and_isometry():
     A = BlockedMatrix(layout, np.eye(2))
     truth = BlockSignal(layout, [1.0, 1.0])
     problem = SensingProblem(matrix=A, observation=np.ones(2), noise_bound=0.1)
-    with pytest.raises(ValueError):
-        lemma1_check(problem, truth)  # no block outside the support
+    for probe in (1, 2):  # no block outside the support to probe with
+        with pytest.raises(ValueError):
+            ProofInstance(problem, truth, (), probe)
 
     # zero third column drives the order-3 constant to 1
     layout3 = BlockLayout(3, 1)
@@ -156,7 +158,7 @@ def test_lemma_requires_room_and_isometry():
     truth3 = BlockSignal(layout3, [1.0, 1.0, 0.0])
     problem3 = SensingProblem(matrix=A3, observation=np.ones(3), noise_bound=0.1)
     with pytest.raises(InfeasibleError):
-        lemma1_check(problem3, truth3)
+        lemma1_check(ProofInstance(problem3, truth3, (), 3))
 
 
 def test_generator_shapes_and_rejection():
@@ -193,30 +195,36 @@ def test_verification_batch_summary():
         run_proof_verification(trials=0, seed=1)
 
 
-def _count_projections(monkeypatch):
+def _count_calls(monkeypatch, name="project_least_squares"):
     calls = []
-    original = bomp.proofs.project_least_squares
+    original = getattr(bomp.proofs, name)
 
     def counting(*args, **kwargs):
         calls.append(args[1])
         return original(*args, **kwargs)
 
-    monkeypatch.setattr(bomp.proofs, "project_least_squares", counting)
+    monkeypatch.setattr(bomp.proofs, name, counting)
     return calls
 
 
-def test_sweep_projects_at_most_five_times_per_trial(monkeypatch):
-    calls = _count_projections(monkeypatch)
+def test_sweep_projects_at_most_three_times_per_trial(monkeypatch):
+    calls = _count_calls(monkeypatch)
     run_proof_verification(20, 3)
-    assert len(calls) <= 5 * 20
+    assert len(calls) <= 3 * 20
 
 
 def test_instance_derives_each_projection_once(monkeypatch):
     inst = random_proof_instance(np.random.default_rng(37))
-    calls = _count_projections(monkeypatch)
+    calls = _count_calls(monkeypatch)
+    rip_calls = _count_calls(monkeypatch, "exact_block_rip")
     direct = eta_direct(inst)
     seen = len(calls)
     assert eta_direct(inst) == direct
     for t in (0.1, 1.0, 10.0):
         eta_via_identity(inst, t)
     assert len(calls) == seen
+    # the perturbation bound reads the same xi, noise projection and constant
+    report = lemma1_check(inst)
+    assert report.holds and report.theta_holds
+    assert len(calls) == seen
+    assert rip_calls == []
