@@ -1,6 +1,6 @@
 # Monte Carlo recovery rate as the noise grows. Each cell reruns the same
-# seeded batch with a different noise norm; trials are seeded per index, so
-# the numbers do not depend on how many worker threads run them.
+# seeded batch with a different noise norm; every trial draws its instance
+# from (seed, trial index), so each row is reproducible on its own.
 
 from bomp import ExperimentConfig, run_experiment
 

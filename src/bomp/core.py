@@ -16,6 +16,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 DEFAULT_ZERO_TOL = 1e-10
+# entries tested per step of the finiteness check, which bounds its mask
+_FINITE_CHECK_ENTRIES = 1 << 16
 
 
 def _read_only(values) -> np.ndarray:
@@ -37,12 +39,25 @@ def _read_only(values) -> np.ndarray:
     return arr
 
 
+def _check_finite(arr: np.ndarray, what: str) -> None:
+    """ValueError unless every entry of ``arr`` is finite.
+
+    Tests a bounded number of rows at a time, so the boolean mask stays small
+    however large ``arr`` is. (Testing the sum instead would reject finite
+    entries whose sum overflows.)
+    """
+    row_size = arr.shape[1] if arr.ndim == 2 else 1
+    step = max(1, _FINITE_CHECK_ENTRIES // row_size)
+    for start in range(0, len(arr), step):
+        if not np.isfinite(arr[start : start + step]).all():
+            raise ValueError(f"{what} contains non-finite entries")
+
+
 def _frozen_array(values, shape, what: str) -> np.ndarray:
     arr = _read_only(values)
     if arr.shape != shape:
         raise ValueError(f"{what} must have shape {shape}, got {arr.shape}")
-    if not np.all(np.isfinite(arr)):
-        raise ValueError(f"{what} contains non-finite entries")
+    _check_finite(arr, what)
     return arr
 
 
@@ -91,6 +106,12 @@ class BlockLayout:
         self.check_index(index)
         d = self.block_width
         return slice((index - 1) * d, index * d)
+
+    def columns(self, indices) -> np.ndarray:
+        """Coordinates of the blocks ``indices`` (1-based, unchecked): row j
+        holds the d coordinates of block ``indices[j]``."""
+        d = self.block_width
+        return (np.asarray(indices, dtype=int).reshape(-1, 1) - 1) * d + np.arange(d)
 
     def check_index(self, index: int) -> None:
         if not 1 <= index <= self.num_blocks:
@@ -146,8 +167,7 @@ class BlockedMatrix:
                 f"matrix has {arr.shape[1]} columns, layout requires "
                 f"{self.layout.ambient_dim}"
             )
-        if not np.all(np.isfinite(arr)):
-            raise ValueError("matrix contains non-finite entries")
+        _check_finite(arr, "matrix")
         object.__setattr__(self, "entries", arr)
 
     @property
@@ -221,9 +241,7 @@ def extract_blocks(A: BlockedMatrix, support) -> np.ndarray:
     if len(set(indices)) != len(indices):
         raise ValueError(f"duplicate block indices in support {indices}")
     indices.sort()
-    if not indices:
-        return np.zeros((A.rows, 0))
-    return np.hstack([A.block(i) for i in indices])
+    return A.entries[:, A.layout.columns(indices).ravel()]
 
 
 def gaussian_instance(

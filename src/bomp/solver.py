@@ -2,15 +2,20 @@
 
 Each iteration picks the block whose columns correlate most strongly with
 the current residual, then projects the observation onto the span of all
-blocks chosen so far. ``run_bomp`` keeps that span as a thin QR factorization
-A_S = Q R of the chosen blocks and extends it by one block per pick: the new
-block is orthogonalized against Q twice (classical block Gram-Schmidt with one
-re-orthogonalization, which suffices for any numerically full-rank
-subdictionary) and its remainder is QR-factored into the next d columns of Q
-and R. The residual update is then ``r -= q (q' r)``, and the estimate is
-solved once at the end from ``R coef = Q' y``.
+blocks chosen so far. ``run_bomp_batch`` runs the pursuit on a stack of
+same-shape problems at once, and ``run_bomp`` is that kernel on a batch of
+one. Per pick, one stacked product scores every residual against every
+block, blocks already chosen are masked out, and each problem takes its
+argmax (the smallest index on ties). Each problem keeps its span as a thin
+QR factorization A_S = Q R of its chosen blocks and extends it by one block
+per pick: the new block is orthogonalized against Q twice (classical block
+Gram-Schmidt with one re-orthogonalization, which suffices for any
+numerically full-rank subdictionary) and its remainder is QR-factored, in
+one stacked call for the batch, into the next d columns of Q and R. The
+residual update is then ``r -= q (q' r)``. A problem whose stopping rule
+fires leaves the batch, and its estimate is solved from ``R coef = Q' y``.
 
-The rank check is deferred to the end. R has the singular values of the
+The rank check is deferred to that point. R has the singular values of the
 subdictionary, and adding columns never raises the smallest one nor lowers
 the largest (Cauchy interlacing), so one SVD of the final R detects a rank
 failure at any step; only then are the leading blocks of R scanned for the
@@ -25,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import BlockedMatrix, BlockSignal, SensingProblem, as_int, as_real, extract_blocks
-from .errors import RankDeficientError
+from .errors import BompError, RankDeficientError
 
 RANK_TOL = 1e-10
 ORTHO_TOL = 1e-8
@@ -108,14 +113,40 @@ def select_block(A: BlockedMatrix, r: np.ndarray, exclude=()) -> int:
 
 
 def block_correlation_scores(A: BlockedMatrix, r: np.ndarray) -> np.ndarray:
-    """All selection scores ||A[l]' r||_2 as a length-M vector."""
+    """All selection scores ||A[l]' r||_2 as a length-M vector.
+
+    Raises :class:`BompError` when a score is not finite: an argmax over
+    overflowed scores would pick a block by its index, not by correlation.
+    """
     r = np.asarray(r, dtype=float)
     if r.shape != (A.rows,):
         raise ValueError(f"residual must have length {A.rows}")
-    M = A.layout.num_blocks
-    return np.linalg.norm(
-        (A.entries.T @ r).reshape(M, A.layout.block_width), axis=1
-    )
+    scores = _stacked_scores(A.entries[None], r[None], A.layout.block_width)[0]
+    if not np.isfinite(scores).all():
+        raise _overflow_error()
+    return scores
+
+
+def _stacked_scores(entries: np.ndarray, residuals: np.ndarray, d: int) -> np.ndarray:
+    """Selection scores of a stack of problems: entry [t, l] is ||A_t[l]' r_t||_2.
+
+    Overflow is not warned about; callers test the scores for finiteness.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        products = np.matmul(entries.transpose(0, 2, 1), residuals[:, :, None])
+        return np.linalg.norm(products.reshape(len(residuals), -1, d), axis=2)
+
+
+def _stacked_norms(residuals: np.ndarray) -> np.ndarray:
+    """Euclidean norm of each row, each by its own dot product (as
+    ``np.linalg.norm`` takes it for one vector), so a row's norm does not
+    depend on the rows stacked with it. Overflow is not warned about."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return np.sqrt(np.matmul(residuals[:, None, :], residuals[:, :, None])[:, 0, 0])
+
+
+def _overflow_error() -> BompError:
+    return BompError("the residual norm or the block selection scores overflow double precision")
 
 
 def _rank_failure(indices, sigma: np.ndarray):
@@ -168,9 +199,7 @@ def project_least_squares(A: BlockedMatrix, support, y: np.ndarray):
     sub, U, sigma, Vt = _checked_svd(A, indices)
     coef = Vt.T @ ((U.T @ y) / sigma)
     values = np.zeros(A.layout.ambient_dim)
-    d = A.layout.block_width
-    for pos, i in enumerate(indices):
-        values[A.layout.block_slice(i)] = coef[pos * d : (pos + 1) * d]
+    values[A.layout.columns(indices).ravel()] = coef
     estimate = BlockSignal(A.layout, values)
     residual = y - sub @ coef
     return estimate, residual
@@ -202,64 +231,136 @@ def run_bomp(problem: SensingProblem, stop: StoppingRule) -> RecoveryTrace:
     the trace comes back with status ``iteration_budget_exceeded`` instead
     of raising. A rank-deficient subdictionary at any step raises the
     :class:`RankDeficientError` that ``project_least_squares`` gives for the
-    first failing prefix of the picks.
+    first failing prefix of the picks; a residual norm or selection scores
+    that overflow raise :class:`BompError`.
+
+    This is :func:`run_bomp_batch` on a batch of one.
     """
-    A = problem.matrix
-    y = problem.observation
-    d = A.layout.block_width
+    (outcome,) = run_bomp_batch([problem], stop)
+    if isinstance(outcome, Exception):
+        raise outcome
+    return outcome
+
+
+def run_bomp_batch(problems, stop: StoppingRule) -> list:
+    """Run the pursuit on each of ``problems``, which share one matrix shape
+    and block layout.
+
+    Returns one outcome per problem, in order: the trace ``run_bomp`` gives
+    for that problem alone, or the exception it raises. The problems advance
+    together, one pick per step, and each keeps its own stopping state, so
+    no outcome depends on the others in the batch.
+    """
+    A = problems[0].matrix
+    layout, m = A.layout, A.rows
+    if any(p.matrix.layout != layout or p.matrix.rows != m for p in problems):
+        raise ValueError("problems in a batch must share one matrix shape and block layout")
+    d = layout.block_width
+    size = len(problems)
     # least squares needs at most rows/width blocks; never more than all of them
-    capacity = min(A.layout.num_blocks, A.rows // d)
+    capacity = min(layout.num_blocks, m // d)
     budget = capacity if stop.max_iterations is None else min(stop.max_iterations, capacity)
 
-    # thin QR of the chosen blocks in pick order: A_S = Q[:, :n] @ R[:n, :n]
-    Q = np.empty((A.rows, budget * d))
-    R = np.zeros((budget * d, budget * d))
-    chosen: list[int] = []
-    residual = y.copy()
-    norms = [float(np.linalg.norm(residual))]
-    status = STATUS_BUDGET_EXCEEDED
+    # a batch of one reads its dictionary in place
+    entries = A.entries[None] if size == 1 else np.stack([p.matrix.entries for p in problems])
+    residual = np.stack([p.observation for p in problems])
+    # thin QR of each problem's chosen blocks in pick order:
+    # A_S = Q[t, :, :n] @ R[t, :n, :n]
+    Q = np.empty((size, m, budget * d))
+    R = np.zeros((size, budget * d, budget * d))
+    chosen = np.zeros((size, budget), dtype=int)
+    taken = np.zeros((size, layout.num_blocks), dtype=bool)
+    norms = np.empty((size, budget + 1))
+    norms[:, 0] = _stacked_norms(residual)
+    outcomes: list = [None] * size
+    # projections only shrink the residual, so its first norm is the one to test
+    active = np.isfinite(norms[:, 0])
+    for t in np.flatnonzero(~active):
+        outcomes[t] = _overflow_error()
 
     check_residual = stop.mode in (RESIDUAL_THRESHOLD, BOTH)
     check_count = stop.mode in (FIXED_ITERATIONS, BOTH)
 
-    while True:
-        if check_residual and norms[-1] <= stop.epsilon:
-            status = STATUS_CONVERGED
+    for k in range(budget + 1):
+        converged = np.zeros(size, dtype=bool)
+        if check_residual:
+            converged |= norms[:, k] <= stop.epsilon
+        if check_count and k == stop.max_iterations:
+            converged[:] = True
+        stopping = active & (converged | (k == budget))
+        for t in np.flatnonzero(stopping):
+            status = STATUS_CONVERGED if converged[t] else STATUS_BUDGET_EXCEEDED
+            try:
+                outcomes[t] = _finish(
+                    problems[t], chosen[t, :k], norms[t, : k + 1], Q[t], R[t], status
+                )
+            except (BompError, np.linalg.LinAlgError) as exc:
+                outcomes[t] = exc
+        active &= ~stopping
+        live = np.flatnonzero(active)
+        if not live.size:
             break
-        if check_count and len(chosen) == stop.max_iterations:
-            status = STATUS_CONVERGED
-            break
-        if len(chosen) == budget:
-            break
-        index = select_block(A, residual, exclude=chosen)
-        n = len(chosen) * d
-        basis = Q[:, :n]
-        block = A.block(index)
-        # block Gram-Schmidt, applied twice to remove what round-off left behind
-        c1 = basis.T @ block
-        block = block - basis @ c1
-        c2 = basis.T @ block
-        block -= basis @ c2
-        q, r_diag = np.linalg.qr(block)
-        Q[:, n : n + d] = q
-        R[:n, n : n + d] = c1 + c2
-        R[n : n + d, n : n + d] = r_diag
-        chosen.append(index)
-        residual -= q @ (q.T @ residual)
-        norms.append(float(np.linalg.norm(residual)))
 
+        # a slice keeps views while every problem is still running; once some
+        # have stopped, the rest are gathered into copies
+        rows = slice(None) if live.size == size else live
+        stack = entries[rows]
+        scores = _stacked_scores(stack, residual[rows], d)
+        finite = np.isfinite(scores).all(axis=1)
+        if not finite.all():
+            for t in live[~finite]:
+                outcomes[t] = _overflow_error()
+            active[live[~finite]] = False
+            live, stack, scores = live[finite], stack[finite], scores[finite]
+            if not live.size:
+                break
+            rows = live
+        scores[taken[rows]] = -1.0
+        # np.argmax returns the first maximum, which is the smallest block index
+        picks = np.argmax(scores, axis=1)
+        taken[live, picks] = True
+        chosen[live, k] = picks + 1
+
+        n = k * d
+        # trimmed after the gather, so BLAS sees the same strides either way
+        # and a problem's round-off does not depend on which others still run
+        basis = Q[rows][:, :, :n]
+        block = np.take_along_axis(stack, layout.columns(picks + 1)[:, None, :], axis=2)
+        # block Gram-Schmidt, applied twice to remove what round-off left behind
+        c1 = np.matmul(basis.transpose(0, 2, 1), block)
+        block = block - np.matmul(basis, c1)
+        c2 = np.matmul(basis.transpose(0, 2, 1), block)
+        block -= np.matmul(basis, c2)
+        q, r_diag = np.linalg.qr(block)
+        Q[rows, :, n : n + d] = q
+        R[rows, :n, n : n + d] = c1 + c2
+        R[rows, n : n + d, n : n + d] = r_diag
+        r = residual[rows]
+        r -= np.matmul(q, np.matmul(q.transpose(0, 2, 1), r[:, :, None]))[:, :, 0]
+        residual[rows] = r
+        norms[rows, k + 1] = _stacked_norms(r)
+
+    return outcomes
+
+
+def _finish(problem, picks, norms, Q, R, status) -> RecoveryTrace:
+    """The trace of one problem after its ``picks``, from its QR factors.
+
+    The rank check runs here, once: one SVD of the final R detects a rank
+    failure at any step, and only then are the prefixes scanned.
+    """
+    A, y = problem.matrix, problem.observation
+    chosen = [int(i) for i in picks]
     values = np.zeros(A.layout.ambient_dim)
-    n = len(chosen) * d
+    n = len(chosen) * A.layout.block_width
     if n:
         if _rank_failure(chosen, np.linalg.svd(R[:n, :n], compute_uv=False)) is not None:
             _raise_first_rank_failure(A, chosen, R, y)
         coef = np.linalg.solve(R[:n, :n], Q[:, :n].T @ y)
-        columns = (np.asarray(chosen)[:, None] - 1) * d + np.arange(d)
-        values[columns.ravel()] = coef
-
+        values[A.layout.columns(chosen).ravel()] = coef
     return RecoveryTrace(
         chosen_indices=tuple(chosen),
-        residual_norms=tuple(norms),
+        residual_norms=tuple(norms.tolist()),
         final_estimate=BlockSignal(A.layout, values),
         iterations_run=len(chosen),
         status=status,

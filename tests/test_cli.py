@@ -67,6 +67,26 @@ def test_run_requires_a_stopping_flag(instance_files, capsys):
     assert "stopping" in capsys.readouterr().err
 
 
+def test_run_rejects_overflowing_selection_scores(tmp_path, capsys):
+    rng = np.random.default_rng(0)
+    A = BlockedMatrix(BlockLayout(4, 2), rng.normal(size=(6, 8)))
+    save_matrix(tmp_path / "A.csv", A, tmp_path / "A.json")
+    save_vector(tmp_path / "y.csv", A.block(2) @ np.array([1e160, 2e160]))
+    code = main([
+        "run",
+        "--matrix", str(tmp_path / "A.csv"),
+        "--layout", str(tmp_path / "A.json"),
+        "--obs", str(tmp_path / "y.csv"),
+        "--max-iter", "1",
+    ])
+    assert code == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err.splitlines() == [
+        "error: the residual norm or the block selection scores overflow double precision"
+    ]
+
+
 def test_rip_exact_and_sampled(instance_files, capsys):
     args = [
         "rip",

@@ -26,6 +26,14 @@ def test_layout_basics():
     assert list(layout.block_indices()) == [1, 2, 3, 4]
 
 
+def test_layout_columns_map_blocks_to_coordinates():
+    layout = BlockLayout(num_blocks=4, block_width=3)
+    np.testing.assert_array_equal(layout.columns([4, 1]), [[9, 10, 11], [0, 1, 2]])
+    for i in layout.block_indices():
+        assert list(layout.columns([i])[0]) == list(range(12))[layout.block_slice(i)]
+    assert layout.columns([]).shape == (0, 3)
+
+
 def test_layout_rejects_bad_sizes():
     with pytest.raises(ValueError):
         BlockLayout(0, 2)
@@ -102,6 +110,35 @@ def test_gaussian_draw_holds_one_dictionary():
     finally:
         tracemalloc.stop()
     assert peak < 1.25 * problem.matrix.entries.nbytes
+
+
+def test_adopting_a_frozen_matrix_allocates_no_entry_sized_mask():
+    entries = np.ones((1024, 2048))
+    entries.setflags(write=False)
+    mask_bytes = entries.size  # one byte per entry for np.isfinite
+    tracemalloc.start()
+    try:
+        A = BlockedMatrix(BlockLayout(512, 4), entries)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert A.entries is entries
+    assert peak < mask_bytes / 8
+
+
+def test_nonfinite_entries_are_found_in_any_row():
+    layout = BlockLayout(512, 4)
+    for row, bad in ((1023, np.nan), (517, np.inf), (0, -np.inf)):
+        entries = np.ones((1024, 2048))
+        entries[row, 2047 - row] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            BlockedMatrix(layout, entries)
+    A = BlockedMatrix(BlockLayout(1, 1), np.ones((200_000, 1)))
+    for row, bad in ((199_999, np.nan), (100_000, np.inf)):
+        y = np.ones(200_000)
+        y[row] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            SensingProblem(matrix=A, observation=y)
 
 
 def test_matrix_rejects_wrong_columns():

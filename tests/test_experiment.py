@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+import bomp.experiment
 from bomp.core import (
     BlockedMatrix,
     BlockLayout,
@@ -16,7 +17,8 @@ from bomp.experiment import (
     generate_instance,
     run_experiment,
 )
-from bomp.solver import FIXED_ITERATIONS, RESIDUAL_THRESHOLD, StoppingRule
+from bomp.errors import RankDeficientError
+from bomp.solver import FIXED_ITERATIONS, RESIDUAL_THRESHOLD, StoppingRule, project_least_squares
 
 
 def _small_cfg(**overrides):
@@ -110,8 +112,6 @@ def test_instance_construction_contracts():
 
 
 def test_noiseless_observation_lies_in_the_span():
-    from bomp.solver import project_least_squares
-
     cfg = _small_cfg(noise_norm=0.0)
     problem, truth = generate_instance(cfg, 0)
     _, residual = project_least_squares(
@@ -135,23 +135,59 @@ def test_recovery_is_judged_against_the_drawn_support():
     assert run_experiment(cfg).recovery_rate == 1.0
 
 
-def test_result_is_identical_for_any_worker_count(monkeypatch):
-    cfg = _small_cfg(noise_norm=0.4, trials=24)
-    monkeypatch.setenv("BOMP_THREADS", "1")
-    serial = run_experiment(cfg)
-    monkeypatch.setenv("BOMP_THREADS", "5")
-    threaded = run_experiment(cfg)
-    assert serial == threaded
+@pytest.mark.parametrize(
+    "stopping",
+    [None, StoppingRule(RESIDUAL_THRESHOLD, epsilon=0.9, max_iterations=4)],
+    ids=["fixed_iterations", "residual_threshold"],
+)
+def test_result_is_identical_for_any_chunk_size(monkeypatch, stopping):
+    cfg = _small_cfg(noise_norm=0.4, trials=24, stopping=stopping)
+    dictionary_bytes = 8 * cfg.m * cfg.layout.ambient_dim
+    results = []
+    for chunk in (1, 7, cfg.trials):
+        monkeypatch.setattr(bomp.experiment, "_CHUNK_BYTES", chunk * dictionary_bytes)
+        results.append(run_experiment(cfg))
+    assert results[0] == results[1] == results[2]
+    if stopping is not None:
+        # trials leave the batch at different steps
+        assert len({r.iterations for r in results[0].records}) > 1
 
 
-def test_bomp_threads_validation(monkeypatch):
-    cfg = _small_cfg(trials=2)
-    monkeypatch.setenv("BOMP_THREADS", "abc")
-    with pytest.raises(ValueError):
-        run_experiment(cfg)
-    monkeypatch.setenv("BOMP_THREADS", "-2")
-    with pytest.raises(ValueError):
-        run_experiment(cfg)
+def test_rank_failure_mid_batch_leaves_its_neighbours_alone(monkeypatch):
+    # block 3 repeats the first column of block 1 next to a fresh column, so
+    # it scores high but spans nothing new once block 1 is in
+    rng = np.random.default_rng(15)
+    layout = BlockLayout(4, 2)
+    entries = rng.normal(size=(10, 8))
+    entries[:, 4] = entries[:, 0]
+    A = BlockedMatrix(layout, entries)
+    y = entries @ np.array([3.0, 2.5, 0.0, 0.0, 2.0, 4.0, 0.0, 0.0]) + 0.1 * rng.normal(size=10)
+    deficient = (SensingProblem(matrix=A, observation=y), BlockSignal.zero(layout))
+    with pytest.raises(RankDeficientError) as reference:
+        project_least_squares(A, (1, 3), y)
+
+    cfg = ExperimentConfig(
+        m=10, M=4, d=2, K=2, noise_norm=0.1, trials=3, seed=5,
+        stopping=StoppingRule(FIXED_ITERATIONS, max_iterations=4),
+    )
+    clean = run_experiment(cfg)
+    drawn = bomp.experiment.generate_instance
+    monkeypatch.setattr(
+        bomp.experiment, "generate_instance",
+        lambda cfg, k: deficient if k == 1 else drawn(cfg, k),
+    )
+    mixed = run_experiment(cfg)  # all three trials share one chunk
+    assert mixed.records[1].error == f"RankDeficientError: {reference.value}"
+    assert clean.records[1].error is None
+    assert (mixed.records[0], mixed.records[2]) == (clean.records[0], clean.records[2])
+
+
+def test_overflowing_trials_are_recorded_as_errors():
+    result = run_experiment(ExperimentConfig(m=8, M=4, d=2, K=2, noise_norm=1e160, trials=3))
+    assert result.recovery_rate == 0.0
+    for record in result.records:
+        assert record.iterations == 0
+        assert record.error.startswith("BompError: the residual norm or the block selection")
 
 
 def test_solver_errors_are_recorded_not_raised(monkeypatch):

@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bomp.core import BlockedMatrix, BlockLayout, BlockSignal, SensingProblem
-from bomp.errors import RankDeficientError
+from bomp.errors import BompError, RankDeficientError
 from bomp.solver import (
     BOTH,
     FIXED_ITERATIONS,
@@ -13,6 +15,7 @@ from bomp.solver import (
     block_correlation_scores,
     project_least_squares,
     run_bomp,
+    run_bomp_batch,
     select_block,
 )
 
@@ -286,3 +289,69 @@ def test_pursuit_does_not_fall_back_to_the_svd_projection(monkeypatch):
     problem, _ = _random_problem(rng, m=40, M=10, d=2, support=(1, 5, 9), noise=0.2)
     trace = run_bomp(problem, StoppingRule(FIXED_ITERATIONS, max_iterations=5))
     assert trace.iterations_run == 5
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(
+    d=st.integers(1, 3),
+    M=st.integers(2, 8),
+    extra_rows=st.integers(0, 6),
+    size=st.integers(1, 4),
+    mode=st.sampled_from((RESIDUAL_THRESHOLD, FIXED_ITERATIONS, BOTH)),
+    noise=st.sampled_from((0.0, 0.3)),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_batched_pursuit_equals_one_problem_at_a_time(d, M, extra_rows, size, mode, noise, seed):
+    rng = np.random.default_rng(seed)
+    m = d * int(rng.integers(1, M + 1)) + extra_rows
+    K = int(rng.integers(1, min(M, m // d) + 1))
+    problems = []
+    for _ in range(size):
+        # support sizes differ, so the problems stop at different steps
+        k = int(rng.integers(1, K + 1))
+        support = tuple(int(i) for i in rng.choice(M, size=k, replace=False) + 1)
+        problems.append(_random_problem(rng, m=m, M=M, d=d, support=support, noise=noise)[0])
+    budget = None if mode == RESIDUAL_THRESHOLD else K
+    stop = StoppingRule(mode, epsilon=noise + 1e-10, max_iterations=budget)
+
+    for problem, outcome in zip(problems, run_bomp_batch(problems, stop)):
+        try:
+            alone = run_bomp(problem, stop)
+        except BompError as exc:
+            assert type(outcome) is type(exc) and str(outcome) == str(exc)
+            continue
+        assert outcome.chosen_indices == alone.chosen_indices
+        assert outcome.residual_norms == alone.residual_norms
+        assert outcome.status == alone.status
+        np.testing.assert_array_equal(outcome.final_estimate.values, alone.final_estimate.values)
+
+        A, y = problem.matrix, problem.observation
+        norms = outcome.residual_norms
+        assert all(b <= a * (1.0 + 1e-12) for a, b in zip(norms, norms[1:]))
+        r = y - A.entries @ outcome.final_estimate.values
+        for i in outcome.chosen_indices:
+            assert np.max(np.abs(A.block(i).T @ r)) <= 1e-9 * max(1.0, np.linalg.norm(y))
+
+
+def test_overflowing_scores_raise_instead_of_picking_by_index():
+    rng = np.random.default_rng(0)
+    A = BlockedMatrix(BlockLayout(4, 2), rng.normal(size=(6, 8)))
+    y = A.block(2) @ np.array([1e160, 2e160])
+    stop = StoppingRule(FIXED_ITERATIONS, max_iterations=1)
+    with pytest.raises(BompError, match="overflow"):
+        block_correlation_scores(A, y)
+    with pytest.raises(BompError, match="overflow"):
+        run_bomp(SensingProblem(matrix=A, observation=y), stop)
+    # with fewer rows than a block is wide nothing is picked, but the
+    # residual norm of a huge observation still overflows
+    narrow = BlockedMatrix(BlockLayout(1, 2), np.ones((1, 2)))
+    with pytest.raises(BompError, match="overflow"):
+        run_bomp(SensingProblem(matrix=narrow, observation=[1e200]), stop)
+    # a finite residual against huge columns: only the scores overflow, and
+    # only the trial they belong to fails
+    fine = SensingProblem(matrix=A, observation=A.block(2) @ np.array([1.0, 2.0]))
+    huge = SensingProblem(matrix=BlockedMatrix(A.layout, 1e300 * A.entries), observation=y / 1e160)
+    outcomes = run_bomp_batch([fine, huge, fine], stop)
+    assert isinstance(outcomes[1], BompError) and "overflow" in str(outcomes[1])
+    alone = run_bomp(fine, stop).chosen_indices
+    assert outcomes[0].chosen_indices == outcomes[2].chosen_indices == alone
