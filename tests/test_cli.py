@@ -119,6 +119,21 @@ def test_rip_budget_exit_code(instance_files, capsys):
     assert "budget" in capsys.readouterr().err
 
 
+def test_rip_refuses_an_overflowing_gram(tmp_path, capsys):
+    rng = np.random.default_rng(26)
+    entries = rng.normal(size=(20, 12))
+    entries[:, 3] *= 1e160  # second column of block 2
+    save_matrix(tmp_path / "A.csv", BlockedMatrix(BlockLayout(6, 2), entries), tmp_path / "A.json")
+    base = [
+        "rip",
+        "--matrix", str(tmp_path / "A.csv"),
+        "--layout", str(tmp_path / "A.json"),
+    ]
+    for extra in (["--order", "1"], ["--order", "2"], ["--order", "2", "--sample", "5"]):
+        assert main(base + extra) == 2, extra
+        assert "Gram matrix" in _one_line_error(capsys)
+
+
 def test_bounds_json(capsys):
     assert main(["bounds", "--K", "10", "--delta", "0.04", "--epsilon", "1"]) == 0
     payload = _json_out(capsys)

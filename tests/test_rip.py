@@ -1,15 +1,54 @@
 import math
+import tracemalloc
+import warnings
+from itertools import combinations
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from bomp.core import BlockedMatrix, BlockLayout
-from bomp.errors import BudgetExceededError
+from bomp import rip
+from bomp.core import BlockedMatrix, BlockLayout, extract_blocks
+from bomp.errors import BompError, BudgetExceededError
 from bomp.rip import (
     enumeration_cost,
     exact_block_rip,
     rip_lower_bound_sampled,
 )
+
+
+def _reference_extremes(A, support):
+    sub = extract_blocks(A, support)
+    eigenvalues = np.linalg.eigvalsh(sub.T @ sub)
+    return eigenvalues[0], eigenvalues[-1]
+
+
+def _reference_deviations(A, K) -> dict:
+    """Spectral deviation of every size-K support, one product per support."""
+    out = {}
+    for support in combinations(A.layout.block_indices(), K):
+        lo, hi = _reference_extremes(A, support)
+        out[support] = max(hi - 1.0, 1.0 - lo)
+    return out
+
+
+def _reference_sampled(A, K, trials, seed) -> float:
+    rng = np.random.default_rng(seed)
+    worst = 0.0
+    for _ in range(trials):
+        support = sorted(rng.choice(A.layout.num_blocks, size=K, replace=False) + 1)
+        lo, hi = _reference_extremes(A, support)
+        worst = max(worst, hi - 1.0, 1.0 - lo)
+    return worst
+
+
+def _chunk_bytes(per_chunk, K, d):
+    """A chunk budget holding ``per_chunk`` supports, or the default."""
+    if per_chunk is None:
+        return rip._CHUNK_BYTES
+    return per_chunk * rip._support_bytes(K, d)
 
 
 def test_orthonormal_dictionary_has_zero_constant():
@@ -108,3 +147,83 @@ def test_report_serialization():
     assert d["arg_support"] == [1, 2]
     assert d["rip_holds"] is True
     assert d["delta"] == pytest.approx(0.44, abs=1e-14)
+
+
+@pytest.mark.parametrize("per_chunk", [1, 2, 5, None])
+def test_chunking_does_not_change_the_report(per_chunk, monkeypatch):
+    diagonal = BlockedMatrix(BlockLayout(3, 1), np.diag([1.1, 1.0, 0.8]))
+    rng = np.random.default_rng(24)
+    gaussian = BlockedMatrix(BlockLayout(6, 2), rng.normal(size=(15, 12)) / np.sqrt(15))
+    for A in (diagonal, gaussian):
+        for K in range(1, A.layout.num_blocks + 1):
+            want = exact_block_rip(A, K)
+            sampled = rip_lower_bound_sampled(A, K, trials=11, seed=3)
+            d = A.layout.block_width
+            monkeypatch.setattr(rip, "_CHUNK_BYTES", _chunk_bytes(per_chunk, K, d))
+            assert exact_block_rip(A, K) == want
+            assert rip_lower_bound_sampled(A, K, trials=11, seed=3) == sampled
+            monkeypatch.undo()
+    # with one or two supports per chunk the tie (1, 3)/(2, 3) at 0.36 falls
+    # in two chunks; the first support still wins
+    monkeypatch.setattr(rip, "_CHUNK_BYTES", _chunk_bytes(per_chunk, 2, 1))
+    assert exact_block_rip(diagonal, 2).arg_support == (1, 3)
+
+
+@settings(derandomize=True, max_examples=120, deadline=None)
+@given(
+    M=st.integers(1, 7),
+    d=st.integers(1, 3),
+    rows=st.integers(1, 12),
+    trials=st.integers(1, 40),
+    per_chunk=st.sampled_from((1, 3, None)),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_gathered_sub_grams_match_per_support_products(M, d, rows, trials, per_chunk, seed):
+    rng = np.random.default_rng(seed)
+    K = int(rng.integers(1, M + 1))
+    A = BlockedMatrix(BlockLayout(M, d), rng.normal(size=(rows, M * d)) / np.sqrt(rows))
+    with mock.patch.object(rip, "_CHUNK_BYTES", _chunk_bytes(per_chunk, K, d)):
+        report = exact_block_rip(A, K)
+        sampled = rip_lower_bound_sampled(A, K, trials, seed)
+
+    deviations = _reference_deviations(A, K)
+    extremes = [_reference_extremes(A, s) for s in deviations]
+    assert report.delta == pytest.approx(max(deviations.values()), abs=1e-12)
+    assert report.lambda_min == pytest.approx(min(lo for lo, _ in extremes), abs=1e-12)
+    assert report.lambda_max == pytest.approx(max(hi for _, hi in extremes), abs=1e-12)
+    # ulp-level near-ties may move the reported support, never off the maximum
+    assert deviations[report.arg_support] == pytest.approx(report.delta, abs=1e-12)
+    assert sampled == pytest.approx(_reference_sampled(A, K, trials, seed), abs=1e-12)
+
+
+@pytest.mark.parametrize("K, gram_bytes", [(1, 600 * 8), (2, 600 * 600 * 8)])
+def test_enumeration_memory_is_bounded(K, gram_bytes, monkeypatch):
+    # at K = 2, 179 700 supports: all of them at once, or a list of their
+    # tuples, would take several MB beyond the Gram matrix and the chunk
+    # budget; at K = 1 only the 600 diagonal entries of A'A are read
+    chunk = 2**20
+    monkeypatch.setattr(rip, "_CHUNK_BYTES", chunk)
+    rng = np.random.default_rng(25)
+    A = BlockedMatrix(BlockLayout(600, 1), rng.normal(size=(30, 600)) / np.sqrt(30))
+    tracemalloc.start()
+    try:
+        report = exact_block_rip(A, K)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(report.arg_support) == K
+    assert peak <= gram_bytes + chunk + 2**19
+
+
+@pytest.mark.parametrize("K", [1, 2])
+def test_overflowing_gram_is_refused(K):
+    rng = np.random.default_rng(26)
+    entries = rng.normal(size=(20, 12))
+    entries[:, 3] *= 1e160  # second column of block 2
+    A = BlockedMatrix(BlockLayout(6, 2), entries)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(BompError, match="Gram matrix"):
+            exact_block_rip(A, K)
+        with pytest.raises(BompError, match="Gram matrix"):
+            rip_lower_bound_sampled(A, K, trials=5, seed=0)
