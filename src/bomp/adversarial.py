@@ -22,12 +22,13 @@ unsupported block and ``a^2 * t0`` on every supported one.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bounds import BoundInputs, necessary_bound
+from .bounds import BoundInputs, delta_limit, necessary_bound
 from .core import BlockedMatrix, BlockLayout, BlockSignal, SensingProblem
+from .io import json_fields
 from .solver import block_correlation_scores, select_block
 
 DEFAULT_T0_SAFETY = 0.99
@@ -81,7 +82,7 @@ class AdversarialParams:
     @property
     def in_failure_regime(self) -> bool:
         """True when delta < 1/sqrt(K+1), where a wrong first pick is certain."""
-        return self.delta < 1.0 / math.sqrt(self.K + 1)
+        return self.delta < delta_limit(self.K)
 
     @property
     def s(self) -> float:
@@ -166,18 +167,15 @@ class FailureReport:
 
     first_selected_index: int
     scores: tuple
-    failed: bool
+    failed: bool = field(init=False)  # first pick is block 1, off the support
     score_off_support: float  # closed form epsilon + K*a*s*t0, block 1
     score_in_support: float  # closed form a^2 * t0, every supported block
 
+    def __post_init__(self):
+        object.__setattr__(self, "failed", self.first_selected_index == 1)
+
     def to_dict(self) -> dict:
-        return {
-            "first_selected_index": self.first_selected_index,
-            "scores": list(self.scores),
-            "failed": self.failed,
-            "score_off_support": self.score_off_support,
-            "score_in_support": self.score_in_support,
-        }
+        return json_fields(self)
 
 
 def demonstrate_failure(p: AdversarialParams) -> FailureReport:
@@ -189,11 +187,9 @@ def demonstrate_failure(p: AdversarialParams) -> FailureReport:
     """
     problem, _, _ = build_adversarial_instance(p)
     scores = block_correlation_scores(problem.matrix, problem.observation)
-    first = select_block(problem.matrix, problem.observation)
     return FailureReport(
-        first_selected_index=first,
+        first_selected_index=select_block(problem.matrix, problem.observation),
         scores=tuple(float(v) for v in scores),
-        failed=first == 1,
         score_off_support=p.epsilon + p.K * p.a * p.s * p.t0,
         score_in_support=p.a**2 * p.t0,
     )

@@ -19,14 +19,22 @@ All three are homogeneous in epsilon and only defined for
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import InfeasibleError
+from .io import json_fields
 
 REASON_RIP = "rip"
 REASON_NORM = "norm"
+
+
+def delta_limit(K: int) -> float:
+    """Feasibility edge 1/sqrt(K+1); ValueError unless K is positive."""
+    if K < 1:
+        raise ValueError(f"K must be a positive integer, got {K}")
+    return 1.0 / math.sqrt(K + 1)
 
 
 @dataclass(frozen=True)
@@ -38,8 +46,7 @@ class BoundInputs:
     epsilon: float = 1.0
 
     def __post_init__(self):
-        if self.K < 1:
-            raise ValueError("K must be a positive integer")
+        delta_limit(self.K)  # rejects K < 1
         if not 0.0 < self.delta < 1.0:
             raise ValueError("delta must lie in (0, 1)")
         if not 0.0 < self.epsilon < math.inf:
@@ -48,7 +55,7 @@ class BoundInputs:
     @property
     def delta_limit(self) -> float:
         """Feasibility edge 1/sqrt(K+1); the bounds exist strictly below it."""
-        return 1.0 / math.sqrt(self.K + 1)
+        return delta_limit(self.K)
 
     @property
     def feasible(self) -> bool:
@@ -102,16 +109,15 @@ def necessary_bound(b: BoundInputs) -> float:
 
 @dataclass(frozen=True)
 class SufficiencyVerdict:
-    guaranteed: bool
+    guaranteed: bool = field(init=False)  # no clause failed
     reasons: tuple
     z1: float | None = None
 
+    def __post_init__(self):
+        object.__setattr__(self, "guaranteed", not self.reasons)
+
     def to_dict(self) -> dict:
-        return {
-            "guaranteed": self.guaranteed,
-            "reasons": list(self.reasons),
-            "z1": self.z1,
-        }
+        return json_fields(self)
 
 
 def check_sufficient(
@@ -126,11 +132,11 @@ def check_sufficient(
     if math.isnan(min_block_norm):
         raise ValueError("min_block_norm must be a number, got nan")
     if not b.feasible:
-        return SufficiencyVerdict(guaranteed=False, reasons=(REASON_RIP,))
+        return SufficiencyVerdict(reasons=(REASON_RIP,))
     z1 = z1_sufficient_bound(b)
     if not min_block_norm > z1:
-        return SufficiencyVerdict(guaranteed=False, reasons=(REASON_NORM,), z1=z1)
-    return SufficiencyVerdict(guaranteed=True, reasons=(), z1=z1)
+        return SufficiencyVerdict(reasons=(REASON_NORM,), z1=z1)
+    return SufficiencyVerdict(reasons=(), z1=z1)
 
 
 def open_delta_grid(limit: float, points: int) -> np.ndarray:
@@ -149,8 +155,7 @@ def figure1_curves(K_values, grid_points: int, epsilon: float = 1.0) -> np.ndarr
     """
     rows = []
     for K in K_values:
-        limit = 1.0 / math.sqrt(K + 1)
-        for delta in open_delta_grid(limit, grid_points):
+        for delta in open_delta_grid(delta_limit(K), grid_points):
             b = BoundInputs(K=int(K), delta=float(delta), epsilon=epsilon)
             z1 = z1_sufficient_bound(b)
             z2 = z2_prior_bound(b)

@@ -33,14 +33,18 @@ from .bounds import (
 from .core import SensingProblem
 from .errors import BompError, BudgetExceededError, InfeasibleError
 from .experiment import ExperimentConfig, run_experiment
-from .io import FLOAT_FMT, load_matrix, load_vector, save_matrix, save_vector
+from .io import FLOAT_FMT, json_fields, load_matrix, load_vector, save_matrix, save_vector
 from .proofs import run_proof_verification
 from .rip import DEFAULT_BUDGET, exact_block_rip, rip_lower_bound_sampled
 from .solver import BOTH, FIXED_ITERATIONS, RESIDUAL_THRESHOLD, StoppingRule, run_bomp
 
 
-def _emit(data: dict) -> None:
-    print(json.dumps(data, indent=2))
+def _emit(data: dict, path=None) -> None:
+    """Print ``data`` as JSON; also write it to ``path`` when one is given."""
+    text = json.dumps(data, indent=2)
+    if path:
+        Path(path).write_text(text + "\n")
+    print(text)
 
 
 def _cmd_run(args) -> int:
@@ -57,11 +61,7 @@ def _cmd_run(args) -> int:
     problem = SensingProblem(
         matrix=A, observation=y, noise_bound=args.epsilon or 0.0
     )
-    trace = run_bomp(problem, stop)
-    payload = trace.to_dict()
-    if args.trace:
-        Path(args.trace).write_text(json.dumps(payload, indent=2) + "\n")
-    _emit(payload)
+    _emit(run_bomp(problem, stop).to_dict(), args.trace)
     return 0
 
 
@@ -85,9 +85,7 @@ def _cmd_rip(args) -> int:
 def _cmd_bounds(args) -> int:
     b = BoundInputs(K=args.K, delta=args.delta, epsilon=args.epsilon)
     payload = {
-        "K": args.K,
-        "delta": args.delta,
-        "epsilon": args.epsilon,
+        **json_fields(b),
         "delta_limit": b.delta_limit,
         "z1": z1_sufficient_bound(b),
         "z2": z2_prior_bound(b),
@@ -142,19 +140,12 @@ def _cmd_adversarial(args) -> int:
     save_vector(out_dir / "truth.csv", truth.values)
 
     payload = {
-        "d": params.d,
-        "K": params.K,
-        "delta": params.delta,
-        "epsilon": params.epsilon,
-        "t0": params.t0,
-        "t0_failure_threshold": max_t0_for_failure(
-            params.K, params.delta, params.epsilon
-        ),
+        **json_fields(params),
+        "t0_failure_threshold": max_t0_for_failure(params.K, params.delta, params.epsilon),
         "true_support": list(params.true_support),
         **report.to_dict(),
     }
-    (out_dir / "report.json").write_text(json.dumps(payload, indent=2) + "\n")
-    _emit(payload)
+    _emit(payload, out_dir / "report.json")
     return 0
 
 
@@ -175,16 +166,13 @@ def _cmd_experiment(args) -> int:
     payload = {"config": cfg.to_dict(), **result.to_dict()}
     if args.out:
         Path(args.out).write_text(json.dumps(payload, indent=2) + "\n")
-        _emit(
-            {
-                "recovery_rate": result.recovery_rate,
-                "avg_iterations": result.avg_iterations,
-                "trials": cfg.trials,
-                "out": args.out,
-            }
-        )
-    else:
-        _emit(payload)
+        payload = {
+            "recovery_rate": result.recovery_rate,
+            "avg_iterations": result.avg_iterations,
+            "trials": cfg.trials,
+            "out": args.out,
+        }
+    _emit(payload)
     return 0
 
 

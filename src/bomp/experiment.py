@@ -10,22 +10,30 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, fields
+from dataclasses import MISSING, dataclass, field, fields
 
 import numpy as np
 
 from .core import BlockLayout, as_int, as_real, as_seed, block_support, gaussian_instance
+from .io import json_fields
 from .solver import FIXED_ITERATIONS, StoppingRule, run_bomp_batch
 
-_CONFIG_KEYS = {
-    "m", "M", "d", "K",
-    "noise_norm", "min_block_norm", "trials", "seed", "stopping",
-}
-_STOPPING_KEYS = {field.name for field in fields(StoppingRule)}
 # bytes of dictionaries stacked into one pursuit call (two trials at
 # m=128, n=256): one trial at a time was slower, and larger stacks raised
 # the peak memory of a batch without a clear speed-up
 _CHUNK_BYTES = 1 << 19
+
+
+def _checked_keys(cls, data: dict, what: str) -> dict:
+    """``data`` unchanged; ValueError unless its keys are field names of the
+    dataclass ``cls`` and include every field without a default."""
+    unknown = set(data) - {f.name for f in fields(cls)}
+    if unknown:
+        raise ValueError(f"unknown {what} keys: {sorted(unknown)}")
+    missing = {f.name for f in fields(cls) if f.default is MISSING} - set(data)
+    if missing:
+        raise ValueError(f"{what} is missing required keys: {sorted(missing)}")
+    return data
 
 
 @dataclass(frozen=True)
@@ -82,25 +90,15 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "ExperimentConfig":
-        unknown = set(data) - _CONFIG_KEYS
-        if unknown:
-            raise ValueError(f"unknown config keys: {sorted(unknown)}")
-        missing = {"m", "M", "d", "K"} - set(data)
-        if missing:
-            raise ValueError(f"config is missing required keys: {sorted(missing)}")
-        data = dict(data)
+        """The config a JSON object describes; ``stopping`` is an object too."""
+        data = dict(_checked_keys(cls, data, "config"))
         stopping = data.get("stopping")
         if isinstance(stopping, dict):
-            unknown = set(stopping) - _STOPPING_KEYS
-            if unknown:
-                raise ValueError(f"unknown stopping keys: {sorted(unknown)}")
-            if "mode" not in stopping:
-                raise ValueError("stopping is missing required key 'mode'")
-            data["stopping"] = StoppingRule(**stopping)
+            data["stopping"] = StoppingRule(**_checked_keys(StoppingRule, stopping, "stopping"))
         elif stopping is not None:
             raise ValueError(
-                f"stopping must be an object with keys {sorted(_STOPPING_KEYS)}, "
-                f"got {stopping!r}"
+                f"stopping must be an object with keys "
+                f"{sorted(f.name for f in fields(StoppingRule))}, got {stopping!r}"
             )
         return cls(**data)
 
@@ -115,17 +113,7 @@ class ExperimentConfig:
         return cls.from_dict(data)
 
     def to_dict(self) -> dict:
-        return {
-            "m": self.m, "M": self.M, "d": self.d, "K": self.K,
-            "noise_norm": self.noise_norm,
-            "min_block_norm": self.min_block_norm,
-            "trials": self.trials, "seed": self.seed,
-            "stopping": {
-                "mode": self.stopping.mode,
-                "epsilon": self.stopping.epsilon,
-                "max_iterations": self.stopping.max_iterations,
-            },
-        }
+        return json_fields(self)
 
 
 def _unit_direction(rng: np.random.Generator, d: int) -> np.ndarray:
@@ -166,28 +154,22 @@ class TrialRecord:
     error: str | None = None
 
     def to_dict(self) -> dict:
-        out = {
-            "seed_offset": self.seed_offset,
-            "recovered": self.recovered,
-            "iterations": self.iterations,
-        }
-        if self.error is not None:
-            out["error"] = self.error
-        return out
+        return {k: v for k, v in json_fields(self).items() if k != "error" or v is not None}
 
 
 @dataclass(frozen=True)
 class ExperimentResult:
-    recovery_rate: float
-    avg_iterations: float
+    recovery_rate: float = field(init=False)
+    avg_iterations: float = field(init=False)
     records: tuple
 
+    def __post_init__(self):
+        n = len(self.records)
+        object.__setattr__(self, "recovery_rate", sum(r.recovered for r in self.records) / n)
+        object.__setattr__(self, "avg_iterations", sum(r.iterations for r in self.records) / n)
+
     def to_dict(self) -> dict:
-        return {
-            "recovery_rate": self.recovery_rate,
-            "avg_iterations": self.avg_iterations,
-            "records": [record.to_dict() for record in self.records],
-        }
+        return {**json_fields(self), "records": [record.to_dict() for record in self.records]}
 
 
 def _record(trial_index: int, truth, outcome) -> TrialRecord:
@@ -215,11 +197,4 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
             _record(k, truth, outcome)
             for k, (_, truth), outcome in zip(trials, instances, outcomes)
         ]
-
-    recovered = sum(record.recovered for record in records)
-    avg = sum(record.iterations for record in records) / cfg.trials
-    return ExperimentResult(
-        recovery_rate=recovered / cfg.trials,
-        avg_iterations=avg,
-        records=tuple(records),
-    )
+    return ExperimentResult(records=tuple(records))

@@ -1,13 +1,17 @@
-"""Plain-text serialization of matrices, vectors, and block layouts.
+"""Plain-text serialization of matrices, vectors, block layouts and reports.
 
 Matrices and vectors are stored as header-less CSV of real numbers in
 row-major order, printed with 17 significant digits so doubles round-trip
 exactly. The block layout travels in a JSON sidecar ``{"m":…, "M":…, "d":…}``.
+Every report's JSON form is :func:`json_fields` of the report, so its keys
+follow the order of its dataclass fields.
 """
 
 from __future__ import annotations
 
 import json
+import warnings
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -17,14 +21,31 @@ from .core import BlockedMatrix, BlockLayout, as_int
 FLOAT_FMT = "%.17g"
 
 
+def json_fields(obj) -> dict:
+    """The JSON form of a dataclass instance: ``dataclasses.asdict`` with every
+    tuple field turned into a list, keys in field order (nested dataclasses alike)."""
+    return asdict(obj, dict_factory=_json_dict)
+
+
+def _json_dict(pairs) -> dict:
+    return {key: list(value) if isinstance(value, tuple) else value for key, value in pairs}
+
+
 def save_vector(path, values) -> None:
     arr = np.asarray(values, dtype=float).ravel()
     np.savetxt(path, arr.reshape(-1, 1), fmt=FLOAT_FMT, delimiter=",")
 
 
 def load_vector(path) -> np.ndarray:
-    """Read a CSV of numbers as a flat float vector (any line layout)."""
-    return np.loadtxt(path, delimiter=",", dtype=float, ndmin=1).ravel()
+    """Read a CSV of numbers as a flat float vector (any line layout);
+    ValueError when the file holds none."""
+    with warnings.catch_warnings():
+        # numpy warns about an empty file; it is refused below instead
+        warnings.simplefilter("ignore", UserWarning)
+        values = np.loadtxt(path, delimiter=",", dtype=float, ndmin=1).ravel()
+    if not values.size:
+        raise ValueError(f"{path} holds no numbers")
+    return values
 
 
 def save_layout(path, layout: BlockLayout, rows: int) -> None:

@@ -26,7 +26,7 @@ and the exact constant from the same instance, each computed once per draw.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -43,6 +43,7 @@ from .core import (
     gaussian_instance,
 )
 from .errors import DegenerateProbeError, InfeasibleError
+from .io import json_fields
 from .rip import exact_block_rip
 from .solver import _checked_svd, project_least_squares
 
@@ -226,16 +227,17 @@ class Lemma1Report:
 
     lhs: float  # min block norm of the projection coefficients over T
     rhs: float  # min block norm of the truth minus epsilon/sqrt(1-delta)
-    holds: bool
+    holds: bool = field(init=False)
     theta_norm: float  # norm of the projected-noise coefficients
     theta_bound: float  # epsilon/sqrt(1-delta)
+    theta_holds: bool = field(init=False)
 
-    @property
-    def theta_holds(self) -> bool:
-        return self.theta_norm <= self.theta_bound + LEMMA_SLACK
+    def __post_init__(self):
+        object.__setattr__(self, "holds", self.lhs >= self.rhs - LEMMA_SLACK)
+        object.__setattr__(self, "theta_holds", self.theta_norm <= self.theta_bound + LEMMA_SLACK)
 
     def to_dict(self) -> dict:
-        return {**asdict(self), "theta_holds": self.theta_holds}
+        return json_fields(self)
 
 
 def lemma1_check(inst: ProofInstance) -> Lemma1Report:
@@ -254,12 +256,9 @@ def lemma1_check(inst: ProofInstance) -> Lemma1Report:
 
     on_support = [i - 1 for i in inst.support]
     margin = inst.problem.noise_bound / math.sqrt(1.0 - delta)
-    lhs = float(block_norms(inst.xi)[on_support].min())
-    rhs = float(block_norms(inst.truth)[on_support].min()) - margin
     return Lemma1Report(
-        lhs=lhs,
-        rhs=rhs,
-        holds=lhs >= rhs - LEMMA_SLACK,
+        lhs=float(block_norms(inst.xi)[on_support].min()),
+        rhs=float(block_norms(inst.truth)[on_support].min()) - margin,
         theta_norm=float(np.linalg.norm(inst.theta.values)),
         theta_bound=margin,
     )
@@ -293,20 +292,19 @@ def random_proof_instance(
     num_blocks: int = 6,
     block_width: int = 2,
     sparsity: int = 3,
-    rows: int | None = None,
     epsilon: float = 0.25,
 ) -> ProofInstance:
     """Draw an instance whose exact order-(K+1) constant sits below 1.
 
-    Rejection-resamples the whole instance, up to ``MAX_ATTEMPTS`` times,
-    until the isometry constant qualifies and every needed subdictionary is
-    well conditioned, so the perturbation bound applies with a true constant
-    rather than an estimate. Deterministic given the generator state.
+    The dictionary has ``10*(sparsity+1)*block_width`` rows. Rejection-resamples
+    the whole instance, up to ``MAX_ATTEMPTS`` times, until the isometry
+    constant qualifies and every needed subdictionary is well conditioned, so
+    the perturbation bound applies with a true constant rather than an
+    estimate. Deterministic given the generator state.
     """
     if sparsity >= num_blocks:
         raise ValueError("need sparsity < num_blocks to leave a probe block")
-    if rows is None:
-        rows = 10 * (sparsity + 1) * block_width
+    rows = 10 * (sparsity + 1) * block_width
 
     for _ in range(MAX_ATTEMPTS):
         problem, truth = random_recovery_problem(
@@ -339,25 +337,20 @@ def random_proof_instance(
 class ProofVerificationSummary:
     trials: int
     identity_passes: int
-    identity_failures: int
+    identity_failures: int = field(init=False)
     lemma_passes: int
-    lemma_failures: int
+    lemma_failures: int = field(init=False)
     theta_passes: int
-    theta_failures: int
+    theta_failures: int = field(init=False)
     worst_identity_residual: float
 
+    def __post_init__(self):
+        for check in ("identity", "lemma", "theta"):
+            passes = getattr(self, f"{check}_passes")
+            object.__setattr__(self, f"{check}_failures", self.trials - passes)
+
     def to_dict(self) -> dict:
-        return {
-            "trials": self.trials,
-            "t_values": list(T_VALUES),
-            "identity_passes": self.identity_passes,
-            "identity_failures": self.identity_failures,
-            "lemma_passes": self.lemma_passes,
-            "lemma_failures": self.lemma_failures,
-            "theta_passes": self.theta_passes,
-            "theta_failures": self.theta_failures,
-            "worst_identity_residual": self.worst_identity_residual,
-        }
+        return {"trials": self.trials, "t_values": list(T_VALUES), **json_fields(self)}
 
 
 def run_proof_verification(trials: int, seed: int) -> ProofVerificationSummary:
@@ -398,10 +391,7 @@ def run_proof_verification(trials: int, seed: int) -> ProofVerificationSummary:
     return ProofVerificationSummary(
         trials=trials,
         identity_passes=identity_ok,
-        identity_failures=trials - identity_ok,
         lemma_passes=lemma_ok,
-        lemma_failures=trials - lemma_ok,
         theta_passes=theta_ok,
-        theta_failures=trials - theta_ok,
         worst_identity_residual=worst,
     )

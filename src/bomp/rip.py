@@ -20,7 +20,7 @@ index arrays as well as the sub-Grams and their spectra, so memory beyond
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import chain, combinations, islice
 from math import comb
 
@@ -28,6 +28,7 @@ import numpy as np
 
 from .core import BlockedMatrix, as_seed
 from .errors import BompError, BudgetExceededError
+from .io import json_fields
 
 # roughly 1e8 floating operations of eigen-decomposition work
 DEFAULT_BUDGET = 10**8
@@ -51,20 +52,13 @@ class RipReport:
     arg_support: tuple
     lambda_min: float
     lambda_max: float
+    rip_holds: bool = field(init=False)
 
-    @property
-    def rip_holds(self) -> bool:
-        return self.delta < 1.0
+    def __post_init__(self):
+        object.__setattr__(self, "rip_holds", self.delta < 1.0)
 
     def to_dict(self) -> dict:
-        return {
-            "order": self.order,
-            "delta": self.delta,
-            "arg_support": list(self.arg_support),
-            "lambda_min": self.lambda_min,
-            "lambda_max": self.lambda_max,
-            "rip_holds": self.rip_holds,
-        }
+        return json_fields(self)
 
 
 def _gram(A: BlockedMatrix, K: int) -> np.ndarray:

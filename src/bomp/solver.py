@@ -25,15 +25,15 @@ kept as the reference.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .core import BlockedMatrix, BlockSignal, SensingProblem, as_int, as_real, extract_blocks
 from .errors import BompError, RankDeficientError
+from .io import json_fields
 
 RANK_TOL = 1e-10
-ORTHO_TOL = 1e-8
 
 RESIDUAL_THRESHOLD = "residual_threshold"
 FIXED_ITERATIONS = "fixed_iterations"
@@ -83,17 +83,14 @@ class RecoveryTrace:
     chosen_indices: tuple
     residual_norms: tuple
     final_estimate: BlockSignal
-    iterations_run: int
+    iterations_run: int = field(init=False)
     status: str = STATUS_CONVERGED
 
+    def __post_init__(self):
+        object.__setattr__(self, "iterations_run", len(self.chosen_indices))
+
     def to_dict(self) -> dict:
-        return {
-            "chosen_indices": list(self.chosen_indices),
-            "residual_norms": list(self.residual_norms),
-            "final_estimate": self.final_estimate.values.tolist(),
-            "iterations_run": self.iterations_run,
-            "status": self.status,
-        }
+        return {**json_fields(self), "final_estimate": self.final_estimate.values.tolist()}
 
 
 def select_block(A: BlockedMatrix, r: np.ndarray, exclude=()) -> int:
@@ -362,6 +359,5 @@ def _finish(problem, picks, norms, Q, R, status) -> RecoveryTrace:
         chosen_indices=tuple(chosen),
         residual_norms=tuple(norms.tolist()),
         final_estimate=BlockSignal(A.layout, values),
-        iterations_run=len(chosen),
         status=status,
     )

@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -350,3 +351,25 @@ def test_usage_errors_exit_2(capsys):
 def test_help_exits_zero(capsys):
     assert main(["--help"]) == 0
     assert "adversarial" in capsys.readouterr().out
+
+
+def test_figure1_rejects_k_below_one(capsys):
+    for K in ("-1", "-2"):
+        assert main(["figure1", "--K", K, "--points", "3"]) == 2, K
+        assert f"K must be a positive integer, got {K}" in _one_line_error(capsys)
+
+
+def test_run_rejects_an_empty_csv(instance_files, capsys):
+    empty = instance_files / "empty.csv"
+    empty.write_text("")
+    files = {"--matrix": instance_files / "A.csv", "--obs": instance_files / "y.csv"}
+    for flag in files:
+        paths = {**files, flag: empty}
+        argv = ["run", "--layout", str(instance_files / "A.json"), "--max-iter", "1"]
+        for name, path in paths.items():
+            argv += [name, str(path)]
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(argv) == 2, flag
+        assert not caught, flag
+        assert f"{empty} holds no numbers" in _one_line_error(capsys)
