@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .bounds import BoundInputs, delta_limit, necessary_bound
-from .core import BlockedMatrix, BlockLayout, BlockSignal, SensingProblem
+from .core import BlockedMatrix, BlockLayout, BlockSignal, SensingProblem, as_int, as_real
 from .io import json_fields
 from .solver import block_correlation_scores, select_block
 
@@ -53,7 +53,8 @@ class AdversarialParams:
     block magnitude of the supported blocks; when not given it defaults to
     ``0.99`` times the failure threshold, strictly inside the failure
     region with margin for round-off, which makes the default available
-    only in that regime.
+    only in that regime. ``d`` is a positive integer and ``t0`` finite and
+    positive; K, delta and epsilon are checked by :class:`BoundInputs`.
     """
 
     d: int
@@ -63,21 +64,12 @@ class AdversarialParams:
     t0: float | None = None
 
     def __post_init__(self):
-        if self.d < 1 or self.K < 1:
-            raise ValueError("d and K must be positive integers")
-        if not self.epsilon > 0.0:
-            raise ValueError("epsilon must be positive")
-        if not 0.0 < self.delta < 1.0:
-            raise ValueError(f"delta must lie in (0, 1); got {self.delta}")
-        if self.t0 is None:
-            object.__setattr__(
-                self,
-                "t0",
-                DEFAULT_T0_SAFETY
-                * max_t0_for_failure(self.K, self.delta, self.epsilon),
-            )
-        if not self.t0 > 0.0:
-            raise ValueError("t0 must be positive")
+        object.__setattr__(self, "d", as_int(self.d, "d"))
+        b = BoundInputs(K=self.K, delta=self.delta, epsilon=self.epsilon)
+        for name in ("K", "delta", "epsilon"):
+            object.__setattr__(self, name, getattr(b, name))
+        t0 = DEFAULT_T0_SAFETY * necessary_bound(b) if self.t0 is None else self.t0
+        object.__setattr__(self, "t0", as_real(t0, "t0", positive=True))
 
     @property
     def in_failure_regime(self) -> bool:

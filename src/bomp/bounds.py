@@ -23,6 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .core import as_int, as_real
 from .errors import InfeasibleError
 from .io import json_fields
 
@@ -31,26 +32,25 @@ REASON_NORM = "norm"
 
 
 def delta_limit(K: int) -> float:
-    """Feasibility edge 1/sqrt(K+1); ValueError unless K is positive."""
-    if K < 1:
-        raise ValueError(f"K must be a positive integer, got {K}")
-    return 1.0 / math.sqrt(K + 1)
+    """Feasibility edge 1/sqrt(K+1); ValueError unless K is a positive integer."""
+    return 1.0 / math.sqrt(as_int(K, "K") + 1)
 
 
 @dataclass(frozen=True)
 class BoundInputs:
-    """Sparsity level, isometry constant of order K+1, and noise bound."""
+    """Sparsity level K >= 1, isometry constant of order K+1 in (0, 1), and a
+    finite positive noise bound; feasibility is checked separately."""
 
     K: int
     delta: float
     epsilon: float = 1.0
 
     def __post_init__(self):
-        delta_limit(self.K)  # rejects K < 1
-        if not 0.0 < self.delta < 1.0:
-            raise ValueError("delta must lie in (0, 1)")
-        if not 0.0 < self.epsilon < math.inf:
-            raise ValueError(f"epsilon must be positive and finite, got {self.epsilon}")
+        object.__setattr__(self, "K", as_int(self.K, "K"))
+        object.__setattr__(self, "delta", as_real(self.delta, "delta", positive=True))
+        object.__setattr__(self, "epsilon", as_real(self.epsilon, "epsilon", positive=True))
+        if not self.delta < 1.0:
+            raise ValueError(f"delta must lie in (0, 1), got {self.delta}")
 
     @property
     def delta_limit(self) -> float:
@@ -129,8 +129,7 @@ def check_sufficient(
     exceeds the z1 threshold; the verdict lists which clause failed.
     """
     b = BoundInputs(K=K, delta=delta, epsilon=epsilon)
-    if math.isnan(min_block_norm):
-        raise ValueError("min_block_norm must be a number, got nan")
+    min_block_norm = as_real(min_block_norm, "min_block_norm")
     if not b.feasible:
         return SufficiencyVerdict(reasons=(REASON_RIP,))
     z1 = z1_sufficient_bound(b)

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 import numbers
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -61,27 +62,30 @@ def _frozen_array(values, shape, what: str) -> np.ndarray:
     return arr
 
 
-def as_int(value, what: str) -> int:
-    """``value`` as a plain int; ValueError unless it is an integer (not a bool)."""
+def as_int(value, what: str, minimum: int = 1) -> int:
+    """``value`` as a plain int; ValueError unless it is an integer (not a
+    bool) of at least ``minimum``, which is 1 (positive) or 0 (nonnegative)."""
     if isinstance(value, bool) or not isinstance(value, numbers.Integral):
         raise ValueError(f"{what} must be an integer, got {value!r}")
-    return int(value)
+    value = int(value)
+    if value < minimum:
+        kind = "positive" if minimum == 1 else "nonnegative"
+        raise ValueError(f"{what} must be a {kind} integer, got {value}")
+    return value
 
 
-def as_real(value, what: str) -> float:
-    """``value`` as a plain float; ValueError unless it is a real number (not a bool)."""
+def as_real(value, what: str, positive: bool = False) -> float:
+    """``value`` as a plain float; ValueError unless it is a finite real number
+    (not a bool) that is nonnegative, or positive when ``positive`` is set."""
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
         raise ValueError(f"{what} must be a number, got {value!r}")
-    return float(value)
-
-
-def as_seed(value) -> int:
-    """``value`` as a plain int usable as a generator seed; ValueError unless
-    it is a nonnegative integer."""
-    seed = as_int(value, "seed")
-    if seed < 0:
-        raise ValueError(f"seed must be a nonnegative integer, got {seed}")
-    return seed
+    # false for NaN too; an integer too large for a double compares exactly
+    if not abs(value) <= sys.float_info.max:
+        raise ValueError(f"{what} must be finite, got {value}")
+    value = float(value)
+    if value < 0.0 or (positive and value == 0.0):
+        raise ValueError(f"{what} must be {'positive' if positive else 'nonnegative'}, got {value}")
+    return value
 
 
 @dataclass(frozen=True)
@@ -92,10 +96,8 @@ class BlockLayout:
     block_width: int
 
     def __post_init__(self):
-        if self.num_blocks < 1:
-            raise ValueError("num_blocks must be a positive integer")
-        if self.block_width < 1:
-            raise ValueError("block_width must be a positive integer")
+        for name in ("num_blocks", "block_width"):
+            object.__setattr__(self, name, as_int(getattr(self, name), name))
 
     @property
     def ambient_dim(self) -> int:
@@ -190,8 +192,7 @@ class SensingProblem:
     def __post_init__(self):
         y = _frozen_array(self.observation, (self.matrix.rows,), "observation")
         object.__setattr__(self, "observation", y)
-        if not self.noise_bound >= 0.0:
-            raise ValueError("noise_bound must be nonnegative")
+        object.__setattr__(self, "noise_bound", as_real(self.noise_bound, "noise_bound"))
 
 
 def block_norms(x: BlockSignal) -> np.ndarray:
@@ -222,8 +223,7 @@ def block_support(x: BlockSignal, zero_tol: float = DEFAULT_ZERO_TOL) -> tuple:
     The default tolerance separates genuine zeros from least-squares
     round-off at double precision.
     """
-    if zero_tol < 0:
-        raise ValueError("zero_tol must be nonnegative")
+    zero_tol = as_real(zero_tol, "zero_tol")
     w = block_norms(x)
     return tuple(int(i) + 1 for i in np.nonzero(w > zero_tol)[0])
 

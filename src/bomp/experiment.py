@@ -9,12 +9,11 @@ config. Aggregation is a plain fold in trial-index order.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import MISSING, dataclass, field, fields
 
 import numpy as np
 
-from .core import BlockLayout, as_int, as_real, as_seed, block_support, gaussian_instance
+from .core import BlockLayout, as_int, as_real, block_support, gaussian_instance
 from .io import json_fields
 from .solver import FIXED_ITERATIONS, StoppingRule, run_bomp_batch
 
@@ -41,7 +40,8 @@ class ExperimentConfig:
     """Batch description. JSON config files mirror these field names.
 
     Every trial draws its own Gaussian instance (see ``generate_instance``).
-    ``stopping`` left as None means a fixed budget of exactly K iterations.
+    Counts are positive integers, ``seed`` and ``noise_norm`` nonnegative,
+    ``min_block_norm`` positive; ``stopping`` None means exactly K iterations.
     """
 
     m: int
@@ -56,16 +56,10 @@ class ExperimentConfig:
 
     def __post_init__(self):
         for name in ("m", "M", "d", "K", "trials"):
-            value = as_int(getattr(self, name), name)
-            if value < 1:
-                raise ValueError(f"{name} must be a positive integer")
-            object.__setattr__(self, name, value)
-        object.__setattr__(self, "seed", as_seed(self.seed))
-        for name in ("noise_norm", "min_block_norm"):
-            value = as_real(getattr(self, name), name)
-            if not math.isfinite(value):
-                raise ValueError(f"{name} must be finite")
-            object.__setattr__(self, name, value)
+            object.__setattr__(self, name, as_int(getattr(self, name), name))
+        object.__setattr__(self, "seed", as_int(self.seed, "seed", minimum=0))
+        for name, positive in (("noise_norm", False), ("min_block_norm", True)):
+            object.__setattr__(self, name, as_real(getattr(self, name), name, positive))
         if self.K > self.M:
             raise ValueError(f"K={self.K} exceeds the number of blocks M={self.M}")
         if self.K * self.d > self.m:
@@ -73,10 +67,6 @@ class ExperimentConfig:
                 f"K*d={self.K * self.d} exceeds m={self.m}; least squares on the "
                 "support would be underdetermined"
             )
-        if self.noise_norm < 0.0:
-            raise ValueError("noise_norm must be nonnegative")
-        if self.min_block_norm <= 0.0:
-            raise ValueError("min_block_norm must be positive")
         if self.stopping is None:
             object.__setattr__(
                 self,
@@ -134,8 +124,7 @@ def generate_instance(cfg: ExperimentConfig, trial_index: int):
     to the exact norm noise_norm. Everything is a pure function of
     (seed, trial_index).
     """
-    if trial_index < 0:
-        raise ValueError("trial_index must be nonnegative")
+    trial_index = as_int(trial_index, "trial_index", minimum=0)
 
     def floored_blocks(rng, count):
         excess = np.abs(rng.normal(size=count))

@@ -10,7 +10,6 @@ follow the order of its dataclass fields.
 from __future__ import annotations
 
 import json
-import warnings
 from dataclasses import asdict
 from pathlib import Path
 
@@ -37,15 +36,21 @@ def save_vector(path, values) -> None:
 
 
 def load_vector(path) -> np.ndarray:
-    """Read a CSV of numbers as a flat float vector (any line layout);
-    ValueError when the file holds none."""
-    with warnings.catch_warnings():
-        # numpy warns about an empty file; it is refused below instead
-        warnings.simplefilter("ignore", UserWarning)
-        values = np.loadtxt(path, delimiter=",", dtype=float, ndmin=1).ravel()
-    if not values.size:
+    """The comma-separated numbers of a file as a flat float vector, in file
+    order whatever the row lengths; text after ``#`` is a comment. ValueError,
+    naming the file, on a field that is not a number and on a file with none."""
+    values = []
+    with open(path, encoding="utf-8") as handle:
+        for number, line in enumerate(handle, 1):
+            line = line.partition("#")[0].strip()
+            if line:
+                try:
+                    values += map(float, line.split(","))
+                except ValueError as exc:
+                    raise ValueError(f"{path} line {number}: {exc}") from None
+    if not values:
         raise ValueError(f"{path} holds no numbers")
-    return values
+    return np.array(values)
 
 
 def save_layout(path, layout: BlockLayout, rows: int) -> None:
@@ -69,10 +74,7 @@ def load_layout(path) -> tuple[int, BlockLayout]:
         )
     except KeyError as exc:
         raise ValueError(f"layout sidecar {path} is missing key {exc}") from exc
-    layout = BlockLayout(M, d)
-    if rows < 1:
-        raise ValueError("layout sidecar must declare m >= 1")
-    return rows, layout
+    return rows, BlockLayout(M, d)
 
 
 def save_matrix(matrix_path, matrix: BlockedMatrix, layout_path=None) -> None:

@@ -36,7 +36,8 @@ from .core import (
     BlockLayout,
     BlockSignal,
     SensingProblem,
-    as_seed,
+    as_int,
+    as_real,
     block_norms,
     block_support,
     extract_blocks,
@@ -186,10 +187,10 @@ def eta_via_identity(inst: ProofInstance, t: float = 1.0) -> float:
     v, and evaluates
     ``(||B((t+1/||alpha||)u - v)||^2 - ||B((t-1/||alpha||)u + v)||^2)/(4t)``
     minus the noise correlation with the projected probe direction. The
-    value is independent of the free parameter ``t``, which must be positive.
+    value is independent of the free parameter ``t``, which must be finite
+    and positive.
     """
-    if not t > 0.0:
-        raise ValueError("t must be positive")
+    t = as_real(t, "t", positive=True)
     A = inst.problem.matrix
     j = inst.probe_index
     c = 1.0 / inst.alpha_21
@@ -360,9 +361,8 @@ def run_proof_verification(trials: int, seed: int) -> ProofVerificationSummary:
     sparsity 1..3). An identity trial passes when the two margin routes
     agree within ``IDENTITY_REL_TOL`` relative at every t in ``T_VALUES``.
     """
-    if trials < 1:
-        raise ValueError("trials must be a positive integer")
-    rng = np.random.default_rng(as_seed(seed))
+    trials = as_int(trials, "trials")
+    rng = np.random.default_rng(as_int(seed, "seed", minimum=0))
     identity_ok = lemma_ok = theta_ok = 0
     worst = 0.0
     for _ in range(trials):

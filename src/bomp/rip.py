@@ -26,7 +26,7 @@ from math import comb
 
 import numpy as np
 
-from .core import BlockedMatrix, as_seed
+from .core import BlockedMatrix, as_int
 from .errors import BompError, BudgetExceededError
 from .io import json_fields
 
@@ -121,7 +121,8 @@ def exact_block_rip(
     ``A'A`` overflows double precision.
     """
     M = A.layout.num_blocks
-    if not 1 <= K <= M:
+    K = as_int(K, "order K")
+    if K > M:
         raise ValueError(f"order K must be in 1..{M}, got {K}")
     cost = enumeration_cost(A, K)
     if cost > budget:
@@ -174,11 +175,11 @@ def rip_lower_bound_sampled(
     :class:`BompError` when ``A'A`` overflows double precision.
     """
     M = A.layout.num_blocks
-    if not 1 <= K <= M:
+    K = as_int(K, "order K")
+    if K > M:
         raise ValueError(f"order K must be in 1..{M}, got {K}")
-    if trials < 1:
-        raise ValueError("trials must be a positive integer")
-    rng = np.random.default_rng(as_seed(seed))
+    trials = as_int(trials, "trials")
+    rng = np.random.default_rng(as_int(seed, "seed", minimum=0))
     G = _gram(A, K)
     length = _chunk_length(K, A.layout.block_width)
     worst = 0.0

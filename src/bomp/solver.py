@@ -50,6 +50,7 @@ class StoppingRule:
     ``residual_threshold`` stops once the residual norm drops to ``epsilon``
     (``max_iterations``, if given, acts as a safety budget); ``fixed_iterations``
     runs exactly ``max_iterations``; ``both`` stops at whichever fires first.
+    ``epsilon`` must be finite and nonnegative in every mode.
     """
 
     mode: str
@@ -64,12 +65,8 @@ class StoppingRule:
             object.__setattr__(
                 self, "max_iterations", as_int(self.max_iterations, "max_iterations")
             )
-        if self.mode in (RESIDUAL_THRESHOLD, BOTH) and not self.epsilon >= 0.0:
-            raise ValueError("epsilon must be nonnegative")
-        if (self.max_iterations is None and self.mode in (FIXED_ITERATIONS, BOTH)) or (
-            self.max_iterations is not None and self.max_iterations < 1
-        ):
-            raise ValueError("max_iterations must be a positive integer")
+        elif self.mode in (FIXED_ITERATIONS, BOTH):
+            raise ValueError(f"stopping mode {self.mode!r} needs max_iterations")
 
 
 @dataclass(frozen=True, eq=False)

@@ -373,3 +373,22 @@ def test_run_rejects_an_empty_csv(instance_files, capsys):
             assert main(argv) == 2, flag
         assert not caught, flag
         assert f"{empty} holds no numbers" in _one_line_error(capsys)
+
+
+def test_infinite_parameters_are_refused_by_name(instance_files, capsys):
+    cfg_path = instance_files / "cfg.json"
+    cfg_path.write_text(
+        '{"m": 24, "M": 6, "d": 2, "K": 2, "stopping": '
+        '{"mode": "residual_threshold", "epsilon": 1e999, "max_iterations": 2}}'
+    )
+    files = ["--matrix", str(instance_files / "A.csv"), "--layout", str(instance_files / "A.json")]
+    adversarial = ["adversarial", "--d", "1", "--K", "2", "--delta", "0.2"]
+    out_dir = ["--out-dir", str(instance_files / "adv")]
+    for name, argv in (
+        ("epsilon", ["experiment", "--config", str(cfg_path)]),
+        ("epsilon", ["run", *files, "--obs", str(instance_files / "y.csv"), "--epsilon", "inf"]),
+        ("t0", [*adversarial, "--epsilon", "1", "--t0", "inf", *out_dir]),
+        ("epsilon", [*adversarial, "--epsilon", "inf", "--t0", "1", *out_dir]),
+    ):
+        assert main(argv) == 2, argv
+        assert f"error: {name} must be finite" in _one_line_error(capsys), argv

@@ -1,4 +1,5 @@
 import json
+import re
 import sys
 
 import numpy as np
@@ -80,3 +81,17 @@ def test_matrix_size_mismatch(tmp_path):
     save_vector(matrix_path, np.arange(10.0))  # needs 12 numbers
     with pytest.raises(ValueError, match="holds 10 numbers"):
         load_matrix(matrix_path, layout_path)
+
+
+def test_vector_reads_ragged_rows_in_file_order(tmp_path):
+    path = tmp_path / "ragged.csv"
+    path.write_text("# a comment line\n1,2\n3\n\n4, 5 # trailing comment\n")
+    np.testing.assert_array_equal(load_vector(path), [1.0, 2.0, 3.0, 4.0, 5.0])
+
+
+def test_vector_refuses_a_field_that_is_not_a_number(tmp_path):
+    path = tmp_path / "bad.csv"
+    for text in ("1,,2\n", "1,abc\n", "1,2,\n"):
+        path.write_text(text)
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))} line 1: "):
+            load_vector(path)
