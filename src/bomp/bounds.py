@@ -140,8 +140,9 @@ def check_sufficient(
 
 def open_delta_grid(limit: float, points: int) -> np.ndarray:
     """Uniform grid of ``points`` values strictly inside (0, limit)."""
+    points = as_int(points, "points")
     if points < 2:
-        raise ValueError("grid needs at least 2 points")
+        raise ValueError(f"points must be at least 2, got {points}")
     return limit * np.arange(1, points + 1) / (points + 1)
 
 

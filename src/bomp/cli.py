@@ -6,7 +6,7 @@ the threshold comparison curves, emit a worst-case instance, sweep the
 proof identity checks, and drive Monte Carlo experiments.
 
 Exit codes: 0 success, 2 malformed input or configuration, 3 a computation
-refused as over budget or infeasible.
+refused as over budget or infeasible, or too large for the memory at hand.
 """
 
 from __future__ import annotations
@@ -266,7 +266,7 @@ def main(argv=None) -> int:
         return exc.code if isinstance(exc.code, int) else 2
     try:
         return args.handler(args)
-    except (BudgetExceededError, InfeasibleError) as exc:
+    except (BudgetExceededError, InfeasibleError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     except (BompError, ValueError, OSError) as exc:

@@ -8,13 +8,12 @@ config. Aggregation is a plain fold in trial-index order.
 
 from __future__ import annotations
 
-import json
 from dataclasses import MISSING, dataclass, field, fields
 
 import numpy as np
 
 from .core import BlockLayout, as_int, as_real, block_support, gaussian_instance
-from .io import json_fields
+from .io import json_fields, load_json_object
 from .solver import FIXED_ITERATIONS, StoppingRule, run_bomp_batch
 
 # bytes of dictionaries stacked into one pursuit call (two trials at
@@ -95,10 +94,7 @@ class ExperimentConfig:
     @classmethod
     def load(cls, path, overrides: dict | None = None) -> "ExperimentConfig":
         """Read a JSON config file; entries in ``overrides`` win."""
-        with open(path) as fh:
-            data = json.load(fh)
-        if not isinstance(data, dict):
-            raise ValueError(f"{path}: config must be a JSON object")
+        data = load_json_object(path, "config")
         data.update(overrides or {})
         return cls.from_dict(data)
 

@@ -53,6 +53,19 @@ def load_vector(path) -> np.ndarray:
     return np.array(values)
 
 
+def load_json_object(path, what: str) -> dict:
+    """The JSON object in the file at ``path``; ValueError, naming ``what`` and
+    the file, when the file holds something else or nests too deeply to parse."""
+    with open(path, encoding="utf-8") as handle:
+        try:
+            data = json.load(handle)
+        except RecursionError:
+            raise ValueError(f"{what} {path} nests too deeply to parse") from None
+    if not isinstance(data, dict):
+        raise ValueError(f"{what} {path} must be a JSON object")
+    return data
+
+
 def save_layout(path, layout: BlockLayout, rows: int) -> None:
     with open(path, "w", encoding="utf-8") as handle:
         json.dump(
@@ -64,10 +77,7 @@ def save_layout(path, layout: BlockLayout, rows: int) -> None:
 
 def load_layout(path) -> tuple[int, BlockLayout]:
     """Read a layout sidecar; returns (rows, layout)."""
-    with open(path, "r", encoding="utf-8") as handle:
-        meta = json.load(handle)
-    if not isinstance(meta, dict):
-        raise ValueError(f"layout sidecar {path} must be a JSON object")
+    meta = load_json_object(path, "layout sidecar")
     try:
         rows, M, d = (
             as_int(meta[key], f"layout sidecar {path}: {key}") for key in ("m", "M", "d")

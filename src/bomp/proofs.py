@@ -303,6 +303,10 @@ def random_proof_instance(
     the perturbation bound applies with a true constant rather than an
     estimate. Deterministic given the generator state.
     """
+    num_blocks = as_int(num_blocks, "num_blocks")
+    block_width = as_int(block_width, "block_width")
+    sparsity = as_int(sparsity, "sparsity")
+    epsilon = as_real(epsilon, "epsilon")
     if sparsity >= num_blocks:
         raise ValueError("need sparsity < num_blocks to leave a probe block")
     rows = 10 * (sparsity + 1) * block_width

@@ -124,6 +124,7 @@ def exact_block_rip(
     K = as_int(K, "order K")
     if K > M:
         raise ValueError(f"order K must be in 1..{M}, got {K}")
+    budget = as_int(budget, "budget", minimum=0)
     cost = enumeration_cost(A, K)
     if cost > budget:
         raise BudgetExceededError(

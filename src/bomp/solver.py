@@ -12,15 +12,17 @@ per pick: the new block is orthogonalized against Q twice (classical block
 Gram-Schmidt with one re-orthogonalization, which suffices for any
 numerically full-rank subdictionary) and its remainder is QR-factored, in
 one stacked call for the batch, into the next d columns of Q and R. The
-residual update is then ``r -= q (q' r)``. A problem whose stopping rule
-fires leaves the batch, and its estimate is solved from ``R coef = Q' y``.
+residual update is then ``r -= q (q' r)``. A problem gets its outcome when
+its stopping rule fires, its estimate solved from ``R coef = Q' y``, or when
+its scores overflow. It still takes every step with the rest of the batch,
+on the full-batch arrays, until the last one stops; nothing reads it again.
 
 The rank check is deferred to that point. R has the singular values of the
 subdictionary, and adding columns never raises the smallest one nor lowers
 the largest (Cauchy interlacing), so one SVD of the final R detects a rank
-failure at any step; only then are the leading blocks of R scanned for the
-first failing prefix. ``project_least_squares`` is the one-shot SVD route,
-kept as the reference.
+failure at any step. Only then does ``project_least_squares``, the one-shot
+SVD route kept as the reference, run on each prefix of the picks in turn,
+so the error it raises names the shortest failing prefix.
 """
 
 from __future__ import annotations
@@ -199,23 +201,6 @@ def project_least_squares(A: BlockedMatrix, support, y: np.ndarray):
     return estimate, residual
 
 
-def _raise_first_rank_failure(A: BlockedMatrix, chosen: list, R: np.ndarray, y) -> None:
-    """Raise the reference error for the shortest rank-deficient prefix of ``chosen``.
-
-    ``R`` is the triangular factor of the chosen blocks in pick order, so its
-    leading (j*d) x (j*d) corner has the singular values of the first j blocks.
-    """
-    d = A.layout.block_width
-    for j in range(1, len(chosen) + 1):
-        sigma = np.linalg.svd(R[: j * d, : j * d], compute_uv=False)
-        error = _rank_failure(sorted(chosen[:j]), sigma)
-        if error is not None:
-            # the reference reports the subdictionary's own singular values
-            project_least_squares(A, chosen[:j], y)
-            # reached only when the reference lands just on the other side of RANK_TOL
-            raise error
-
-
 def run_bomp(problem: SensingProblem, stop: StoppingRule) -> RecoveryTrace:
     """Run the pursuit until the stopping rule fires.
 
@@ -291,48 +276,37 @@ def run_bomp_batch(problems, stop: StoppingRule) -> list:
             except (BompError, np.linalg.LinAlgError) as exc:
                 outcomes[t] = exc
         active &= ~stopping
-        live = np.flatnonzero(active)
-        if not live.size:
+        if not active.any():
             break
 
-        # a slice keeps views while every problem is still running; once some
-        # have stopped, the rest are gathered into copies
-        rows = slice(None) if live.size == size else live
-        stack = entries[rows]
-        scores = _stacked_scores(stack, residual[rows], d)
-        finite = np.isfinite(scores).all(axis=1)
-        if not finite.all():
-            for t in live[~finite]:
+        # every problem takes every step; one whose outcome is set rides
+        # along, and may carry inf or NaN, which no other row reads
+        with np.errstate(all="ignore"):
+            scores = _stacked_scores(entries, residual, d)
+            overflow = active & ~np.isfinite(scores).all(axis=1)
+            for t in np.flatnonzero(overflow):
                 outcomes[t] = _overflow_error()
-            active[live[~finite]] = False
-            live, stack, scores = live[finite], stack[finite], scores[finite]
-            if not live.size:
-                break
-            rows = live
-        scores[taken[rows]] = -1.0
-        # np.argmax returns the first maximum, which is the smallest block index
-        picks = np.argmax(scores, axis=1)
-        taken[live, picks] = True
-        chosen[live, k] = picks + 1
+            active &= ~overflow
+            scores[taken] = -1.0
+            # np.argmax returns the first maximum, which is the smallest block index
+            picks = np.argmax(scores, axis=1)
+            np.put_along_axis(taken, picks[:, None], True, axis=1)
+            chosen[:, k] = picks + 1
 
-        n = k * d
-        # trimmed after the gather, so BLAS sees the same strides either way
-        # and a problem's round-off does not depend on which others still run
-        basis = Q[rows][:, :, :n]
-        block = np.take_along_axis(stack, layout.columns(picks + 1)[:, None, :], axis=2)
-        # block Gram-Schmidt, applied twice to remove what round-off left behind
-        c1 = np.matmul(basis.transpose(0, 2, 1), block)
-        block = block - np.matmul(basis, c1)
-        c2 = np.matmul(basis.transpose(0, 2, 1), block)
-        block -= np.matmul(basis, c2)
-        q, r_diag = np.linalg.qr(block)
-        Q[rows, :, n : n + d] = q
-        R[rows, :n, n : n + d] = c1 + c2
-        R[rows, n : n + d, n : n + d] = r_diag
-        r = residual[rows]
-        r -= np.matmul(q, np.matmul(q.transpose(0, 2, 1), r[:, :, None]))[:, :, 0]
-        residual[rows] = r
-        norms[rows, k + 1] = _stacked_norms(r)
+            n = k * d
+            basis = Q[:, :, :n]
+            block = np.take_along_axis(entries, layout.columns(picks + 1)[:, None, :], axis=2)
+            # block Gram-Schmidt, applied twice to remove what round-off left behind
+            c1 = np.matmul(basis.transpose(0, 2, 1), block)
+            block = block - np.matmul(basis, c1)
+            c2 = np.matmul(basis.transpose(0, 2, 1), block)
+            block -= np.matmul(basis, c2)
+            q, r_diag = np.linalg.qr(block)
+            Q[:, :, n : n + d] = q
+            R[:, :n, n : n + d] = c1 + c2
+            R[:, n : n + d, n : n + d] = r_diag
+            residual -= np.matmul(q, np.matmul(q.transpose(0, 2, 1), residual[:, :, None]))[:, :, 0]
+            norms[:, k + 1] = _stacked_norms(residual)
 
     return outcomes
 
@@ -341,15 +315,21 @@ def _finish(problem, picks, norms, Q, R, status) -> RecoveryTrace:
     """The trace of one problem after its ``picks``, from its QR factors.
 
     The rank check runs here, once: one SVD of the final R detects a rank
-    failure at any step, and only then are the prefixes scanned.
+    failure at any step, and only then does the reference see the prefixes.
     """
     A, y = problem.matrix, problem.observation
     chosen = [int(i) for i in picks]
     values = np.zeros(A.layout.ambient_dim)
     n = len(chosen) * A.layout.block_width
     if n:
-        if _rank_failure(chosen, np.linalg.svd(R[:n, :n], compute_uv=False)) is not None:
-            _raise_first_rank_failure(A, chosen, R, y)
+        error = _rank_failure(sorted(chosen), np.linalg.svd(R[:n, :n], compute_uv=False))
+        if error is not None:
+            # the reference raises for the shortest failing prefix, with the
+            # subdictionary's own singular values
+            for j in range(1, len(chosen) + 1):
+                project_least_squares(A, chosen[:j], y)
+            # reached only when the reference lands just on the other side of RANK_TOL
+            raise error
         coef = np.linalg.solve(R[:n, :n], Q[:, :n].T @ y)
         values[A.layout.columns(chosen).ravel()] = coef
     return RecoveryTrace(

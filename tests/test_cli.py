@@ -120,6 +120,18 @@ def test_rip_budget_exit_code(instance_files, capsys):
     assert "budget" in capsys.readouterr().err
 
 
+def test_rip_refuses_a_negative_budget(instance_files, capsys):
+    code = main([
+        "rip",
+        "--matrix", str(instance_files / "A.csv"),
+        "--layout", str(instance_files / "A.json"),
+        "--order", "2",
+        "--budget", "-5",
+    ])
+    assert code == 2
+    assert "budget must be a nonnegative integer" in _one_line_error(capsys)
+
+
 def test_rip_refuses_an_overflowing_gram(tmp_path, capsys):
     rng = np.random.default_rng(26)
     entries = rng.normal(size=(20, 12))
@@ -392,3 +404,29 @@ def test_infinite_parameters_are_refused_by_name(instance_files, capsys):
     ):
         assert main(argv) == 2, argv
         assert f"error: {name} must be finite" in _one_line_error(capsys), argv
+
+
+def test_experiment_too_large_for_memory_exits_3(tmp_path, capsys):
+    # 10**9 x 10**6 doubles (7.11 PiB) exceed the x86-64 user address space
+    # (128 TiB with 4-level paging), so the allocation fails without
+    # touching memory
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"m": 10**9, "M": 10**6, "d": 1, "K": 1, "trials": 1}))
+    assert main(["experiment", "--config", str(cfg_path)]) == 3
+    assert "Unable to allocate" in _one_line_error(capsys)
+
+
+def test_deeply_nested_json_is_refused_by_file(instance_files, capsys):
+    deep = instance_files / "deep.json"
+    deep.write_text("[" * 200_000)
+    for argv in (
+        ["experiment", "--config", str(deep)],
+        [
+            "rip",
+            "--matrix", str(instance_files / "A.csv"),
+            "--layout", str(deep),
+            "--order", "1",
+        ],
+    ):
+        assert main(argv) == 2, argv
+        assert f"{deep} nests too deeply" in _one_line_error(capsys), argv

@@ -19,9 +19,11 @@ from bomp import (
     ExperimentConfig,
     StoppingRule,
     exact_block_rip,
+    random_proof_instance,
     rip_lower_bound_sampled,
     run_proof_verification,
 )
+from bomp.bounds import open_delta_grid
 from bomp.errors import InfeasibleError
 from bomp.io import json_fields
 from bomp.solver import BOTH, FIXED_ITERATIONS, RESIDUAL_THRESHOLD
@@ -42,6 +44,10 @@ def _config(name):
 
 def _adversarial(name):
     return lambda v: AdversarialParams(**{**_ADV, name: v})
+
+
+def _proof_instance(name):
+    return lambda v: random_proof_instance(np.random.default_rng(0), **{name: v})
 
 
 # (parameter name as the error names it, builder, values refused)
@@ -72,6 +78,13 @@ CASES = [
     ("seed", lambda v: rip_lower_bound_sampled(_A, 2, 5, v), INT_REFUSED + (-1,)),
     ("trials", lambda v: run_proof_verification(v, 0), INT_REFUSED + (0,)),
     ("seed", lambda v: run_proof_verification(1, v), INT_REFUSED + (-1,)),
+    *[
+        (name, _proof_instance(name), INT_REFUSED + (0,))
+        for name in ("num_blocks", "block_width", "sparsity")
+    ],
+    ("epsilon", _proof_instance("epsilon"), REAL_REFUSED + (-1.0,)),
+    ("points", lambda v: open_delta_grid(0.5, v), INT_REFUSED + (0, 1)),
+    ("budget", lambda v: exact_block_rip(_A, 2, budget=v), INT_REFUSED + (-1,)),
 ]
 
 

@@ -296,7 +296,7 @@ def test_pursuit_does_not_fall_back_to_the_svd_projection(monkeypatch):
     d=st.integers(1, 3),
     M=st.integers(2, 8),
     extra_rows=st.integers(0, 6),
-    size=st.integers(1, 4),
+    size=st.integers(1, 6),
     mode=st.sampled_from((RESIDUAL_THRESHOLD, FIXED_ITERATIONS, BOTH)),
     noise=st.sampled_from((0.0, 0.3)),
     seed=st.integers(0, 2**32 - 1),
@@ -355,3 +355,27 @@ def test_overflowing_scores_raise_instead_of_picking_by_index():
     assert isinstance(outcomes[1], BompError) and "overflow" in str(outcomes[1])
     alone = run_bomp(fine, stop).chosen_indices
     assert outcomes[0].chosen_indices == outcomes[2].chosen_indices == alone
+    # overflowed trials keep stepping with live ones that stop at their own
+    # steps, several picks later, and leave them as they run alone; the
+    # residual of the vast one turns to inf and NaN on the way
+    wide = BlockedMatrix(BlockLayout(8, 2), rng.normal(size=(16, 16)))
+    short = SensingProblem(matrix=wide, observation=wide.block(3) @ np.array([1.0, -2.0]))
+    long = SensingProblem(matrix=wide, observation=wide.entries @ rng.normal(size=16))
+    huge = SensingProblem(
+        matrix=BlockedMatrix(wide.layout, 1e300 * wide.entries), observation=long.observation
+    )
+    vast = SensingProblem(matrix=wide, observation=np.full(16, 1e308))
+    for stop in (
+        StoppingRule(FIXED_ITERATIONS, max_iterations=4),
+        StoppingRule(RESIDUAL_THRESHOLD, epsilon=1e-9),
+    ):
+        outcomes = run_bomp_batch([short, huge, long, vast], stop)
+        for outcome in outcomes[1::2]:
+            assert isinstance(outcome, BompError) and "overflow" in str(outcome)
+        for problem, outcome in zip((short, long), outcomes[::2]):
+            alone = run_bomp(problem, stop)
+            assert outcome.chosen_indices == alone.chosen_indices
+            assert outcome.residual_norms == alone.residual_norms
+            assert outcome.status == alone.status
+            np.testing.assert_array_equal(outcome.final_estimate.values, alone.final_estimate.values)
+        assert outcomes[2].iterations_run >= 4
