@@ -29,7 +29,7 @@ import numpy as np
 from .bounds import BoundInputs, delta_limit, necessary_bound
 from .core import BlockedMatrix, BlockLayout, BlockSignal, SensingProblem, as_int, as_real
 from .io import json_fields
-from .solver import block_correlation_scores, select_block
+from .solver import block_correlation_scores
 
 DEFAULT_T0_SAFETY = 0.99
 
@@ -157,13 +157,16 @@ def closed_form_spectrum(p: AdversarialParams) -> np.ndarray:
 class FailureReport:
     """First-iteration outcome on the adversarial observation."""
 
-    first_selected_index: int
+    first_selected_index: int = field(init=False)
     scores: tuple
     failed: bool = field(init=False)  # first pick is block 1, off the support
     score_off_support: float  # closed form epsilon + K*a*s*t0, block 1
     score_in_support: float  # closed form a^2 * t0, every supported block
 
     def __post_init__(self):
+        # the pursuit's first pick: np.argmax returns the first maximum,
+        # which is the smallest block index
+        object.__setattr__(self, "first_selected_index", int(np.argmax(self.scores)) + 1)
         object.__setattr__(self, "failed", self.first_selected_index == 1)
 
     def to_dict(self) -> dict:
@@ -180,7 +183,6 @@ def demonstrate_failure(p: AdversarialParams) -> FailureReport:
     problem, _, _ = build_adversarial_instance(p)
     scores = block_correlation_scores(problem.matrix, problem.observation)
     return FailureReport(
-        first_selected_index=select_block(problem.matrix, problem.observation),
         scores=tuple(float(v) for v in scores),
         score_off_support=p.epsilon + p.K * p.a * p.s * p.t0,
         score_in_support=p.a**2 * p.t0,

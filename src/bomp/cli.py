@@ -176,8 +176,16 @@ def _cmd_experiment(args) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a usage error as one ``error:`` line, exit code 2, as every
+    other malformed input is reported; subcommand parsers inherit this."""
+
+    def error(self, message):
+        self.exit(2, f"error: {message}\n")
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="bomp",
         description="Block-sparse greedy recovery: solver, isometry analysis, "
         "recovery thresholds, worst-case instances, and experiments.",

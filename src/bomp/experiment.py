@@ -118,7 +118,8 @@ def generate_instance(cfg: ExperimentConfig, trial_index: int):
     directions with norms at least
     min_block_norm and the smallest norm equal to it exactly; noise rescaled
     to the exact norm noise_norm. Everything is a pure function of
-    (seed, trial_index).
+    (seed, trial_index). Raises ValueError naming min_block_norm and
+    noise_norm when the draw overflows double precision.
     """
     trial_index = as_int(trial_index, "trial_index", minimum=0)
 
@@ -128,7 +129,15 @@ def generate_instance(cfg: ExperimentConfig, trial_index: int):
         return [cfg.min_block_norm * (1.0 + e) * _unit_direction(rng, cfg.d) for e in excess]
 
     rng = np.random.default_rng((cfg.seed, trial_index))
-    return gaussian_instance(rng, cfg.layout, cfg.m, cfg.K, floored_blocks, cfg.noise_norm)
+    # the block norms and the noise are the only draws that can overflow
+    try:
+        with np.errstate(over="raise"):
+            return gaussian_instance(rng, cfg.layout, cfg.m, cfg.K, floored_blocks, cfg.noise_norm)
+    except FloatingPointError:
+        raise ValueError(
+            f"min_block_norm {cfg.min_block_norm:g} and noise_norm {cfg.noise_norm:g} "
+            f"overflow double precision in trial {trial_index}"
+        ) from None
 
 
 @dataclass(frozen=True)

@@ -8,14 +8,16 @@ eigen-decomposing each Gram matrix gives the exact value. That is
 combinatorial on purpose: the constant is intractable in general, and the
 budget guard refuses requests that cannot finish.
 
-Both the exact and the sampled route form the Gram matrix ``G = A'A`` once
-(at order 1 only its diagonal blocks). The sub-Gram of a support is then a
-gather from ``G`` rather than a product of its columns. Supports are
-processed in chunks: each chunk gathers all its sub-Grams in one indexing
-operation and eigen-decomposes them in one batched call. A chunk holds as
-many supports as fit in ``_CHUNK_BYTES``, counting the support and column
-index arrays as well as the sub-Grams and their spectra, so memory beyond
-``G`` stays bounded however many supports there are.
+The exact and the sampled route differ only in the supports they hand to
+one scan: every support in lexicographic order, or seeded uniform draws.
+The scan forms the Gram matrix ``G = A'A`` once (at order 1 only its
+diagonal blocks). The sub-Gram of a support is then a gather from ``G``
+rather than a product of its columns. Supports are processed in chunks:
+each chunk gathers all its sub-Grams in one indexing operation and
+eigen-decomposes them in one batched call. A chunk holds as many supports
+as fit in ``_CHUNK_BYTES``, counting the support and column index arrays as
+well as the sub-Grams and their spectra, so memory beyond ``G`` stays
+bounded however many supports there are.
 """
 
 from __future__ import annotations
@@ -86,20 +88,52 @@ def _support_bytes(K: int, d: int) -> int:
     return 8 * (n * n + 2 * n + 3 * K + 3)
 
 
-def _chunk_length(K: int, d: int) -> int:
-    return max(1, _CHUNK_BYTES // _support_bytes(K, d))
+def _order(A: BlockedMatrix, K) -> int:
+    """``K`` as a support order of ``A``: an integer in 1..M."""
+    M = A.layout.num_blocks
+    K = as_int(K, "order K")
+    if K > M:
+        raise ValueError(f"order K must be in 1..{M}, got {K}")
+    return K
 
 
-def _extremes(G: np.ndarray, A: BlockedMatrix, supports: np.ndarray):
-    """Smallest and largest Gram eigenvalue of every support, one support
-    per row of 1-based block indices in ascending order."""
-    if G.ndim == 3:
-        subs = G[supports[:, 0] - 1]
-    else:
-        cols = A.layout.columns(supports.ravel()).reshape(len(supports), -1)
-        subs = G[cols[:, :, None], cols[:, None, :]]
-    spectra = np.linalg.eigvalsh(subs)
-    return spectra[:, 0], spectra[:, -1]
+def _scan(A: BlockedMatrix, K: int, supports) -> RipReport:
+    """The worst deviation from 1 over the Gram spectra of ``supports``, an
+    iterator of K ascending 1-based block indices each, with the first
+    support attaining it and the eigenvalue extremes. Raises
+    :class:`BompError` when ``A'A`` overflows double precision."""
+    G = _gram(A, K)
+    length = max(1, _CHUNK_BYTES // _support_bytes(K, A.layout.block_width))
+    best_delta, best_support = -np.inf, ()
+    lambda_min, lambda_max = np.inf, -np.inf
+    while True:
+        flat = chain.from_iterable(islice(supports, length))
+        chunk = np.fromiter(flat, dtype=np.intp).reshape(-1, K)
+        if not len(chunk):
+            break
+        if G.ndim == 3:
+            subs = G[chunk[:, 0] - 1]
+        else:
+            cols = A.layout.columns(chunk.ravel()).reshape(len(chunk), -1)
+            subs = G[cols[:, :, None], cols[:, None, :]]
+        spectra = np.linalg.eigvalsh(subs)
+        lo, hi = spectra[:, 0], spectra[:, -1]
+        lambda_min = min(lambda_min, lo.min())
+        lambda_max = max(lambda_max, hi.max())
+        deviation = np.maximum(hi - 1.0, 1.0 - lo)
+        # argmax takes the first maximum in the chunk and the strict
+        # comparison the first across chunks: ties go to the first support
+        i = int(np.argmax(deviation))
+        if deviation[i] > best_delta:
+            best_delta = deviation[i]
+            best_support = tuple(int(b) for b in chunk[i])
+    return RipReport(
+        order=K,
+        delta=float(best_delta),
+        arg_support=best_support,
+        lambda_min=float(lambda_min),
+        lambda_max=float(lambda_max),
+    )
 
 
 def enumeration_cost(A: BlockedMatrix, K: int) -> int:
@@ -120,49 +154,15 @@ def exact_block_rip(
     explicitly to force the computation. Raises :class:`BompError` when
     ``A'A`` overflows double precision.
     """
-    M = A.layout.num_blocks
-    K = as_int(K, "order K")
-    if K > M:
-        raise ValueError(f"order K must be in 1..{M}, got {K}")
+    K = _order(A, K)
     budget = as_int(budget, "budget", minimum=0)
     cost = enumeration_cost(A, K)
     if cost > budget:
         raise BudgetExceededError(
-            f"enumerating C({M},{K}) supports costs about {cost:.2e} flops, "
-            f"budget is {budget:.2e}; raise the budget to force this"
+            f"enumerating C({A.layout.num_blocks},{K}) supports costs about "
+            f"{cost:.2e} flops, budget is {budget:.2e}; raise the budget to force this"
         )
-
-    G = _gram(A, K)
-    combos = combinations(range(1, M + 1), K)
-    length = _chunk_length(K, A.layout.block_width)
-    best_delta = -np.inf
-    best_support: tuple = ()
-    lambda_min = np.inf
-    lambda_max = -np.inf
-    while True:
-        flat = chain.from_iterable(islice(combos, length))
-        supports = np.fromiter(flat, dtype=np.intp).reshape(-1, K)
-        if not len(supports):
-            break
-        lo, hi = _extremes(G, A, supports)
-        lambda_min = min(lambda_min, lo.min())
-        lambda_max = max(lambda_max, hi.max())
-        deviation = np.maximum(hi - 1.0, 1.0 - lo)
-        # argmax takes the first maximum in the chunk and the strict
-        # comparison the first across chunks: ties go to the
-        # lexicographically first support
-        i = int(np.argmax(deviation))
-        if deviation[i] > best_delta:
-            best_delta = deviation[i]
-            best_support = tuple(int(b) for b in supports[i])
-
-    return RipReport(
-        order=K,
-        delta=float(best_delta),
-        arg_support=best_support,
-        lambda_min=float(lambda_min),
-        lambda_max=float(lambda_max),
-    )
+    return _scan(A, K, combinations(A.layout.block_indices(), K))
 
 
 def rip_lower_bound_sampled(
@@ -175,21 +175,9 @@ def rip_lower_bound_sampled(
     given the seed. Intended for instances too large to enumerate. Raises
     :class:`BompError` when ``A'A`` overflows double precision.
     """
-    M = A.layout.num_blocks
-    K = as_int(K, "order K")
-    if K > M:
-        raise ValueError(f"order K must be in 1..{M}, got {K}")
+    K = _order(A, K)
     trials = as_int(trials, "trials")
     rng = np.random.default_rng(as_int(seed, "seed", minimum=0))
-    G = _gram(A, K)
-    length = _chunk_length(K, A.layout.block_width)
-    worst = 0.0
-    for start in range(0, trials, length):
-        supports = np.empty((min(length, trials - start), K), dtype=np.intp)
-        for row in supports:
-            row[:] = rng.choice(M, size=K, replace=False)
-        supports.sort(axis=1)
-        supports += 1
-        lo, hi = _extremes(G, A, supports)
-        worst = max(worst, float(np.max(hi - 1.0)), float(np.max(1.0 - lo)))
-    return worst
+    M = A.layout.num_blocks
+    draws = (np.sort(rng.choice(M, size=K, replace=False)) + 1 for _ in range(trials))
+    return _scan(A, K, draws).delta

@@ -22,7 +22,10 @@ subdictionary, and adding columns never raises the smallest one nor lowers
 the largest (Cauchy interlacing), so one SVD of the final R detects a rank
 failure at any step. Only then does ``project_least_squares``, the one-shot
 SVD route kept as the reference, run on each prefix of the picks in turn,
-so the error it raises names the shortest failing prefix.
+so the error it raises names the shortest failing prefix. Within about
+1e-6 relative of ``RANK_TOL`` the two SVDs can land on either side of it:
+when R fails but no prefix fails the reference, the error R gives names all
+picks; when R passes where the reference would fail, the pursuit returns.
 """
 
 from __future__ import annotations
@@ -93,11 +96,10 @@ class RecoveryTrace:
 
 
 def select_block(A: BlockedMatrix, r: np.ndarray, exclude=()) -> int:
-    """Index of the block maximizing ||A[l]' r||_2, smallest index on ties.
-
-    Blocks in ``exclude`` are masked out of the argmax; they cannot win
-    anyway once the residual is orthogonal to them, but masking makes the
-    choice robust to round-off.
+    """Index of the block maximizing ||A[l]' r||_2, smallest index on ties:
+    the per-residual reference of the pick, which no library path calls.
+    Blocks in ``exclude`` are masked out of the argmax; they cannot win once
+    the residual is orthogonal to them, but masking is robust to round-off.
     """
     scores = block_correlation_scores(A, r)
     if exclude:
@@ -230,6 +232,8 @@ def run_bomp_batch(problems, stop: StoppingRule) -> list:
     together, one pick per step, and each keeps its own stopping state, so
     no outcome depends on the others in the batch.
     """
+    if not problems:
+        return []
     A = problems[0].matrix
     layout, m = A.layout, A.rows
     if any(p.matrix.layout != layout or p.matrix.rows != m for p in problems):
@@ -248,7 +252,6 @@ def run_bomp_batch(problems, stop: StoppingRule) -> list:
     Q = np.empty((size, m, budget * d))
     R = np.zeros((size, budget * d, budget * d))
     chosen = np.zeros((size, budget), dtype=int)
-    taken = np.zeros((size, layout.num_blocks), dtype=bool)
     norms = np.empty((size, budget + 1))
     norms[:, 0] = _stacked_norms(residual)
     outcomes: list = [None] * size
@@ -261,11 +264,9 @@ def run_bomp_batch(problems, stop: StoppingRule) -> list:
     check_count = stop.mode in (FIXED_ITERATIONS, BOTH)
 
     for k in range(budget + 1):
-        converged = np.zeros(size, dtype=bool)
+        converged = np.full(size, check_count and k == stop.max_iterations)
         if check_residual:
             converged |= norms[:, k] <= stop.epsilon
-        if check_count and k == stop.max_iterations:
-            converged[:] = True
         stopping = active & (converged | (k == budget))
         for t in np.flatnonzero(stopping):
             status = STATUS_CONVERGED if converged[t] else STATUS_BUDGET_EXCEEDED
@@ -287,10 +288,9 @@ def run_bomp_batch(problems, stop: StoppingRule) -> list:
             for t in np.flatnonzero(overflow):
                 outcomes[t] = _overflow_error()
             active &= ~overflow
-            scores[taken] = -1.0
+            np.put_along_axis(scores, chosen[:, :k] - 1, -1.0, axis=1)
             # np.argmax returns the first maximum, which is the smallest block index
             picks = np.argmax(scores, axis=1)
-            np.put_along_axis(taken, picks[:, None], True, axis=1)
             chosen[:, k] = picks + 1
 
             n = k * d

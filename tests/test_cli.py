@@ -358,6 +358,13 @@ def test_usage_errors_exit_2(capsys):
     assert main([]) == 2
     assert main(["frobnicate"]) == 2
     capsys.readouterr()
+    for name, argv in (
+        ("--K", ["bounds", "--K", "abc", "--delta", "0.1"]),
+        ("--K", ["bounds", "--delta", "0.1"]),
+        ("--order", ["rip", "--matrix", "A.csv", "--layout", "A.json", "--order", "2.5"]),
+    ):
+        assert main(argv) == 2, argv
+        assert name in _one_line_error(capsys), argv
 
 
 def test_help_exits_zero(capsys):
@@ -430,3 +437,19 @@ def test_deeply_nested_json_is_refused_by_file(instance_files, capsys):
     ):
         assert main(argv) == 2, argv
         assert f"{deep} nests too deeply" in _one_line_error(capsys), argv
+
+
+def test_overflowing_draws_are_refused_by_name(tmp_path, capsys):
+    # the first overflows in the block norms, the second in y = A x + noise
+    for cfg in (
+        {"m": 12, "M": 6, "d": 2, "K": 2, "min_block_norm": 1e308, "trials": 3},
+        {
+            "m": 2, "M": 2, "d": 1, "K": 1,
+            "noise_norm": 1.7e308, "min_block_norm": 1e308, "trials": 3,
+        },
+    ):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(cfg))
+        assert main(["experiment", "--config", str(cfg_path)]) == 2, cfg
+        err = _one_line_error(capsys)
+        assert "min_block_norm" in err and "noise_norm" in err, err

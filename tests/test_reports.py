@@ -139,6 +139,7 @@ DERIVED = [
     (RecoveryTrace, "iterations_run"),
     (RipReport, "rip_holds"),
     (SufficiencyVerdict, "guaranteed"),
+    (FailureReport, "first_selected_index"),
     (FailureReport, "failed"),
     (Lemma1Report, "holds"),
     (Lemma1Report, "theta_holds"),

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,6 +9,7 @@ from bomp.core import BlockedMatrix, BlockLayout, BlockSignal, SensingProblem
 from bomp.errors import BompError, RankDeficientError
 from bomp.solver import (
     BOTH,
+    RANK_TOL,
     FIXED_ITERATIONS,
     RESIDUAL_THRESHOLD,
     STATUS_BUDGET_EXCEEDED,
@@ -278,6 +281,47 @@ def test_mid_run_rank_deficiency_raises_the_reference_error():
     assert str(got.value) == str(reference.value)
 
 
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(
+    m=st.integers(3, 12),
+    exponent=st.floats(-12.0, -1.0),
+    sign=st.sampled_from((-1.0, 1.0)),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_rank_check_agrees_with_the_reference_off_the_tolerance_band(m, exponent, sign, seed):
+    # two unit columns whose singular values have the ratio RANK_TOL * (1 + u)
+    u = sign * 10.0**exponent
+    theta = 2.0 * math.atan(RANK_TOL * (1.0 + u))
+    rng = np.random.default_rng(seed)
+    e, _ = np.linalg.qr(rng.normal(size=(m, 2)))
+    entries = np.column_stack([e[:, 0], math.cos(theta) * e[:, 0] + math.sin(theta) * e[:, 1]])
+    problem = SensingProblem(
+        matrix=BlockedMatrix(BlockLayout(2, 1), entries), observation=rng.normal(size=m)
+    )
+    stop = StoppingRule(FIXED_ITERATIONS, max_iterations=2)
+
+    try:
+        reference = _reference_pursuit(problem, stop)[0]
+    except RankDeficientError as exc:
+        reference = exc
+    try:
+        got = run_bomp(problem, stop).chosen_indices
+    except RankDeficientError as exc:
+        got = exc
+    if isinstance(got, Exception) and isinstance(reference, Exception):
+        assert str(got) == str(reference)
+    elif isinstance(got, Exception):
+        # the fallback in _finish: the SVD of R refuses, no prefix fails the
+        # reference, and the error names all picks
+        assert abs(u) < 1e-3, u
+        assert str(got).startswith("subdictionary on blocks [1, 2] is rank deficient")
+    elif isinstance(reference, Exception):
+        # the SVD of R accepts what the reference refuses
+        assert abs(u) < 1e-3, u
+    else:
+        assert list(got) == reference
+
+
 def test_pursuit_does_not_fall_back_to_the_svd_projection(monkeypatch):
     import bomp.solver
 
@@ -296,7 +340,7 @@ def test_pursuit_does_not_fall_back_to_the_svd_projection(monkeypatch):
     d=st.integers(1, 3),
     M=st.integers(2, 8),
     extra_rows=st.integers(0, 6),
-    size=st.integers(1, 6),
+    size=st.integers(0, 6),
     mode=st.sampled_from((RESIDUAL_THRESHOLD, FIXED_ITERATIONS, BOTH)),
     noise=st.sampled_from((0.0, 0.3)),
     seed=st.integers(0, 2**32 - 1),
@@ -314,7 +358,9 @@ def test_batched_pursuit_equals_one_problem_at_a_time(d, M, extra_rows, size, mo
     budget = None if mode == RESIDUAL_THRESHOLD else K
     stop = StoppingRule(mode, epsilon=noise + 1e-10, max_iterations=budget)
 
-    for problem, outcome in zip(problems, run_bomp_batch(problems, stop)):
+    outcomes = run_bomp_batch(problems, stop)
+    assert len(outcomes) == size
+    for problem, outcome in zip(problems, outcomes):
         try:
             alone = run_bomp(problem, stop)
         except BompError as exc:
