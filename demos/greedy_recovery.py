@@ -26,7 +26,7 @@ noise = rng.standard_normal(m)
 noise *= 0.05 / np.linalg.norm(noise)
 y = A.entries @ x.values + noise
 
-problem = SensingProblem(matrix=A, observation=y, noise_bound=0.05)
+problem = SensingProblem(matrix=A, observation=y)
 trace = run_bomp(problem, StoppingRule(mode="residual_threshold", epsilon=0.05, max_iterations=M))
 
 print("true support:     ", block_support(x))

@@ -130,7 +130,7 @@ def build_adversarial_instance(p: AdversarialParams):
     for i in p.true_support:
         y[(i - 1) * d] = p.a * p.t0
 
-    problem = SensingProblem(matrix=matrix, observation=y, noise_bound=p.epsilon)
+    problem = SensingProblem(matrix=matrix, observation=y)
     return problem, truth, noise
 
 

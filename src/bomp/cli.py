@@ -58,10 +58,7 @@ def _cmd_run(args) -> int:
         stop = StoppingRule(FIXED_ITERATIONS, max_iterations=args.max_iter)
     else:
         raise ValueError("pass --epsilon, --max-iter, or both to define stopping")
-    problem = SensingProblem(
-        matrix=A, observation=y, noise_bound=args.epsilon or 0.0
-    )
-    _emit(run_bomp(problem, stop).to_dict(), args.trace)
+    _emit(run_bomp(SensingProblem(matrix=A, observation=y), stop).to_dict(), args.trace)
     return 0
 
 

@@ -183,16 +183,15 @@ class BlockedMatrix:
 
 @dataclass(frozen=True, eq=False)
 class SensingProblem:
-    """Measurement matrix, observed vector, and noise-norm bound."""
+    """Measurement matrix and observed vector, all the pursuit reads. No noise
+    bound: Lemma 1 in :mod:`bomp.proofs` reads its instance's own noise."""
 
     matrix: BlockedMatrix
     observation: np.ndarray = field(repr=False)
-    noise_bound: float = 0.0
 
     def __post_init__(self):
         y = _frozen_array(self.observation, (self.matrix.rows,), "observation")
         object.__setattr__(self, "observation", y)
-        object.__setattr__(self, "noise_bound", as_real(self.noise_bound, "noise_bound"))
 
 
 def block_norms(x: BlockSignal) -> np.ndarray:
@@ -259,7 +258,8 @@ def gaussian_instance(
     dictionary with i.i.d. entries of variance 1/rows; a uniform random
     size-``sparsity`` block support; the supported blocks as
     ``draw_blocks(rng, sparsity)``, in ascending index order; and, only when
-    ``epsilon > 0``, noise rescaled to norm exactly ``epsilon``.
+    ``epsilon > 0``, noise rescaled to norm exactly ``epsilon``. The problem
+    keeps no record of ``epsilon``; the noise is ``observation - A @ truth``.
     """
     entries = rng.normal(size=(rows, layout.ambient_dim))
     entries /= math.sqrt(rows)  # in place: no second dictionary-sized temporary
@@ -273,4 +273,4 @@ def gaussian_instance(
         raw = rng.normal(size=rows)
         noise = raw * (epsilon / np.linalg.norm(raw))
     y = A.entries @ truth.values + noise
-    return SensingProblem(matrix=A, observation=y, noise_bound=epsilon), truth
+    return SensingProblem(matrix=A, observation=y), truth

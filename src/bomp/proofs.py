@@ -19,8 +19,10 @@ rest on its own: the direct route takes the residual r from SVD-based least
 squares, and the identity route takes r and the projected dictionary from
 an orthonormal basis of the projected-out subspace. Agreement to 1e-9
 across instances and t values is strong evidence both are implemented as
-stated. The perturbation bound has one route; it reads ``xi``, ``theta``
-and the exact constant from the same instance, each computed once per draw.
+stated. The perturbation bound has one route. Its epsilon is the instance's
+own noise norm ``||y - A x||``, and it reads ``xi``, ``theta = xi - x`` and
+the exact constant from the same instance, so one least-squares solve on the
+true support serves both the direct margin and the bound.
 """
 
 from __future__ import annotations
@@ -124,19 +126,16 @@ class ProofInstance:
         return project_least_squares(A, self.partial_support, self.problem.observation)[1]
 
     @cached_property
-    def noise_projection(self) -> tuple:
-        """Least squares of the noise on the true support, as (theta, residual)."""
-        return project_least_squares(self.problem.matrix, self.support, self.noise)
-
-    @property
     def theta(self) -> BlockSignal:
-        """Projected-noise coefficients, the theta of the perturbation bound."""
-        return self.noise_projection[0]
+        """``xi - x``: the theta of the decomposition ``xi = x + theta``, which
+        are the coefficients of the noise projected onto the true support."""
+        return BlockSignal(self.truth.layout, self.xi.values - self.truth.values)
 
-    @property
+    @cached_property
     def noise_off_support(self) -> np.ndarray:
-        """The part of the noise orthogonal to the span of the true support."""
-        return self.noise_projection[1]
+        """``y - A xi``, the part of the noise orthogonal to the span of the
+        true support: it equals ``Pperp_T e`` because ``A x`` lies in that span."""
+        return self.problem.observation - self.problem.matrix.entries @ self.xi.values
 
     @cached_property
     def rip_delta(self) -> float:
@@ -230,10 +229,13 @@ class Lemma1Report:
     rhs: float  # min block norm of the truth minus epsilon/sqrt(1-delta)
     holds: bool = field(init=False)
     theta_norm: float  # norm of the projected-noise coefficients
-    theta_bound: float  # epsilon/sqrt(1-delta)
+    theta_bound: float  # epsilon/sqrt(1-delta), with epsilon = ||y - A x||
     theta_holds: bool = field(init=False)
 
     def __post_init__(self):
+        for name in ("lhs", "rhs", "theta_norm", "theta_bound"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"Lemma 1 {name} must be finite, got {getattr(self, name)}")
         object.__setattr__(self, "holds", self.lhs >= self.rhs - LEMMA_SLACK)
         object.__setattr__(self, "theta_holds", self.theta_norm <= self.theta_bound + LEMMA_SLACK)
 
@@ -244,9 +246,11 @@ class Lemma1Report:
 def lemma1_check(inst: ProofInstance) -> Lemma1Report:
     """Check the minimum-block-norm perturbation bound on one instance.
 
-    Reads ``xi``, ``theta`` and the exact isometry constant of order |T|+1
-    from the instance, so the instance must be small enough to enumerate;
-    raises :class:`InfeasibleError` when that constant is not below 1.
+    The noise bound epsilon is the instance's own noise norm ``||y - A x||``,
+    the tightest value the lemma admits. Reads ``xi``, ``theta`` and the exact
+    isometry constant of order |T|+1 from the instance, so the instance must
+    be small enough to enumerate; raises :class:`InfeasibleError` when that
+    constant is not below 1, and ValueError when a quantity overflows.
     """
     delta = inst.rip_delta
     if delta >= 1.0:
@@ -256,13 +260,15 @@ def lemma1_check(inst: ProofInstance) -> Lemma1Report:
         )
 
     on_support = [i - 1 for i in inst.support]
-    margin = inst.problem.noise_bound / math.sqrt(1.0 - delta)
-    return Lemma1Report(
-        lhs=float(block_norms(inst.xi)[on_support].min()),
-        rhs=float(block_norms(inst.truth)[on_support].min()) - margin,
-        theta_norm=float(np.linalg.norm(inst.theta.values)),
-        theta_bound=margin,
-    )
+    # an overflow reads as inf here and the report refuses it
+    with np.errstate(over="ignore", invalid="ignore"):
+        margin = float(np.linalg.norm(inst.noise)) / math.sqrt(1.0 - delta)
+        return Lemma1Report(
+            lhs=float(block_norms(inst.xi)[on_support].min()),
+            rhs=float(block_norms(inst.truth)[on_support].min()) - margin,
+            theta_norm=float(np.linalg.norm(inst.theta.values)),
+            theta_bound=margin,
+        )
 
 
 def random_recovery_problem(
@@ -311,30 +317,35 @@ def random_proof_instance(
         raise ValueError("need sparsity < num_blocks to leave a probe block")
     rows = 10 * (sparsity + 1) * block_width
 
-    for _ in range(MAX_ATTEMPTS):
-        problem, truth = random_recovery_problem(
-            rng, num_blocks, block_width, sparsity, rows, epsilon
-        )
-        T = block_support(truth)
-        if len(T) != sparsity:
-            continue
-        k = int(rng.integers(0, sparsity))
-        chosen = rng.choice(np.array(T), size=k, replace=False)
-        off = [i for i in problem.matrix.layout.block_indices() if i not in T]
-        probe = int(off[rng.integers(0, len(off))])
-        inst = ProofInstance(
-            problem=problem, truth=truth, partial_support=chosen, probe_index=probe
-        )
-        if inst.rip_delta >= 1.0:
-            continue
-        # degenerate draws are measure zero; re-sample if one shows up anyway
-        try:
-            inst.alpha_21
-        except ZeroDivisionError:
-            continue
-        if np.linalg.norm(problem.matrix.block(probe).T @ inst.partial_residual) == 0.0:
-            continue
-        return inst
+    # a draw or a projection of it can overflow only through epsilon
+    try:
+        with np.errstate(over="raise"):
+            for _ in range(MAX_ATTEMPTS):
+                problem, truth = random_recovery_problem(
+                    rng, num_blocks, block_width, sparsity, rows, epsilon
+                )
+                T = block_support(truth)
+                if len(T) != sparsity:
+                    continue
+                k = int(rng.integers(0, sparsity))
+                chosen = rng.choice(np.array(T), size=k, replace=False)
+                off = [i for i in problem.matrix.layout.block_indices() if i not in T]
+                probe = int(off[rng.integers(0, len(off))])
+                inst = ProofInstance(
+                    problem=problem, truth=truth, partial_support=chosen, probe_index=probe
+                )
+                if inst.rip_delta >= 1.0:
+                    continue
+                # degenerate draws are measure zero; re-sample if one shows up anyway
+                try:
+                    inst.alpha_21
+                except ZeroDivisionError:
+                    continue
+                if np.linalg.norm(problem.matrix.block(probe).T @ inst.partial_residual) == 0.0:
+                    continue
+                return inst
+    except FloatingPointError:
+        raise ValueError(f"epsilon {epsilon:g} overflows double precision") from None
     raise RuntimeError(f"no acceptable instance after {MAX_ATTEMPTS} attempts")
 
 

@@ -143,9 +143,7 @@ def test_criterion_5_certified_instances_recover_in_exactly_k_steps():
         x = BlockSignal.from_blocks(layout, blocks)
         raw = rng.normal(size=m)
         noise = raw * (eps / np.linalg.norm(raw))
-        problem = SensingProblem(
-            matrix=A, observation=A.entries @ x.values + noise, noise_bound=eps
-        )
+        problem = SensingProblem(matrix=A, observation=A.entries @ x.values + noise)
         trace = run_bomp(problem, StoppingRule(RESIDUAL_THRESHOLD, epsilon=eps))
         successes += (
             trace.status == STATUS_CONVERGED
@@ -257,7 +255,7 @@ def test_criterion_9_solver_invariants_on_200_problems():
         e = rng.normal(size=m)
         e *= noise_level / max(np.linalg.norm(e), 1e-300)
         y = A.entries @ x.values + e
-        problem = SensingProblem(matrix=A, observation=y, noise_bound=noise_level)
+        problem = SensingProblem(matrix=A, observation=y)
         stop = StoppingRule(FIXED_ITERATIONS, max_iterations=4)
         trace = run_bomp(problem, stop)
         again = run_bomp(problem, stop)

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import tracemalloc
 
@@ -152,8 +153,10 @@ def test_problem_validation():
     A = BlockedMatrix(BlockLayout(2, 2), np.eye(4))
     with pytest.raises(ValueError):
         SensingProblem(matrix=A, observation=np.zeros(3))
-    with pytest.raises(ValueError):
-        SensingProblem(matrix=A, observation=np.zeros(4), noise_bound=-0.1)
+    # the pursuit's input carries no noise bound: Lemma 1 reads the noise itself
+    assert [f.name for f in dataclasses.fields(SensingProblem)] == ["matrix", "observation"]
+    with pytest.raises(TypeError):
+        SensingProblem(matrix=A, observation=np.zeros(4), noise_bound=0.1)
 
 
 def test_block_norms_and_mixed_norms():

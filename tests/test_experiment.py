@@ -196,7 +196,7 @@ def test_solver_errors_are_recorded_not_raised(monkeypatch):
     layout = BlockLayout(2, 1)
     A = BlockedMatrix(layout, np.array([[1.0, 1.0], [0.0, 0.0]]))
     instance = (
-        SensingProblem(matrix=A, observation=np.array([1.0, 0.3]), noise_bound=1.0),
+        SensingProblem(matrix=A, observation=np.array([1.0, 0.3])),
         BlockSignal(layout, np.array([1.0, 0.0])),
     )
     monkeypatch.setattr("bomp.experiment.generate_instance", lambda cfg, k: instance)

@@ -1,12 +1,17 @@
+import math
 import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import bomp.proofs
 from bomp.core import BlockedMatrix, BlockLayout, BlockSignal, SensingProblem, block_support
 from bomp.errors import DegenerateProbeError, InfeasibleError, RankDeficientError
 from bomp.proofs import (
+    IDENTITY_REL_TOL,
+    T_VALUES,
     ProofInstance,
     _range_basis,
     compute_xi,
@@ -20,12 +25,12 @@ from bomp.proofs import (
 from bomp.solver import project_least_squares
 
 
-def _identity_instance(values, partial, probe, noise_bound=1.0):
+def _identity_instance(values, partial, probe):
     layout = BlockLayout(3, 1)
     A = BlockedMatrix(layout, np.eye(3))
     truth = BlockSignal(layout, values)
     y = np.array([1.0, 0.5, 0.0])
-    problem = SensingProblem(matrix=A, observation=y, noise_bound=noise_bound)
+    problem = SensingProblem(matrix=A, observation=y)
     return ProofInstance(
         problem=problem, truth=truth, partial_support=partial, probe_index=probe
     )
@@ -35,7 +40,7 @@ def test_instance_validation():
     layout = BlockLayout(3, 1)
     A = BlockedMatrix(layout, np.eye(3))
     truth = BlockSignal(layout, [1.0, 0.5, 0.0])
-    problem = SensingProblem(matrix=A, observation=np.ones(3), noise_bound=1.0)
+    problem = SensingProblem(matrix=A, observation=np.ones(3))
     # partial support must be a strict subset of the truth's support
     with pytest.raises(ValueError):
         ProofInstance(problem, truth, partial_support=(1, 2), probe_index=3)
@@ -96,9 +101,7 @@ def test_vanishing_alpha_raises_zero_division():
     layout = BlockLayout(3, 1)
     A = BlockedMatrix(layout, np.eye(3))
     truth = BlockSignal(layout, [1.0, 0.5, 0.0])
-    problem = SensingProblem(
-        matrix=A, observation=np.array([1.0, 0.0, 0.0]), noise_bound=1.0
-    )
+    problem = SensingProblem(matrix=A, observation=np.array([1.0, 0.0, 0.0]))
     inst = ProofInstance(problem, truth, partial_support=(1,), probe_index=3)
     with pytest.raises(ZeroDivisionError):
         eta_direct(inst)
@@ -141,11 +144,49 @@ def test_lemma_on_random_noisy_instances():
         assert report.theta_bound > 0.0
 
 
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    shape=st.integers(4, 8).flatmap(
+        lambda M: st.tuples(st.just(M), st.integers(1, 3), st.integers(1, min(3, M - 1)))
+    ),
+    epsilon=st.floats(0.0, 0.5),
+)
+def test_identity_and_lemma_hold_on_random_instances(seed, shape, epsilon):
+    num_blocks, block_width, sparsity = shape
+    inst = random_proof_instance(
+        np.random.default_rng(seed), num_blocks, block_width, sparsity, epsilon
+    )
+    direct = eta_direct(inst)
+    for t in T_VALUES:
+        assert abs(direct - eta_via_identity(inst, t)) <= IDENTITY_REL_TOL * max(1.0, abs(direct))
+    report = lemma1_check(inst)
+    assert report.holds and report.theta_holds
+    noise = inst.problem.observation - inst.problem.matrix.entries @ inst.truth.values
+    assert report.theta_bound == np.linalg.norm(noise) / math.sqrt(1.0 - inst.rip_delta)
+
+
+def test_overflowing_epsilon_is_refused_by_name():
+    with pytest.raises(ValueError, match=r"^epsilon 1\.7e\+308 overflows double precision$"):
+        random_proof_instance(np.random.default_rng(0), epsilon=1.7e308)
+
+
+def test_lemma_refuses_an_overflowed_quantity():
+    # the noise norm overflows, so the margin would be inf and pass anything
+    layout = BlockLayout(3, 1)
+    problem = SensingProblem(
+        matrix=BlockedMatrix(layout, np.eye(3)), observation=np.array([1e200, 1e200, 0.0])
+    )
+    inst = ProofInstance(problem, BlockSignal(layout, [1.0, 0.5, 0.0]), (), 3)
+    with pytest.raises(ValueError, match=r"^Lemma 1 \w+ must be finite, got -?inf$"):
+        lemma1_check(inst)
+
+
 def test_lemma_requires_room_and_isometry():
     layout = BlockLayout(2, 1)
     A = BlockedMatrix(layout, np.eye(2))
     truth = BlockSignal(layout, [1.0, 1.0])
-    problem = SensingProblem(matrix=A, observation=np.ones(2), noise_bound=0.1)
+    problem = SensingProblem(matrix=A, observation=np.ones(2))
     for probe in (1, 2):  # no block outside the support to probe with
         with pytest.raises(ValueError):
             ProofInstance(problem, truth, (), probe)
@@ -156,7 +197,7 @@ def test_lemma_requires_room_and_isometry():
         layout3, np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 0.0]])
     )
     truth3 = BlockSignal(layout3, [1.0, 1.0, 0.0])
-    problem3 = SensingProblem(matrix=A3, observation=np.ones(3), noise_bound=0.1)
+    problem3 = SensingProblem(matrix=A3, observation=np.ones(3))
     with pytest.raises(InfeasibleError):
         lemma1_check(ProofInstance(problem3, truth3, (), 3))
 
@@ -207,10 +248,10 @@ def _count_calls(monkeypatch, name="project_least_squares"):
     return calls
 
 
-def test_sweep_projects_at_most_three_times_per_trial(monkeypatch):
+def test_sweep_projects_at_most_twice_per_trial(monkeypatch):
     calls = _count_calls(monkeypatch)
     run_proof_verification(20, 3)
-    assert len(calls) <= 3 * 20
+    assert len(calls) <= 2 * 20
 
 
 def test_instance_derives_each_projection_once(monkeypatch):
@@ -223,7 +264,7 @@ def test_instance_derives_each_projection_once(monkeypatch):
     for t in (0.1, 1.0, 10.0):
         eta_via_identity(inst, t)
     assert len(calls) == seen
-    # the perturbation bound reads the same xi, noise projection and constant
+    # the perturbation bound reads the same xi and constant; theta is xi - x
     report = lemma1_check(inst)
     assert report.holds and report.theta_holds
     assert len(calls) == seen

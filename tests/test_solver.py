@@ -34,7 +34,7 @@ def _random_problem(rng, m=20, M=5, d=2, support=(2, 4), noise=0.0):
         raw = rng.normal(size=m)
         e = raw * (noise / np.linalg.norm(raw))
     y = A.entries @ x.values + e
-    return SensingProblem(matrix=A, observation=y, noise_bound=noise), x
+    return SensingProblem(matrix=A, observation=y), x
 
 
 def test_stopping_rule_validation():
@@ -165,7 +165,7 @@ def test_budget_respects_row_capacity():
     rng = np.random.default_rng(9)
     layout = BlockLayout(5, 2)
     A = BlockedMatrix(layout, rng.normal(size=(4, 10)))
-    problem = SensingProblem(matrix=A, observation=rng.normal(size=4), noise_bound=0.0)
+    problem = SensingProblem(matrix=A, observation=rng.normal(size=4))
     trace = run_bomp(problem, StoppingRule(RESIDUAL_THRESHOLD, epsilon=0.0))
     assert trace.iterations_run <= 2
 
@@ -269,7 +269,7 @@ def test_mid_run_rank_deficiency_raises_the_reference_error():
     entries[:, 4] = entries[:, 0]
     A = BlockedMatrix(layout, entries)
     y = entries @ np.array([3.0, 2.5, 0.0, 0.0, 2.0, 4.0, 0.0, 0.0]) + 0.1 * rng.normal(size=10)
-    problem = SensingProblem(matrix=A, observation=y, noise_bound=0.1)
+    problem = SensingProblem(matrix=A, observation=y)
     stop = StoppingRule(FIXED_ITERATIONS, max_iterations=4)
 
     with pytest.raises(RankDeficientError) as reference:
