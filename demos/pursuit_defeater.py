@@ -7,24 +7,26 @@ import numpy as np
 
 from bomp import (
     AdversarialParams,
+    BoundInputs,
     StoppingRule,
     build_adversarial_instance,
     closed_form_spectrum,
     demonstrate_failure,
     exact_block_rip,
-    max_t0_for_failure,
+    necessary_bound,
     run_bomp,
 )
 
 delta, K, epsilon = 0.2, 3, 1.0
 
 p = AdversarialParams(d=1, K=K, delta=delta, epsilon=epsilon)
+threshold = necessary_bound(BoundInputs(K=K, delta=delta, epsilon=epsilon))
 print(f"family at d=1, K={K}, delta={delta}, epsilon={epsilon}")
-print(f"  failure threshold on t0: {max_t0_for_failure(K, delta, epsilon):.6f}")
+print(f"  failure threshold on t0: {threshold:.6f}")
 print(f"  default t0 (just below): {p.t0:.6f}")
 
 # the order-(K+1) isometry constant of this dictionary is delta, exactly
-problem, truth, _ = build_adversarial_instance(p)
+problem, truth = build_adversarial_instance(p)
 report = exact_block_rip(problem.matrix, K + 1)
 print(f"  exact order-{K + 1} constant: {report.delta:.12f}")
 
@@ -47,8 +49,7 @@ print("full run chose:", sorted(trace.chosen_indices))
 print("support missed:", sorted(trace.chosen_indices) != list(p.true_support))
 
 # push t0 above the threshold and the very same family becomes benign
-loud = AdversarialParams(d=1, K=K, delta=delta, epsilon=epsilon,
-                         t0=1.5 * max_t0_for_failure(K, delta, epsilon))
+loud = AdversarialParams(d=1, K=K, delta=delta, epsilon=epsilon, t0=1.5 * threshold)
 print()
 print("with t0 raised 50% above the threshold:")
 print("  first pick:", demonstrate_failure(loud).first_selected_index)

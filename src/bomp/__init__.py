@@ -17,7 +17,6 @@ from .adversarial import (
     build_matrix,
     closed_form_spectrum,
     demonstrate_failure,
-    max_t0_for_failure,
 )
 from .bounds import (
     BoundInputs,
@@ -57,7 +56,6 @@ from .io import load_layout, load_matrix, load_vector, save_layout, save_matrix,
 from .proofs import (
     Lemma1Report,
     ProofInstance,
-    compute_xi,
     eta_direct,
     eta_via_identity,
     lemma1_check,
@@ -105,7 +103,6 @@ __all__ = [
     "build_matrix",
     "check_sufficient",
     "closed_form_spectrum",
-    "compute_xi",
     "demonstrate_failure",
     "enumeration_cost",
     "eta_direct",
@@ -118,7 +115,6 @@ __all__ = [
     "load_layout",
     "load_matrix",
     "load_vector",
-    "max_t0_for_failure",
     "mixed_norm",
     "necessary_bound",
     "project_least_squares",

@@ -26,21 +26,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bounds import BoundInputs, delta_limit, necessary_bound
+from .bounds import BoundInputs, necessary_bound
 from .core import BlockedMatrix, BlockLayout, BlockSignal, SensingProblem, as_int, as_real
 from .io import json_fields
 from .solver import block_correlation_scores
 
 DEFAULT_T0_SAFETY = 0.99
-
-
-def max_t0_for_failure(K: int, delta: float, epsilon: float) -> float:
-    """Strict upper bound on t0 below which the first selection is wrong.
-
-    Identical, value for value, to :func:`bomp.bounds.necessary_bound`: the
-    worst-case construction is exactly what makes that bound necessary.
-    """
-    return necessary_bound(BoundInputs(K=K, delta=delta, epsilon=epsilon))
 
 
 @dataclass(frozen=True)
@@ -72,11 +63,6 @@ class AdversarialParams:
         object.__setattr__(self, "t0", as_real(t0, "t0", positive=True))
 
     @property
-    def in_failure_regime(self) -> bool:
-        """True when delta < 1/sqrt(K+1), where a wrong first pick is certain."""
-        return self.delta < delta_limit(self.K)
-
-    @property
     def s(self) -> float:
         return self.delta / math.sqrt(self.K)
 
@@ -106,32 +92,22 @@ def build_matrix(p: AdversarialParams) -> BlockedMatrix:
 
 
 def build_adversarial_instance(p: AdversarialParams):
-    """Instantiate the family: returns (problem, ground truth, noise).
+    """Instantiate the family: returns (problem, ground truth).
 
-    The observation is assembled in closed form (``epsilon`` times the
-    first coordinate unit vector in block 1, ``a*t0`` times it in every
-    supported block) and coincides with ``A @ x + e``.
+    The observation is ``A x + e`` with ``e`` equal to ``epsilon`` on the
+    first coordinate, so ``y - A x`` is the noise, as for every instance.
+    Each row of ``A x`` has at most one nonzero term, so y is exactly the
+    closed form: ``epsilon`` at coordinate 0, ``a*t0`` at the first
+    coordinate of every supported block, zero elsewhere.
     """
-    d, K = p.d, p.K
-    layout = p.layout
     matrix = build_matrix(p)
-
-    e1 = np.zeros(d)
+    e1 = np.zeros(p.d)
     e1[0] = 1.0
-
-    truth = BlockSignal.from_blocks(
-        layout, {i: p.t0 * e1 for i in p.true_support}
-    )
-    noise = np.zeros(layout.ambient_dim)
+    truth = BlockSignal.from_blocks(p.layout, {i: p.t0 * e1 for i in p.true_support})
+    noise = np.zeros(p.layout.ambient_dim)
     noise[0] = p.epsilon
-
-    y = np.zeros(layout.ambient_dim)
-    y[0] = p.epsilon
-    for i in p.true_support:
-        y[(i - 1) * d] = p.a * p.t0
-
-    problem = SensingProblem(matrix=matrix, observation=y)
-    return problem, truth, noise
+    problem = SensingProblem(matrix=matrix, observation=matrix.entries @ truth.values + noise)
+    return problem, truth
 
 
 def closed_form_spectrum(p: AdversarialParams) -> np.ndarray:
@@ -177,10 +153,10 @@ def demonstrate_failure(p: AdversarialParams) -> FailureReport:
     """Run the first greedy selection on the instance and report the scores.
 
     ``failed`` is True exactly when the selector picks block 1, the one
-    block outside the support; this is guaranteed whenever
-    ``t0 < max_t0_for_failure`` and flips once t0 grows well beyond it.
+    block outside the support; this is guaranteed whenever t0 lies below
+    :func:`bomp.bounds.necessary_bound` and flips once t0 grows well beyond it.
     """
-    problem, _, _ = build_adversarial_instance(p)
+    problem, _ = build_adversarial_instance(p)
     scores = block_correlation_scores(problem.matrix, problem.observation)
     return FailureReport(
         scores=tuple(float(v) for v in scores),

@@ -19,6 +19,7 @@ All three are homogeneous in epsilon and only defined for
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -39,7 +40,8 @@ def delta_limit(K: int) -> float:
 @dataclass(frozen=True)
 class BoundInputs:
     """Sparsity level K >= 1, isometry constant of order K+1 in (0, 1), and a
-    finite positive noise bound; feasibility is checked separately."""
+    finite noise bound no smaller than the smallest normal double; feasibility
+    is checked separately."""
 
     K: int
     delta: float
@@ -51,21 +53,22 @@ class BoundInputs:
         object.__setattr__(self, "epsilon", as_real(self.epsilon, "epsilon", positive=True))
         if not self.delta < 1.0:
             raise ValueError(f"delta must lie in (0, 1), got {self.delta}")
-
-    @property
-    def delta_limit(self) -> float:
-        """Feasibility edge 1/sqrt(K+1); the bounds exist strictly below it."""
-        return delta_limit(self.K)
+        # every bound is at least epsilon; a subnormal one rounds their gaps away
+        if self.epsilon < sys.float_info.min:
+            raise ValueError(
+                f"epsilon must be at least {sys.float_info.min} (the smallest "
+                f"normal double), got {self.epsilon}"
+            )
 
     @property
     def feasible(self) -> bool:
-        return self.delta < self.delta_limit
+        return self.delta < delta_limit(self.K)
 
     def require_feasible(self) -> None:
         if not self.feasible:
             raise InfeasibleError(
                 f"delta={self.delta} is not below 1/sqrt(K+1)="
-                f"{self.delta_limit:.6f} for K={self.K}"
+                f"{delta_limit(self.K):.6f} for K={self.K}"
             )
 
 

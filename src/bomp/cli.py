@@ -20,11 +20,11 @@ from .adversarial import (
     AdversarialParams,
     build_adversarial_instance,
     demonstrate_failure,
-    max_t0_for_failure,
 )
 from .bounds import (
     BoundInputs,
     check_sufficient,
+    delta_limit,
     figure1_curves,
     necessary_bound,
     z1_sufficient_bound,
@@ -83,7 +83,7 @@ def _cmd_bounds(args) -> int:
     b = BoundInputs(K=args.K, delta=args.delta, epsilon=args.epsilon)
     payload = {
         **json_fields(b),
-        "delta_limit": b.delta_limit,
+        "delta_limit": delta_limit(b.K),
         "z1": z1_sufficient_bound(b),
         "z2": z2_prior_bound(b),
         "necessary": necessary_bound(b),
@@ -127,7 +127,7 @@ def _cmd_adversarial(args) -> int:
     params = AdversarialParams(
         d=args.d, K=args.K, delta=args.delta, epsilon=args.epsilon, t0=args.t0
     )
-    problem, truth, _ = build_adversarial_instance(params)
+    problem, truth = build_adversarial_instance(params)
     report = demonstrate_failure(params)
 
     out_dir = Path(args.out_dir)
@@ -138,7 +138,9 @@ def _cmd_adversarial(args) -> int:
 
     payload = {
         **json_fields(params),
-        "t0_failure_threshold": max_t0_for_failure(params.K, params.delta, params.epsilon),
+        "t0_failure_threshold": necessary_bound(
+            BoundInputs(K=params.K, delta=params.delta, epsilon=params.epsilon)
+        ),
         "true_support": list(params.true_support),
         **report.to_dict(),
     }

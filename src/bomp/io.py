@@ -87,11 +87,11 @@ def load_layout(path) -> tuple[int, BlockLayout]:
     return rows, BlockLayout(M, d)
 
 
-def save_matrix(matrix_path, matrix: BlockedMatrix, layout_path=None) -> None:
-    """Write matrix entries as row-major CSV, optionally with its sidecar."""
+def save_matrix(matrix_path, matrix: BlockedMatrix, layout_path) -> None:
+    """Write matrix entries as row-major CSV and its layout sidecar, the pair
+    :func:`load_matrix` reads back."""
     np.savetxt(matrix_path, matrix.entries, fmt=FLOAT_FMT, delimiter=",")
-    if layout_path is not None:
-        save_layout(layout_path, matrix.layout, matrix.rows)
+    save_layout(layout_path, matrix.layout, matrix.rows)
 
 
 def load_matrix(matrix_path, layout_path) -> BlockedMatrix:

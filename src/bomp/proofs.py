@@ -102,8 +102,10 @@ class ProofInstance:
 
     @cached_property
     def xi(self) -> BlockSignal:
-        """Projection coefficients of y on the true support."""
-        return compute_xi(self.problem, self.support)
+        """Projection coefficients of y on the true support: zero off it, and
+        ``A xi`` is the orthogonal projection of y onto its span."""
+        A = self.problem.matrix
+        return project_least_squares(A, self.support, self.problem.observation)[0]
 
     @cached_property
     def alpha_21(self) -> float:
@@ -143,15 +145,6 @@ class ProofInstance:
         return exact_block_rip(self.problem.matrix, len(self.support) + 1).delta
 
 
-def compute_xi(problem: SensingProblem, support) -> BlockSignal:
-    """Coefficients of the projection of y onto the span of ``support``.
-
-    Zero off the support; applying the dictionary to the result reproduces
-    the orthogonal projection of the observation.
-    """
-    return project_least_squares(problem.matrix, support, problem.observation)[0]
-
-
 def _range_basis(A: BlockedMatrix, support) -> np.ndarray:
     """Orthonormal basis of the span of the supported column blocks."""
     return _checked_svd(A, sorted(support))[1]
@@ -187,7 +180,8 @@ def eta_via_identity(inst: ProofInstance, t: float = 1.0) -> float:
     ``(||B((t+1/||alpha||)u - v)||^2 - ||B((t-1/||alpha||)u + v)||^2)/(4t)``
     minus the noise correlation with the projected probe direction. The
     value is independent of the free parameter ``t``, which must be finite
-    and positive.
+    and positive, in exact arithmetic only: in floating point the two
+    squares cancel, and far from t = 1 the difference loses every digit.
     """
     t = as_real(t, "t", positive=True)
     A = inst.problem.matrix

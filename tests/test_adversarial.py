@@ -1,8 +1,6 @@
-import math
-
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from bomp.adversarial import (
@@ -11,9 +9,8 @@ from bomp.adversarial import (
     build_matrix,
     closed_form_spectrum,
     demonstrate_failure,
-    max_t0_for_failure,
 )
-from bomp.bounds import BoundInputs, necessary_bound
+from bomp.bounds import BoundInputs, delta_limit, necessary_bound
 from bomp.core import block_support
 from bomp.errors import InfeasibleError
 from bomp.rip import exact_block_rip
@@ -39,23 +36,35 @@ def test_default_t0_needs_the_failure_regime():
         AdversarialParams(d=1, K=3, delta=0.5, epsilon=1.0)
     # with an explicit magnitude the construction exists for any delta in (0,1)
     p = AdversarialParams(d=1, K=3, delta=0.5, epsilon=1.0, t0=1.0)
-    assert not p.in_failure_regime
-    assert AdversarialParams(d=1, K=3, delta=0.4, epsilon=1.0).in_failure_regime
+    assert not BoundInputs(K=p.K, delta=p.delta, epsilon=p.epsilon).feasible
+    p = AdversarialParams(d=1, K=3, delta=0.4, epsilon=1.0)
+    assert BoundInputs(K=p.K, delta=p.delta, epsilon=p.epsilon).feasible
 
 
 def test_default_t0_sits_below_the_failure_threshold():
     p = AdversarialParams(d=2, K=4, delta=0.15, epsilon=0.5)
-    threshold = max_t0_for_failure(4, 0.15, 0.5)
+    threshold = necessary_bound(BoundInputs(K=4, delta=0.15, epsilon=0.5))
     assert p.t0 == 0.99 * threshold
     explicit = AdversarialParams(d=2, K=4, delta=0.15, epsilon=0.5, t0=0.3)
     assert explicit.t0 == 0.3
 
 
-def test_threshold_is_the_necessary_bound():
-    for K, delta, eps in ((1, 0.3, 1.0), (5, 0.1, 0.25), (10, 0.04, 2.0)):
-        assert max_t0_for_failure(K, delta, eps) == necessary_bound(
-            BoundInputs(K=K, delta=delta, epsilon=eps)
-        )
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(
+    st.integers(1, 19),
+    st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+    st.floats(0.0, exclude_min=True, allow_infinity=False),
+)
+@example(K=2, frac=0.5, epsilon=5e-324)
+def test_property_default_t0_lies_strictly_inside_the_failure_region(K, frac, epsilon):
+    # every positive finite epsilon, subnormals included, at a feasible delta
+    delta = frac * delta_limit(K)
+    assume(delta < delta_limit(K))
+    try:
+        p = AdversarialParams(d=1, K=K, delta=delta, epsilon=epsilon)
+    except ValueError:
+        return
+    assert 0.0 < p.t0 < necessary_bound(BoundInputs(K=K, delta=p.delta, epsilon=epsilon))
 
 
 def test_matrix_structure():
@@ -69,20 +78,28 @@ def test_matrix_structure():
     assert A.entries[:2, 2:].sum() == 0.0
 
 
-def test_instance_assembly_is_consistent():
-    p = AdversarialParams(d=3, K=2, delta=0.25, epsilon=0.8)
-    problem, truth, noise = build_adversarial_instance(p)
-    np.testing.assert_allclose(
-        problem.observation,
-        problem.matrix.entries @ truth.values + noise,
-        atol=1e-12,
-    )
-    # single nonzero coordinate, so the norm is epsilon itself
-    assert np.linalg.norm(noise) == pytest.approx(p.epsilon, rel=1e-15)
-    assert np.count_nonzero(noise) == 1
-    assert block_support(truth) == (2, 3)
-    for i in (2, 3):
-        assert np.linalg.norm(truth.block(i)) == pytest.approx(p.t0, rel=1e-15)
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(
+    st.integers(1, 4),
+    st.integers(1, 6),
+    st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+    st.floats(1e-300, 1e300),
+    st.floats(1e-300, 1e300),
+)
+def test_instance_assembly_is_consistent(d, K, delta, epsilon, t0):
+    p = AdversarialParams(d=d, K=K, delta=delta, epsilon=epsilon, t0=t0)
+    problem, truth = build_adversarial_instance(p)
+    # the paper's closed form, bit for bit: epsilon at coordinate 0, a*t0 at
+    # the first coordinate of every supported block, zeros elsewhere
+    closed_form = np.zeros(d * (K + 1))
+    closed_form[0] = p.epsilon
+    for i in p.true_support:
+        closed_form[(i - 1) * d] = p.a * p.t0
+    assert problem.observation.tobytes() == closed_form.tobytes()
+    # t0 at the first coordinate of every supported block, zeros elsewhere
+    signal = np.zeros(d * (K + 1))
+    signal[[(i - 1) * d for i in p.true_support]] = p.t0
+    assert truth.values.tobytes() == signal.tobytes()
 
 
 def test_closed_form_spectrum_for_width_one():
@@ -126,7 +143,7 @@ def test_failure_scores_match_closed_forms():
 
 def test_failure_flips_above_the_threshold():
     K, delta, eps = 3, 0.2, 1.0
-    threshold = max_t0_for_failure(K, delta, eps)
+    threshold = necessary_bound(BoundInputs(K=K, delta=delta, epsilon=eps))
     below = demonstrate_failure(
         AdversarialParams(d=1, K=K, delta=delta, epsilon=eps, t0=0.99 * threshold)
     )
@@ -140,7 +157,7 @@ def test_failure_flips_above_the_threshold():
 
 def test_full_run_misses_the_support():
     p = AdversarialParams(d=2, K=3, delta=0.2, epsilon=1.0)
-    problem, truth, _ = build_adversarial_instance(p)
+    problem, truth = build_adversarial_instance(p)
     trace = run_bomp(problem, StoppingRule(FIXED_ITERATIONS, max_iterations=p.K))
     assert trace.chosen_indices[0] == 1
     assert set(trace.chosen_indices) != set(block_support(truth))

@@ -11,6 +11,7 @@ from bomp.bounds import (
     REASON_RIP,
     BoundInputs,
     check_sufficient,
+    delta_limit,
     figure1_curves,
     necessary_bound,
     open_delta_grid,
@@ -51,7 +52,7 @@ def test_inputs_validation():
 
 def test_feasibility_edge():
     b = BoundInputs(K=3, delta=0.4)
-    assert b.delta_limit == pytest.approx(0.5)
+    assert delta_limit(b.K) == pytest.approx(0.5)
     assert b.feasible
     edge = BoundInputs(K=3, delta=0.5)
     assert not edge.feasible  # the region is open
@@ -151,7 +152,8 @@ def feasible_inputs(draw, epsilons, margin=0.0):
 # below a delta of about 1e-6 of the edge, z2 - z1 drops under the
 # resolution of doubles near 2*epsilon and the strict order cannot show
 MODERATE = feasible_inputs(st.floats(1e-100, 1e100), margin=1e-6)
-ANY = feasible_inputs(st.floats(0.0, sys.float_info.max, exclude_min=True))
+# BoundInputs refuses a subnormal epsilon, so ANY starts at the smallest normal
+ANY = feasible_inputs(st.floats(sys.float_info.min, sys.float_info.max))
 
 
 @PROPERTY

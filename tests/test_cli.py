@@ -329,6 +329,21 @@ def test_figure1_rejects_overflowing_epsilon(capsys):
     assert "not finite" in _one_line_error(capsys)
 
 
+def test_subnormal_epsilon_is_refused_by_name(tmp_path, capsys):
+    # at 5e-324 the default t0 rounds to the failure threshold itself
+    out_dir = tmp_path / "adv"
+    for argv in (
+        ["bounds", "--K", "2", "--delta", "0.1", "--epsilon", "5e-324"],
+        [
+            "adversarial", "--d", "1", "--K", "2", "--delta", "0.1",
+            "--epsilon", "5e-324", "--out-dir", str(out_dir),
+        ],
+    ):
+        assert main(argv) == 2, argv
+        assert "error: epsilon must be at least" in _one_line_error(capsys), argv
+    assert not out_dir.exists()
+
+
 def test_bounds_reject_delta_at_the_rounding_edge(capsys):
     # just below 1/sqrt(3), where the necessary bound's denominator rounds to 0
     assert main(["bounds", "--K", "2", "--delta", "0.5773502691896257"]) == 2

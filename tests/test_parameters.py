@@ -66,11 +66,12 @@ CASES = [
     ("min_block_norm", _config("min_block_norm"), REAL_REFUSED + (0.0, -1.0)),
     ("K", lambda v: BoundInputs(K=v, delta=0.2), INT_REFUSED + (0,)),
     ("delta", lambda v: BoundInputs(K=2, delta=v), REAL_REFUSED + (0.0, 1.0)),
-    ("epsilon", lambda v: BoundInputs(K=2, delta=0.2, epsilon=v), REAL_REFUSED + (0.0,)),
+    # 5e-324, the smallest subnormal: every bound would round to a few of them
+    ("epsilon", lambda v: BoundInputs(K=2, delta=0.2, epsilon=v), REAL_REFUSED + (0.0, 5e-324)),
     ("d", _adversarial("d"), INT_REFUSED + (0,)),
     ("K", _adversarial("K"), INT_REFUSED + (0,)),
     ("delta", _adversarial("delta"), REAL_REFUSED + (0.0, 1.0)),
-    ("epsilon", _adversarial("epsilon"), REAL_REFUSED + (0.0,)),
+    ("epsilon", _adversarial("epsilon"), REAL_REFUSED + (0.0, 5e-324)),
     ("t0", _adversarial("t0"), REAL_REFUSED + (0.0, -1.0)),
     ("order K", lambda v: exact_block_rip(_A, v), INT_REFUSED + (0, 5)),
     ("order K", lambda v: rip_lower_bound_sampled(_A, v, 5, 0), INT_REFUSED + (0, 5)),

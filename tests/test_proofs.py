@@ -14,7 +14,6 @@ from bomp.proofs import (
     T_VALUES,
     ProofInstance,
     _range_basis,
-    compute_xi,
     eta_direct,
     eta_via_identity,
     lemma1_check,
@@ -57,11 +56,13 @@ def test_instance_validation():
         eta_via_identity(inst, 0.0)
 
 
-def test_compute_xi_reproduces_projection():
+def test_instance_xi_reproduces_projection():
     rng = np.random.default_rng(30)
     problem, truth = random_recovery_problem(rng, 5, 2, 2, rows=30, epsilon=0.2)
     support = block_support(truth)
-    xi = compute_xi(problem, support)
+    probe = min(set(range(1, 6)) - set(support))
+    xi = ProofInstance(problem, truth, partial_support=(), probe_index=probe).xi
+    assert block_support(xi) == support
     residual = problem.observation - problem.matrix.entries @ xi.values
     for i in support:
         assert np.linalg.norm(problem.matrix.block(i).T @ residual) < 1e-10
