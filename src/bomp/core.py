@@ -260,11 +260,28 @@ def gaussian_instance(
     ``draw_blocks(rng, sparsity)``, in ascending index order; and, only when
     ``epsilon > 0``, noise rescaled to norm exactly ``epsilon``. The problem
     keeps no record of ``epsilon``; the noise is ``observation - A @ truth``.
+    This allocates the dictionary and wraps :func:`_draw_gaussian`, which
+    draws the same instance into an array the caller owns.
     """
-    entries = rng.normal(size=(rows, layout.ambient_dim))
-    entries /= math.sqrt(rows)  # in place: no second dictionary-sized temporary
+    entries = np.empty((rows, layout.ambient_dim))
+    y, truth = _draw_gaussian(rng, layout, entries, sparsity, draw_blocks, epsilon)
     entries.setflags(write=False)  # so the matrix adopts it without a copy
-    A = BlockedMatrix(layout, entries)
+    return SensingProblem(matrix=BlockedMatrix(layout, entries), observation=y), truth
+
+
+def _draw_gaussian(rng, layout, out, sparsity, draw_blocks, epsilon):
+    """The draw of :func:`gaussian_instance`, with the dictionary written in
+    place into ``out``, a C-contiguous (rows, ``layout.ambient_dim``) float64
+    array; returns (observation, truth).
+
+    ``rng.standard_normal(out=...)`` gives the values of ``rng.normal(size=...)``
+    and leaves the generator in the same state. Nothing is checked here: the
+    caller applies the finiteness checks of :class:`BlockedMatrix` and
+    :class:`SensingProblem`, as :func:`gaussian_instance` does by building them.
+    """
+    rows = out.shape[0]
+    rng.standard_normal(out=out)
+    out /= math.sqrt(rows)  # in place: no second dictionary-sized temporary
     chosen = rng.choice(layout.num_blocks, size=sparsity, replace=False) + 1
     support = sorted(int(i) for i in chosen)
     truth = BlockSignal.from_blocks(layout, dict(zip(support, draw_blocks(rng, sparsity))))
@@ -272,5 +289,5 @@ def gaussian_instance(
     if epsilon > 0.0:
         raw = rng.normal(size=rows)
         noise = raw * (epsilon / np.linalg.norm(raw))
-    y = A.entries @ truth.values + noise
-    return SensingProblem(matrix=A, observation=y), truth
+    y = out @ truth.values + noise
+    return y, truth

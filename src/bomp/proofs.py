@@ -182,6 +182,7 @@ def eta_via_identity(inst: ProofInstance, t: float = 1.0) -> float:
     value is independent of the free parameter ``t``, which must be finite
     and positive, in exact arithmetic only: in floating point the two
     squares cancel, and far from t = 1 the difference loses every digit.
+    Raises ValueError naming ``t`` when the value overflows double precision.
     """
     t = as_real(t, "t", positive=True)
     A = inst.problem.matrix
@@ -205,14 +206,20 @@ def eta_via_identity(inst: ProofInstance, t: float = 1.0) -> float:
     u = np.concatenate([alpha, np.zeros(A.layout.block_width)])
     v = np.concatenate([np.zeros(alpha.size), h])
 
-    plus = B @ ((t + c) * u - v)
-    minus = B @ ((t - c) * u + v)
+    # the squares grow as t^2; a value that overflows is refused below
+    with np.errstate(over="ignore", invalid="ignore"):
+        plus = B @ ((t + c) * u - v)
+        minus = B @ ((t - c) * u + v)
+        difference = float(np.dot(plus, plus)) - float(np.dot(minus, minus))
 
     support_basis = _range_basis(A, inst.support)
     probe_off_support = _project_out(support_basis, A.block(j) @ h)
     noise_term = float(np.dot(inst.noise, probe_off_support))
 
-    return (float(np.dot(plus, plus)) - float(np.dot(minus, minus))) / (4.0 * t) - noise_term
+    value = difference / (4.0 * t) - noise_term
+    if not math.isfinite(value):
+        raise ValueError(f"t {t:g} overflows the identity's squares in double precision")
+    return value
 
 
 @dataclass(frozen=True)

@@ -2,9 +2,12 @@
 
 Each iteration picks the block whose columns correlate most strongly with
 the current residual, then projects the observation onto the span of all
-blocks chosen so far. ``run_bomp_batch`` runs the pursuit on a stack of
-same-shape problems at once, and ``run_bomp`` is that kernel on a batch of
-one. Per pick, one stacked product scores every residual against every
+blocks chosen so far. The kernel, ``_pursue``, runs the pursuit on a stack
+of same-shape problems at once: a (size, m, n) array of dictionaries, which
+it reads in place, and their observations. ``run_bomp_batch`` stacks a list
+of problems and wraps it; ``run_bomp`` is a batch of one, whose dictionary
+is read without a copy; ``run_experiment`` draws its trials straight into a
+stack. Per pick, one stacked product scores every residual against every
 block, blocks already chosen are masked out, and each problem takes its
 argmax (the smallest index on ties). Each problem keeps its span as a thin
 QR factorization A_S = Q R of its chosen blocks and extends it by one block
@@ -235,18 +238,28 @@ def run_bomp_batch(problems, stop: StoppingRule) -> list:
     if not problems:
         return []
     A = problems[0].matrix
-    layout, m = A.layout, A.rows
-    if any(p.matrix.layout != layout or p.matrix.rows != m for p in problems):
+    if any(p.matrix.layout != A.layout or p.matrix.rows != A.rows for p in problems):
         raise ValueError("problems in a batch must share one matrix shape and block layout")
-    d = layout.block_width
     size = len(problems)
+    # a batch of one reads its dictionary in place
+    entries = A.entries[None] if size == 1 else np.stack([p.matrix.entries for p in problems])
+    observations = np.stack([p.observation for p in problems])
+    return _pursue(entries, observations, A.layout, stop)
+
+
+def _pursue(entries: np.ndarray, observations: np.ndarray, layout, stop: StoppingRule) -> list:
+    """The pursuit of :func:`run_bomp_batch` on a stack: ``entries[t]`` is
+    problem t's (m, n) dictionary and ``observations[t]`` its observation,
+    both finite. Reads ``entries`` in place and never writes to either.
+    """
+    size, m, _ = entries.shape
+    d = layout.block_width
     # least squares needs at most rows/width blocks; never more than all of them
     capacity = min(layout.num_blocks, m // d)
     budget = capacity if stop.max_iterations is None else min(stop.max_iterations, capacity)
 
-    # a batch of one reads its dictionary in place
-    entries = A.entries[None] if size == 1 else np.stack([p.matrix.entries for p in problems])
-    residual = np.stack([p.observation for p in problems])
+    problem_index = np.arange(size)[:, None]
+    residual = observations.copy()
     # thin QR of each problem's chosen blocks in pick order:
     # A_S = Q[t, :, :n] @ R[t, :n, :n]
     Q = np.empty((size, m, budget * d))
@@ -272,7 +285,8 @@ def run_bomp_batch(problems, stop: StoppingRule) -> list:
             status = STATUS_CONVERGED if converged[t] else STATUS_BUDGET_EXCEEDED
             try:
                 outcomes[t] = _finish(
-                    problems[t], chosen[t, :k], norms[t, : k + 1], Q[t], R[t], status
+                    entries[t], observations[t], layout,
+                    chosen[t, :k], norms[t, : k + 1], Q[t], R[t], status,
                 )
             except (BompError, np.linalg.LinAlgError) as exc:
                 outcomes[t] = exc
@@ -295,7 +309,11 @@ def run_bomp_batch(problems, stop: StoppingRule) -> list:
 
             n = k * d
             basis = Q[:, :, :n]
-            block = np.take_along_axis(entries, layout.columns(picks + 1)[:, None, :], axis=2)
+            # the picked block of each dictionary, gathered into a C-ordered
+            # (size, m, d) array; the stack itself is never copied
+            block = np.ascontiguousarray(
+                entries[problem_index, :, layout.columns(picks + 1)].transpose(0, 2, 1)
+            )
             # block Gram-Schmidt, applied twice to remove what round-off left behind
             c1 = np.matmul(basis.transpose(0, 2, 1), block)
             block = block - np.matmul(basis, c1)
@@ -311,30 +329,32 @@ def run_bomp_batch(problems, stop: StoppingRule) -> list:
     return outcomes
 
 
-def _finish(problem, picks, norms, Q, R, status) -> RecoveryTrace:
-    """The trace of one problem after its ``picks``, from its QR factors.
+def _finish(entries, y, layout, picks, norms, Q, R, status) -> RecoveryTrace:
+    """The trace of one problem, with dictionary ``entries`` and observation
+    ``y``, after its ``picks``, from its QR factors.
 
     The rank check runs here, once: one SVD of the final R detects a rank
     failure at any step, and only then does the reference see the prefixes.
     """
-    A, y = problem.matrix, problem.observation
     chosen = [int(i) for i in picks]
-    values = np.zeros(A.layout.ambient_dim)
-    n = len(chosen) * A.layout.block_width
+    values = np.zeros(layout.ambient_dim)
+    n = len(chosen) * layout.block_width
     if n:
         error = _rank_failure(sorted(chosen), np.linalg.svd(R[:n, :n], compute_uv=False))
         if error is not None:
             # the reference raises for the shortest failing prefix, with the
-            # subdictionary's own singular values
+            # subdictionary's own singular values; only this rare path builds
+            # the problem's matrix, a copy of its slice of the stack
+            A = BlockedMatrix(layout, entries)
             for j in range(1, len(chosen) + 1):
                 project_least_squares(A, chosen[:j], y)
             # reached only when the reference lands just on the other side of RANK_TOL
             raise error
         coef = np.linalg.solve(R[:n, :n], Q[:, :n].T @ y)
-        values[A.layout.columns(chosen).ravel()] = coef
+        values[layout.columns(chosen).ravel()] = coef
     return RecoveryTrace(
         chosen_indices=tuple(chosen),
         residual_norms=tuple(norms.tolist()),
-        final_estimate=BlockSignal(A.layout, values),
+        final_estimate=BlockSignal(layout, values),
         status=status,
     )

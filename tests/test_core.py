@@ -4,15 +4,19 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bomp.core import (
     BlockedMatrix,
     BlockLayout,
     BlockSignal,
     SensingProblem,
+    _draw_gaussian,
     block_norms,
     block_support,
     extract_blocks,
+    gaussian_instance,
     mixed_norm,
 )
 from bomp.experiment import ExperimentConfig, generate_instance
@@ -111,6 +115,40 @@ def test_gaussian_draw_holds_one_dictionary():
     finally:
         tracemalloc.stop()
     assert peak < 1.25 * problem.matrix.entries.nbytes
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(
+    m=st.integers(1, 12),
+    M=st.integers(1, 8),
+    d=st.integers(1, 3),
+    data=st.data(),
+    seed=st.integers(0, 2**32 - 1),
+    epsilon=st.one_of(st.just(0.0), st.floats(1e-6, 10.0)),
+)
+def test_drawing_into_a_slice_is_the_allocating_draw(m, M, d, data, seed, epsilon):
+    K = data.draw(st.integers(1, M), label="K")
+    chunk = data.draw(st.integers(1, 4), label="chunk")
+    t = data.draw(st.integers(0, chunk - 1), label="t")
+    layout = BlockLayout(M, d)
+
+    def draw_blocks(rng, count):
+        return [rng.normal(size=d) for _ in range(count)]
+
+    rng = np.random.default_rng(seed)
+    problem, truth = gaussian_instance(rng, layout, m, K, draw_blocks, epsilon)
+
+    # every entry the draw must write starts as NaN
+    stack = np.full((chunk, m, layout.ambient_dim), np.nan)
+    in_place = np.random.default_rng(seed)
+    y, drawn = _draw_gaussian(in_place, layout, stack[t], K, draw_blocks, epsilon)
+
+    assert stack[t].tobytes() == problem.matrix.entries.tobytes()
+    assert y.tobytes() == problem.observation.tobytes()
+    assert drawn.values.tobytes() == truth.values.tobytes()
+    assert in_place.bit_generator.state == rng.bit_generator.state
+    # the neighbouring slices are left alone
+    assert np.isnan(np.delete(stack, t, axis=0)).all()
 
 
 def test_adopting_a_frozen_matrix_allocates_no_entry_sized_mask():

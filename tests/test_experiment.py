@@ -1,4 +1,6 @@
+import dataclasses
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -143,14 +145,38 @@ def test_recovery_is_judged_against_the_drawn_support():
 def test_result_is_identical_for_any_chunk_size(monkeypatch, stopping):
     cfg = _small_cfg(noise_norm=0.4, trials=24, stopping=stopping)
     dictionary_bytes = 8 * cfg.m * cfg.layout.ambient_dim
-    results = []
-    for chunk in (1, 7, cfg.trials):
+    # the default's chunk holds 8 trials at (128, 64, 4) and every trial here
+    results = [run_experiment(cfg)]
+    for chunk in (1, 7, 8, cfg.trials):
         monkeypatch.setattr(bomp.experiment, "_CHUNK_BYTES", chunk * dictionary_bytes)
         results.append(run_experiment(cfg))
-    assert results[0] == results[1] == results[2]
+    assert all(result == results[0] for result in results)
     if stopping is not None:
         # trials leave the batch at different steps
         assert len({r.iterations for r in results[0].records}) > 1
+
+
+def test_a_batch_holds_one_stack_of_dictionaries():
+    # five chunks of 8 trials; a stack allocated while the last one is
+    # still referenced would hold two at once
+    cfg = ExperimentConfig(m=128, M=64, d=4, K=8, noise_norm=0.1, trials=40)
+    run_experiment(dataclasses.replace(cfg, trials=1))  # modules numpy imports on first use
+    tracemalloc.start()
+    try:
+        result = run_experiment(cfg)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert all(r.error is None for r in result.records)
+    assert peak < 1.5 * bomp.experiment._CHUNK_BYTES
+
+
+def _inject(instance, out):
+    """Stand-in for a trial's draw: writes the ``(problem, truth)`` pair's
+    dictionary into the trial's slice of the stack, as the draw does."""
+    problem, truth = instance
+    out[...] = problem.matrix.entries
+    return problem.observation, truth
 
 
 def test_rank_failure_mid_batch_leaves_its_neighbours_alone(monkeypatch):
@@ -167,19 +193,35 @@ def test_rank_failure_mid_batch_leaves_its_neighbours_alone(monkeypatch):
         project_least_squares(A, (1, 3), y)
 
     cfg = ExperimentConfig(
-        m=10, M=4, d=2, K=2, noise_norm=0.1, trials=3, seed=5,
+        m=10, M=4, d=2, K=2, noise_norm=0.1, trials=8, seed=5,
         stopping=StoppingRule(FIXED_ITERATIONS, max_iterations=4),
     )
     clean = run_experiment(cfg)
-    drawn = bomp.experiment.generate_instance
+    drawn = bomp.experiment._draw_trial
     monkeypatch.setattr(
-        bomp.experiment, "generate_instance",
-        lambda cfg, k: deficient if k == 1 else drawn(cfg, k),
+        bomp.experiment, "_draw_trial",
+        lambda cfg, k, out: _inject(deficient, out) if k == 1 else drawn(cfg, k, out),
     )
-    mixed = run_experiment(cfg)  # all three trials share one chunk
+    mixed = run_experiment(cfg)  # all eight trials share one chunk
     assert mixed.records[1].error == f"RankDeficientError: {reference.value}"
     assert clean.records[1].error is None
-    assert (mixed.records[0], mixed.records[2]) == (clean.records[0], clean.records[2])
+    neighbours = [k for k in range(cfg.trials) if k != 1]
+    assert [mixed.records[k] for k in neighbours] == [clean.records[k] for k in neighbours]
+
+
+@pytest.mark.parametrize("what", ["matrix", "observation"])
+def test_a_non_finite_draw_is_refused(monkeypatch, what):
+    drawn = bomp.experiment._draw_trial
+
+    def poisoned(cfg, k, out):
+        observation, truth = drawn(cfg, k, out)
+        if k == 5:
+            (out if what == "matrix" else observation)[-1] = np.nan
+        return observation, truth
+
+    monkeypatch.setattr(bomp.experiment, "_draw_trial", poisoned)
+    with pytest.raises(ValueError, match=f"^{what} contains non-finite entries$"):
+        run_experiment(_small_cfg())
 
 
 def test_overflowing_trials_are_recorded_as_errors():
@@ -199,7 +241,7 @@ def test_solver_errors_are_recorded_not_raised(monkeypatch):
         SensingProblem(matrix=A, observation=np.array([1.0, 0.3])),
         BlockSignal(layout, np.array([1.0, 0.0])),
     )
-    monkeypatch.setattr("bomp.experiment.generate_instance", lambda cfg, k: instance)
+    monkeypatch.setattr("bomp.experiment._draw_trial", lambda cfg, k, out: _inject(instance, out))
     cfg = ExperimentConfig(
         m=2, M=2, d=1, K=1, noise_norm=1.0, trials=3, seed=0,
         stopping=StoppingRule(FIXED_ITERATIONS, max_iterations=2),

@@ -1,5 +1,6 @@
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -94,6 +95,15 @@ def test_identity_value_does_not_depend_on_t():
     inst = random_proof_instance(rng, num_blocks=5, block_width=1, sparsity=2)
     values = [eta_via_identity(inst, t) for t in (0.01, 0.1, 1.0, 10.0, 100.0)]
     np.testing.assert_allclose(values, values[0], rtol=1e-9, atol=1e-12)
+
+
+def test_identity_refuses_a_t_whose_squares_overflow():
+    inst = random_proof_instance(np.random.default_rng(0))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=r"^t 1e\+200 overflows"):
+            eta_via_identity(inst, 1e200)
+        assert math.isfinite(eta_via_identity(inst, 1.0))
 
 
 def test_vanishing_alpha_raises_zero_division():
