@@ -17,12 +17,19 @@ coefficients ``xi`` of y on the true support (and so alpha, their part on
 the unchosen blocks) from :class:`ProofInstance`. Each route computes the
 rest on its own: the direct route takes the residual r from SVD-based least
 squares, and the identity route takes r and the projected dictionary from
-an orthonormal basis of the projected-out subspace. Agreement to 1e-9
-across instances and t values is strong evidence both are implemented as
-stated. The perturbation bound has one route. Its epsilon is the instance's
-own noise norm ``||y - A x||``, and it reads ``xi``, ``theta = xi - x`` and
-the exact constant from the same instance, so one least-squares solve on the
-true support serves both the direct margin and the bound.
+an orthonormal basis of the projected-out subspace. The identity route
+derives its ``t``-free parts once per instance (``c = 1/||alpha||_{2,1}``,
+the projected images ``B u`` and ``B v`` and the noise term, in
+:attr:`ProofInstance.identity_images`), so a further t costs two scaled sums
+and two dot products. It refuses a t whose squares overflow or cancel past
+``IDENTITY_REL_TOL`` of the value, which happens far from t = 1 or when the
+noise swamps the signal, rather than return a margin that has lost its
+digits. Agreement to 1e-9 across instances and t values is strong evidence
+both are implemented as stated. The perturbation bound has one route. Its
+epsilon is the instance's own noise norm ``||y - A x||``, and it reads
+``xi``, ``theta = xi - x`` and the exact constant from the same instance, so
+one least-squares solve on the true support serves both the direct margin
+and the bound.
 """
 
 from __future__ import annotations
@@ -54,6 +61,7 @@ LEMMA_SLACK = 1e-10
 MAX_ATTEMPTS = 200
 T_VALUES = (0.1, 1.0, 10.0)
 IDENTITY_REL_TOL = 1e-9
+_EPS = float(np.finfo(float).eps)
 
 
 @dataclass(frozen=True, eq=False)
@@ -144,6 +152,34 @@ class ProofInstance:
         """Exact block isometry constant of order |T|+1."""
         return exact_block_rip(self.problem.matrix, len(self.support) + 1).delta
 
+    @cached_property
+    def identity_images(self) -> tuple:
+        """The ``t``-free parts of the identity route, ``(c, B u, B v, noise_term)``.
+
+        ``B u = Pperp_chosen A_remaining alpha`` and ``B v = Pperp_chosen A_j h``,
+        each one projected vector; ``noise_term = <e, Pperp_T A_j h>``. Only
+        :func:`eta_via_identity` reads them. Raises ZeroDivisionError as
+        :attr:`alpha_21` does, and :class:`DegenerateProbeError` when the
+        probe block is orthogonal to the projected observation.
+        """
+        A = self.problem.matrix
+        j = self.probe_index
+        c = 1.0 / self.alpha_21
+        chosen_basis = _range_basis(A, self.partial_support)
+        r = _project_out(chosen_basis, self.problem.observation)
+        probe_correlation = A.block(j).T @ r
+        scale = float(np.linalg.norm(probe_correlation))
+        if scale == 0.0:
+            raise DegenerateProbeError(f"block {j} is orthogonal to the projected observation")
+        probe_direction = A.block(j) @ (probe_correlation / scale)
+
+        alpha = np.concatenate([self.xi.block(i) for i in self.remaining])
+        Bu = _project_out(chosen_basis, extract_blocks(A, self.remaining) @ alpha)
+        Bv = _project_out(chosen_basis, probe_direction)
+        support_basis = _range_basis(A, self.support)
+        noise_term = float(np.dot(self.noise, _project_out(support_basis, probe_direction)))
+        return c, Bu, Bv, noise_term
+
 
 def _range_basis(A: BlockedMatrix, support) -> np.ndarray:
     """Orthonormal basis of the span of the supported column blocks."""
@@ -174,51 +210,36 @@ def eta_direct(inst: ProofInstance) -> float:
 def eta_via_identity(inst: ProofInstance, t: float = 1.0) -> float:
     """Selection margin through the exact quadratic-difference identity.
 
-    Builds the projected dictionary ``B`` on the unchosen support blocks
-    plus the probe block, the coefficient vector u, the unit probe vector
-    v, and evaluates
-    ``(||B((t+1/||alpha||)u - v)||^2 - ||B((t-1/||alpha||)u + v)||^2)/(4t)``
-    minus the noise correlation with the projected probe direction. The
-    value is independent of the free parameter ``t``, which must be finite
-    and positive, in exact arithmetic only: in floating point the two
-    squares cancel, and far from t = 1 the difference loses every digit.
-    Raises ValueError naming ``t`` when the value overflows double precision.
+    With ``B`` the dictionary on the unchosen support blocks plus the probe
+    block, projected off the chosen blocks, u the coefficients alpha padded
+    with zeros and v the unit probe vector h, evaluates
+    ``(||(t+c) B u - B v||^2 - ||(t-c) B u + B v||^2)/(4t)`` with
+    ``c = 1/||alpha||_{2,1}``, minus the noise correlation with the
+    projected probe direction. ``c``, ``B u``, ``B v`` and the noise term do
+    not depend on ``t``; the instance derives them once
+    (:attr:`ProofInstance.identity_images`), so each further ``t`` costs two
+    scaled sums and two dot products.
+
+    The value is independent of ``t``, which must be finite and positive, in
+    exact arithmetic only: in floating point the two squares cancel, and far
+    from t = 1 the difference loses every digit. Raises ValueError naming
+    ``t`` when the value overflows double precision, or when the rounding of
+    the squares, ``eps (||plus||^2 + ||minus||^2)/(4t)``, exceeds
+    ``IDENTITY_REL_TOL`` times ``max(1, |value|)``.
     """
     t = as_real(t, "t", positive=True)
-    A = inst.problem.matrix
-    j = inst.probe_index
-    c = 1.0 / inst.alpha_21
-    alpha = np.concatenate([inst.xi.block(i) for i in inst.remaining])
-
-    chosen_basis = _range_basis(A, inst.partial_support)
-    r = _project_out(chosen_basis, inst.problem.observation)
-    probe_correlation = A.block(j).T @ r
-    scale = float(np.linalg.norm(probe_correlation))
-    if scale == 0.0:
-        raise DegenerateProbeError(
-            f"block {j} is orthogonal to the projected observation"
-        )
-    h = probe_correlation / scale
-
-    B = _project_out(
-        chosen_basis, np.hstack([extract_blocks(A, inst.remaining), A.block(j)])
-    )
-    u = np.concatenate([alpha, np.zeros(A.layout.block_width)])
-    v = np.concatenate([np.zeros(alpha.size), h])
-
+    c, Bu, Bv, noise_term = inst.identity_images
     # the squares grow as t^2; a value that overflows is refused below
     with np.errstate(over="ignore", invalid="ignore"):
-        plus = B @ ((t + c) * u - v)
-        minus = B @ ((t - c) * u + v)
-        difference = float(np.dot(plus, plus)) - float(np.dot(minus, minus))
-
-    support_basis = _range_basis(A, inst.support)
-    probe_off_support = _project_out(support_basis, A.block(j) @ h)
-    noise_term = float(np.dot(inst.noise, probe_off_support))
-
-    value = difference / (4.0 * t) - noise_term
+        plus = (t + c) * Bu - Bv
+        minus = (t - c) * Bu + Bv
+        p2 = float(np.dot(plus, plus))
+        m2 = float(np.dot(minus, minus))
+    value = (p2 - m2) / (4.0 * t) - noise_term
     if not math.isfinite(value):
         raise ValueError(f"t {t:g} overflows the identity's squares in double precision")
+    if _EPS * (p2 + m2) / (4.0 * t) > IDENTITY_REL_TOL * max(1.0, abs(value)):
+        raise ValueError(f"t {t:g} cancels the identity's squares past its tolerance")
     return value
 
 

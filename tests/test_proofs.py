@@ -8,7 +8,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import bomp.proofs
-from bomp.core import BlockedMatrix, BlockLayout, BlockSignal, SensingProblem, block_support
+from bomp.core import (
+    BlockedMatrix,
+    BlockLayout,
+    BlockSignal,
+    SensingProblem,
+    block_support,
+    extract_blocks,
+)
 from bomp.errors import DegenerateProbeError, InfeasibleError, RankDeficientError
 from bomp.proofs import (
     IDENTITY_REL_TOL,
@@ -106,6 +113,23 @@ def test_identity_refuses_a_t_whose_squares_overflow():
         assert math.isfinite(eta_via_identity(inst, 1.0))
 
 
+def test_identity_refuses_a_t_whose_squares_cancel():
+    # far from t = 1 the two squares round to the same value, which would
+    # leave minus the noise term (-3.7e-4 here) instead of the margin 1.2766
+    inst = random_proof_instance(np.random.default_rng(0))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for t, name in ((1e150, r"1e\+150"), (5e-324, r"4\.94066e-324")):
+            with pytest.raises(ValueError, match=rf"^t {name} cancels"):
+                eta_via_identity(inst, t)
+        assert eta_via_identity(inst, 1.0) == pytest.approx(eta_direct(inst), rel=1e-12)
+        # at epsilon 1e10 the routes differ by 1.5e-7 relative, past IDENTITY_REL_TOL
+        noisy = random_proof_instance(np.random.default_rng(0), epsilon=1e10)
+        for t in T_VALUES:
+            with pytest.raises(ValueError, match=rf"^t {t:g} cancels"):
+                eta_via_identity(noisy, t)
+
+
 def test_vanishing_alpha_raises_zero_division():
     # y lies in the span of the already-chosen block, so the projection
     # coefficients on the remaining support blocks are exactly zero
@@ -153,6 +177,49 @@ def test_lemma_on_random_noisy_instances():
         assert report.holds
         assert report.theta_holds
         assert report.theta_bound > 0.0
+
+
+def _reference_identity(inst, t):
+    """The identity as first written: both bases solved, the stacked
+    dictionary projected and the zero-padded u and v formed for every t."""
+    A = inst.problem.matrix
+    j = inst.probe_index
+    c = 1.0 / inst.alpha_21
+    alpha = np.concatenate([inst.xi.block(i) for i in inst.remaining])
+    chosen = _range_basis(A, inst.partial_support)
+    r = inst.problem.observation - chosen @ (chosen.T @ inst.problem.observation)
+    h = A.block(j).T @ r
+    h = h / np.linalg.norm(h)
+    stacked = np.hstack([extract_blocks(A, inst.remaining), A.block(j)])
+    B = stacked - chosen @ (chosen.T @ stacked)
+    u = np.concatenate([alpha, np.zeros(A.layout.block_width)])
+    v = np.concatenate([np.zeros(alpha.size), h])
+    plus = B @ ((t + c) * u - v)
+    minus = B @ ((t - c) * u + v)
+    support = _range_basis(A, inst.support)
+    probe = A.block(j) @ h
+    noise_term = np.dot(inst.noise, probe - support @ (support.T @ probe))
+    return float((plus @ plus - minus @ minus) / (4.0 * t) - noise_term)
+
+
+# the two evaluations round differently; over t in [1e-2, 1e2] on these
+# shapes the rounding bound eps (p2 + m2)/(4t) stays below 1.3e-13 of the
+# value, so 1e-12 relative leaves room for both
+REFERENCE_REL_TOL = 1e-12
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    shape=st.integers(4, 8).flatmap(
+        lambda M: st.tuples(st.just(M), st.integers(1, 3), st.integers(1, min(3, M - 1)))
+    ),
+    t=st.floats(1e-2, 1e2),
+)
+def test_cached_identity_matches_the_per_t_reference(seed, shape, t):
+    inst = random_proof_instance(np.random.default_rng(seed), *shape)
+    want = _reference_identity(inst, t)
+    assert abs(eta_via_identity(inst, t) - want) <= REFERENCE_REL_TOL * max(1.0, abs(want))
 
 
 @settings(derandomize=True, max_examples=200, deadline=None)
@@ -261,6 +328,22 @@ def _count_calls(monkeypatch, name="project_least_squares"):
 
 def test_sweep_projects_at_most_twice_per_trial(monkeypatch):
     calls = _count_calls(monkeypatch)
+    run_proof_verification(20, 3)
+    assert len(calls) <= 2 * 20
+
+
+def test_identity_solves_two_bases_per_instance(monkeypatch):
+    inst = random_proof_instance(np.random.default_rng(38))
+    calls = _count_calls(monkeypatch, "_range_basis")
+    eta_via_identity(inst, 1.0)
+    assert len(calls) == 2
+    for t in (0.01, 0.1, 10.0, 100.0):
+        eta_via_identity(inst, t)
+    assert len(calls) == 2
+
+
+def test_sweep_solves_at_most_two_bases_per_trial(monkeypatch):
+    calls = _count_calls(monkeypatch, "_range_basis")
     run_proof_verification(20, 3)
     assert len(calls) <= 2 * 20
 
