@@ -11,24 +11,38 @@ stack. Per pick, one stacked product scores every residual against every
 block, blocks already chosen are masked out, and each problem takes its
 argmax (the smallest index on ties). Each problem keeps its span as a thin
 QR factorization A_S = Q R of its chosen blocks and extends it by one block
-per pick: the new block is orthogonalized against Q twice (classical block
-Gram-Schmidt with one re-orthogonalization, which suffices for any
-numerically full-rank subdictionary) and its remainder is QR-factored, in
-one stacked call for the batch, into the next d columns of Q and R. The
-residual update is then ``r -= q (q' r)``. A problem gets its outcome when
-its stopping rule fires, its estimate solved from ``R coef = Q' y``, or when
-its scores overflow. It still takes every step with the rest of the batch,
-on the full-batch arrays, until the last one stops; nothing reads it again.
+per pick: the new block is orthogonalized against Q by classical block
+Gram-Schmidt and its remainder is QR-factored, in one stacked call for the
+batch, into the next d columns of Q and R. One pass leaves in each column
+of the remainder a part along Q of about eps times the column's norm before
+the pass. When every column kept at least half of its squared norm, that
+part is at most about sqrt(2) eps relative to what is left, so the block
+loses at most about sqrt(2d) times the orthogonality that a second pass
+(CGS2) would leave, and the pass is skipped. A problem with a column that
+kept less, which every pick nearly dependent on the chosen blocks does,
+takes the second pass: the selective reorthogonalization of Daniel, Gragg,
+Kaufman and Stewart (Math. Comp., 1976) with eta = 1/sqrt(2), analysed for
+block CGS by Barlow and Smoktunowicz (Numer. Math., 2013). Two passes
+suffice for any numerically full-rank subdictionary. Only the problems that
+need it take it, so none depends on its batchmates. The residual update is
+then ``r -= q (q' r)``. A problem gets its outcome when its stopping rule
+fires, its estimate solved from ``R coef = Q' y``, or when its scores
+overflow. It still takes every step with the rest of the batch, on the
+full-batch arrays, until the last one stops; nothing reads it again.
 
 The rank check is deferred to that point. R has the singular values of the
 subdictionary, and adding columns never raises the smallest one nor lowers
-the largest (Cauchy interlacing), so one SVD of the final R detects a rank
-failure at any step. Only then does ``project_least_squares``, the one-shot
-SVD route kept as the reference, run on each prefix of the picks in turn,
-so the error it raises names the shortest failing prefix. Within about
-1e-6 relative of ``RANK_TOL`` the two SVDs can land on either side of it:
-when R fails but no prefix fails the reference, the error R gives names all
-picks; when R passes where the reference would fail, the pursuit returns.
+the largest (Cauchy interlacing), so the final R detects a rank failure at
+any step. A Gram eigen-screen clears it without an SVD: when the extreme
+eigenvalues of R'R, the squared singular values, are more than 1e-8 apart
+in ratio, R is far from ``RANK_TOL`` (see ``_GRAM_SCREEN``). Any other R
+takes one SVD, and only if that fails does ``project_least_squares``, the
+one-shot SVD route kept as the reference, run on each prefix of the picks
+in turn, so the error it raises names the shortest failing prefix. Within
+about 1e-6 relative of ``RANK_TOL`` the two SVDs can land on either side of
+it: when R fails but no prefix fails the reference, the error R gives names
+all picks; when R passes where the reference would fail, the pursuit
+returns.
 """
 
 from __future__ import annotations
@@ -42,6 +56,15 @@ from .errors import BompError, RankDeficientError
 from .io import json_fields
 
 RANK_TOL = 1e-10
+# The Gram screen of the rank check (_rank_check). The eigenvalues of R'R are
+# the squared singular values of R; forming R'R and eigen-solving it, both
+# backward stable, move them by at most about 2n eps sigma_max^2, under
+# 2e-12 sigma_max^2 even at n = 4096 columns. So an R with
+# lam_min > 1e-8 lam_max has a singular-value ratio above about 1e-4, six
+# orders of magnitude clear of RANK_TOL, where its SVD cannot fail. The value
+# sits between that error bound and RANK_TOL**2 with wide room on both
+# sides; it is derived from them, not tuned.
+_GRAM_SCREEN = 1e-8
 
 RESIDUAL_THRESHOLD = "residual_threshold"
 FIXED_ITERATIONS = "fixed_iterations"
@@ -138,12 +161,12 @@ def _stacked_scores(entries: np.ndarray, residuals: np.ndarray, d: int) -> np.nd
         return np.linalg.norm(products.reshape(len(residuals), -1, d), axis=2)
 
 
-def _stacked_norms(residuals: np.ndarray) -> np.ndarray:
-    """Euclidean norm of each row, each by its own dot product (as
-    ``np.linalg.norm`` takes it for one vector), so a row's norm does not
-    depend on the rows stacked with it. Overflow is not warned about."""
+def _stacked_norms(vectors: np.ndarray) -> np.ndarray:
+    """Euclidean norm along the last axis, each by its own dot product (as
+    ``np.linalg.norm`` takes it for one vector), so a vector's norm does not
+    depend on the vectors stacked with it. Overflow is not warned about."""
     with np.errstate(over="ignore", invalid="ignore"):
-        return np.sqrt(np.matmul(residuals[:, None, :], residuals[:, :, None])[:, 0, 0])
+        return np.sqrt(np.matmul(vectors[..., None, :], vectors[..., :, None])[..., 0, 0])
 
 
 def _overflow_error() -> BompError:
@@ -159,6 +182,20 @@ def _rank_failure(indices, sigma: np.ndarray):
             f"(singular values {sigma[-1]:.3e} .. {sigma[0]:.3e})"
         )
     return None
+
+
+def _rank_check(indices, R: np.ndarray):
+    """:func:`_rank_failure` for the subdictionary on ``indices``, from its
+    square thin-QR factor ``R``, which has the same singular values. The SVD
+    of R runs only when the Gram screen does not clear it."""
+    scale = np.abs(R).max()
+    if scale > 0.0:
+        # a largest entry of 1 keeps R'R from overflowing; the ratio is unchanged
+        S = R / scale
+        lam = np.linalg.eigvalsh(S.T @ S)
+        if lam[0] > _GRAM_SCREEN * lam[-1]:
+            return None
+    return _rank_failure(indices, np.linalg.svd(R, compute_uv=False))
 
 
 def _checked_svd(A: BlockedMatrix, indices: list):
@@ -314,14 +351,22 @@ def _pursue(entries: np.ndarray, observations: np.ndarray, layout, stop: Stoppin
             block = np.ascontiguousarray(
                 entries[problem_index, :, layout.columns(picks + 1)].transpose(0, 2, 1)
             )
-            # block Gram-Schmidt, applied twice to remove what round-off left behind
+            # block classical Gram-Schmidt; a second pass only for the
+            # problems where the first cancelled (see the module docstring)
+            before = _stacked_norms(block.transpose(0, 2, 1))
             c1 = np.matmul(basis.transpose(0, 2, 1), block)
             block = block - np.matmul(basis, c1)
-            c2 = np.matmul(basis.transpose(0, 2, 1), block)
-            block -= np.matmul(basis, c2)
+            after = _stacked_norms(block.transpose(0, 2, 1))
+            cancelled = active & (np.sqrt(2.0) * after < before).any(axis=1)
+            if cancelled.any():
+                rows = np.flatnonzero(cancelled)
+                basis_rows = Q[rows, :, :n]
+                c2 = np.matmul(basis_rows.transpose(0, 2, 1), block[rows])
+                block[rows] -= np.matmul(basis_rows, c2)
+                c1[rows] += c2
             q, r_diag = np.linalg.qr(block)
             Q[:, :, n : n + d] = q
-            R[:, :n, n : n + d] = c1 + c2
+            R[:, :n, n : n + d] = c1
             R[:, n : n + d, n : n + d] = r_diag
             residual -= np.matmul(q, np.matmul(q.transpose(0, 2, 1), residual[:, :, None]))[:, :, 0]
             norms[:, k + 1] = _stacked_norms(residual)
@@ -333,14 +378,14 @@ def _finish(entries, y, layout, picks, norms, Q, R, status) -> RecoveryTrace:
     """The trace of one problem, with dictionary ``entries`` and observation
     ``y``, after its ``picks``, from its QR factors.
 
-    The rank check runs here, once: one SVD of the final R detects a rank
-    failure at any step, and only then does the reference see the prefixes.
+    The rank check runs here, once: the final R detects a rank failure at
+    any step, and only then does the reference see the prefixes.
     """
     chosen = [int(i) for i in picks]
     values = np.zeros(layout.ambient_dim)
     n = len(chosen) * layout.block_width
     if n:
-        error = _rank_failure(sorted(chosen), np.linalg.svd(R[:n, :n], compute_uv=False))
+        error = _rank_check(sorted(chosen), R[:n, :n])
         if error is not None:
             # the reference raises for the shortest failing prefix, with the
             # subdictionary's own singular values; only this rare path builds

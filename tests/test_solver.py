@@ -15,6 +15,8 @@ from bomp.solver import (
     STATUS_BUDGET_EXCEEDED,
     STATUS_CONVERGED,
     StoppingRule,
+    _rank_check,
+    _rank_failure,
     block_correlation_scores,
     project_least_squares,
     run_bomp,
@@ -320,6 +322,110 @@ def test_rank_check_agrees_with_the_reference_off_the_tolerance_band(m, exponent
         assert abs(u) < 1e-3, u
     else:
         assert list(got) == reference
+
+
+def _near_copy_problem(seed, m=20, M=6, d=2, copied=2, copy=5):
+    """A noiseless problem whose block ``copy`` is block ``copied`` plus
+    1e-4 times a random unit direction: once one of the two is chosen, the
+    other keeps about 1e-8 of its squared norm off the chosen span, so its
+    first Gram-Schmidt pass cancels and it needs the second."""
+    rng = np.random.default_rng(seed)
+    entries = rng.normal(size=(m, M * d)) / np.sqrt(m)
+    direction = rng.normal(size=(m, d))
+    entries[:, (copy - 1) * d : copy * d] = (
+        entries[:, (copied - 1) * d : copied * d] + 1e-4 * direction / np.linalg.norm(direction)
+    )
+    A = BlockedMatrix(BlockLayout(M, d), entries)
+    return SensingProblem(matrix=A, observation=entries @ rng.normal(size=M * d))
+
+
+def _kept_fractions(problem, chosen):
+    """For each pick, the least share of squared norm a column of the picked
+    block keeps off the span of the blocks picked before it."""
+    A = problem.matrix
+    kept = []
+    for k, i in enumerate(chosen):
+        block = A.block(i)
+        residuals = [project_least_squares(A, chosen[:k], column)[1] for column in block.T]
+        kept.append(min(np.sum(r**2) / np.sum(c**2) for r, c in zip(residuals, block.T)))
+    return kept
+
+
+def test_a_pick_that_cancels_gets_the_second_gram_schmidt_pass():
+    stop = StoppingRule(FIXED_ITERATIONS, max_iterations=6)  # every block
+    for seed in range(5):
+        problem = _near_copy_problem(seed)
+        trace = run_bomp(problem, stop)
+        chosen, norms, estimate, status = _reference_pursuit(problem, stop)
+        assert min(_kept_fractions(problem, chosen)) < 1e-6
+
+        assert list(trace.chosen_indices) == chosen
+        assert trace.status == status
+        A, y = problem.matrix, problem.observation
+        y_norm = np.linalg.norm(y)
+        np.testing.assert_allclose(trace.residual_norms, norms, rtol=0, atol=1e-12 * y_norm)
+        np.testing.assert_allclose(
+            trace.final_estimate.values, estimate.values, rtol=0, atol=1e-10
+        )
+        r = y - A.entries @ trace.final_estimate.values
+        sub = np.hstack([A.block(i) for i in chosen])
+        assert np.max(np.abs(sub.T @ r)) <= 1e-12 * np.linalg.norm(A.entries, 2) * y_norm
+        sigma = np.linalg.svd(sub, compute_uv=False)
+        assert sigma[-1] > 1e3 * RANK_TOL * sigma[0]
+
+
+def test_the_second_pass_leaves_batchmates_bit_for_bit_alone():
+    stop = StoppingRule(FIXED_ITERATIONS, max_iterations=6)
+    rng = np.random.default_rng(17)
+    gaussian = [
+        _random_problem(rng, m=60, M=6, d=2, support=(1, 3, 4), noise=0.3)[0] for _ in range(4)
+    ]
+    for problem in gaussian:
+        # so only the near copy takes the second pass
+        assert min(_kept_fractions(problem, run_bomp(problem, stop).chosen_indices)) > 0.5
+    near_copy = _near_copy_problem(3, m=60)
+    problems = gaussian[:2] + [near_copy] + gaussian[2:]
+
+    for problem, outcome in zip(problems, run_bomp_batch(problems, stop)):
+        alone = run_bomp(problem, stop)
+        assert outcome.chosen_indices == alone.chosen_indices
+        assert outcome.residual_norms == alone.residual_norms
+        np.testing.assert_array_equal(outcome.final_estimate.values, alone.final_estimate.values)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(
+    n=st.integers(1, 12),
+    ratio=st.one_of(
+        st.floats(-14.0, 0.0).map(lambda e: 10.0**e),
+        st.floats(-1e-6, 1e-6).map(lambda u: RANK_TOL * (1.0 + u)),
+    ),
+    magnitude=st.floats(-200.0, 200.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_the_gram_screen_decides_as_the_svd_of_r_does(n, ratio, magnitude, seed):
+    # an upper-triangular R with singular values from 10^magnitude down to
+    # ratio times that, the rest spread log-uniformly between them
+    rng = np.random.default_rng(seed)
+    top = 10.0**magnitude
+    spread = np.sort(rng.uniform(size=max(n - 2, 0)))[::-1]
+    sigma = top * np.concatenate([[1.0], ratio**spread, [ratio]])[:n]
+    U, _ = np.linalg.qr(rng.normal(size=(n, n)))
+    V, _ = np.linalg.qr(rng.normal(size=(n, n)))
+    R = np.linalg.qr((U * sigma) @ V.T)[1]
+    indices = list(range(1, n + 1))
+
+    got = _rank_check(indices, R)
+    want = _rank_failure(indices, np.linalg.svd(R, compute_uv=False))
+    # never clears what the SVD refuses, and refuses with the same text
+    assert (got is None) == (want is None)
+    if want is not None:
+        assert str(got) == str(want)
+
+
+def test_the_rank_check_refuses_a_zero_factor():
+    error = _rank_check([1, 2], np.zeros((4, 4)))
+    assert str(error) == str(_rank_failure([1, 2], np.zeros(4)))
 
 
 def test_pursuit_does_not_fall_back_to_the_svd_projection(monkeypatch):
