@@ -4,9 +4,9 @@ Each iteration picks the block whose columns correlate most strongly with
 the current residual, then projects the observation onto the span of all
 blocks chosen so far. The kernel, ``_pursue``, runs the pursuit on a stack
 of same-shape problems at once: a (size, m, n) array of dictionaries, which
-it reads in place, and their observations. ``run_bomp_batch`` stacks a list
-of problems and wraps it; ``run_bomp`` is a batch of one, whose dictionary
-is read without a copy; ``run_experiment`` draws its trials straight into a
+it reads in place, and their observations. It has two callers: ``run_bomp``,
+a batch of one whose dictionary is read without a copy, and
+``run_experiment``, which draws its trials straight into a
 stack. Per pick, one stacked product scores every residual against every
 block, blocks already chosen are masked out, and each problem takes its
 argmax (the smallest index on ties). Each problem keeps its span as a thin
@@ -32,17 +32,14 @@ full-batch arrays, until the last one stops; nothing reads it again.
 
 The rank check is deferred to that point. R has the singular values of the
 subdictionary, and adding columns never raises the smallest one nor lowers
-the largest (Cauchy interlacing), so the final R detects a rank failure at
-any step. A Gram eigen-screen clears it without an SVD: when the extreme
-eigenvalues of R'R, the squared singular values, are more than 1e-8 apart
-in ratio, R is far from ``RANK_TOL`` (see ``_GRAM_SCREEN``). Any other R
-takes one SVD, and only if that fails does ``project_least_squares``, the
-one-shot SVD route kept as the reference, run on each prefix of the picks
-in turn, so the error it raises names the shortest failing prefix. Within
-about 1e-6 relative of ``RANK_TOL`` the two SVDs can land on either side of
-it: when R fails but no prefix fails the reference, the error R gives names
-all picks; when R passes where the reference would fail, the pursuit
-returns.
+the largest (Cauchy interlacing), so an R far from ``RANK_TOL`` clears every
+prefix of the picks. A Gram eigen-screen finds such an R without an SVD:
+when the extreme eigenvalues of R'R, the squared singular values, are more
+than 1e-8 apart in ratio (see ``_GRAM_SCREEN``). The screen only clears.
+For any other R, ``project_least_squares``, the one-shot SVD route kept as
+the reference, runs on each prefix of the picks in turn: it raises for the
+shortest failing prefix, or, when every prefix passes, the pursuit
+returns. So the pursuit refuses exactly what the reference refuses.
 """
 
 from __future__ import annotations
@@ -56,12 +53,13 @@ from .errors import BompError, RankDeficientError
 from .io import json_fields
 
 RANK_TOL = 1e-10
-# The Gram screen of the rank check (_rank_check). The eigenvalues of R'R are
-# the squared singular values of R; forming R'R and eigen-solving it, both
-# backward stable, move them by at most about 2n eps sigma_max^2, under
+# The Gram screen of the rank check (_gram_screen_clears). The eigenvalues of
+# R'R are the squared singular values of R; forming R'R and eigen-solving it,
+# both backward stable, move them by at most about 2n eps sigma_max^2, under
 # 2e-12 sigma_max^2 even at n = 4096 columns. So an R with
 # lam_min > 1e-8 lam_max has a singular-value ratio above about 1e-4, six
-# orders of magnitude clear of RANK_TOL, where its SVD cannot fail. The value
+# orders of magnitude clear of RANK_TOL, where no prefix of the picks can
+# fail the reference's SVD of its subdictionary. The value
 # sits between that error bound and RANK_TOL**2 with wide room on both
 # sides; it is derived from them, not tuned.
 _GRAM_SCREEN = 1e-8
@@ -126,12 +124,15 @@ def select_block(A: BlockedMatrix, r: np.ndarray, exclude=()) -> int:
     the per-residual reference of the pick, which no library path calls.
     Blocks in ``exclude`` are masked out of the argmax; they cannot win once
     the residual is orthogonal to them, but masking is robust to round-off.
+    ValueError when ``exclude`` leaves no block.
     """
     scores = block_correlation_scores(A, r)
     if exclude:
         for i in exclude:
             A.layout.check_index(i)
         scores[np.asarray(exclude, dtype=int) - 1] = -1.0
+        if scores.max() < 0.0:
+            raise ValueError(f"exclude covers all {A.layout.num_blocks} blocks; no block is left")
     # np.argmax returns the first maximum, which is the smallest block index
     return int(np.argmax(scores)) + 1
 
@@ -184,18 +185,17 @@ def _rank_failure(indices, sigma: np.ndarray):
     return None
 
 
-def _rank_check(indices, R: np.ndarray):
-    """:func:`_rank_failure` for the subdictionary on ``indices``, from its
-    square thin-QR factor ``R``, which has the same singular values. The SVD
-    of R runs only when the Gram screen does not clear it."""
+def _gram_screen_clears(R: np.ndarray) -> bool:
+    """Whether the square thin-QR factor ``R`` of a subdictionary, which has
+    its singular values, is far enough from ``RANK_TOL`` to pass the rank
+    check without an SVD. A zero ``R`` is never cleared."""
     scale = np.abs(R).max()
     if scale > 0.0:
         # a largest entry of 1 keeps R'R from overflowing; the ratio is unchanged
         S = R / scale
         lam = np.linalg.eigvalsh(S.T @ S)
-        if lam[0] > _GRAM_SCREEN * lam[-1]:
-            return None
-    return _rank_failure(indices, np.linalg.svd(R, compute_uv=False))
+        return bool(lam[0] > _GRAM_SCREEN * lam[-1])
+    return False
 
 
 def _checked_svd(A: BlockedMatrix, indices: list):
@@ -255,39 +255,24 @@ def run_bomp(problem: SensingProblem, stop: StoppingRule) -> RecoveryTrace:
     first failing prefix of the picks; a residual norm or selection scores
     that overflow raise :class:`BompError`.
 
-    This is :func:`run_bomp_batch` on a batch of one.
+    This is the kernel on a stack of one, which reads the dictionary in place.
     """
-    (outcome,) = run_bomp_batch([problem], stop)
+    A = problem.matrix
+    (outcome,) = _pursue(A.entries[None], problem.observation[None], A.layout, stop)
     if isinstance(outcome, Exception):
         raise outcome
     return outcome
 
 
-def run_bomp_batch(problems, stop: StoppingRule) -> list:
-    """Run the pursuit on each of ``problems``, which share one matrix shape
-    and block layout.
+def _pursue(entries: np.ndarray, observations: np.ndarray, layout, stop: StoppingRule) -> list:
+    """Run the pursuit on a stack of same-shape problems: ``entries[t]`` is
+    problem t's (m, n) dictionary and ``observations[t]`` its observation,
+    both finite. Reads ``entries`` in place and never writes to either.
 
     Returns one outcome per problem, in order: the trace ``run_bomp`` gives
     for that problem alone, or the exception it raises. The problems advance
     together, one pick per step, and each keeps its own stopping state, so
-    no outcome depends on the others in the batch.
-    """
-    if not problems:
-        return []
-    A = problems[0].matrix
-    if any(p.matrix.layout != A.layout or p.matrix.rows != A.rows for p in problems):
-        raise ValueError("problems in a batch must share one matrix shape and block layout")
-    size = len(problems)
-    # a batch of one reads its dictionary in place
-    entries = A.entries[None] if size == 1 else np.stack([p.matrix.entries for p in problems])
-    observations = np.stack([p.observation for p in problems])
-    return _pursue(entries, observations, A.layout, stop)
-
-
-def _pursue(entries: np.ndarray, observations: np.ndarray, layout, stop: StoppingRule) -> list:
-    """The pursuit of :func:`run_bomp_batch` on a stack: ``entries[t]`` is
-    problem t's (m, n) dictionary and ``observations[t]`` its observation,
-    both finite. Reads ``entries`` in place and never writes to either.
+    no outcome depends on the others in the stack.
     """
     size, m, _ = entries.shape
     d = layout.block_width
@@ -378,23 +363,21 @@ def _finish(entries, y, layout, picks, norms, Q, R, status) -> RecoveryTrace:
     """The trace of one problem, with dictionary ``entries`` and observation
     ``y``, after its ``picks``, from its QR factors.
 
-    The rank check runs here, once: the final R detects a rank failure at
-    any step, and only then does the reference see the prefixes.
+    The rank check runs here, once: the Gram screen clears the final R, or
+    the reference replays the prefixes of the picks and decides.
     """
     chosen = [int(i) for i in picks]
     values = np.zeros(layout.ambient_dim)
     n = len(chosen) * layout.block_width
     if n:
-        error = _rank_check(sorted(chosen), R[:n, :n])
-        if error is not None:
-            # the reference raises for the shortest failing prefix, with the
-            # subdictionary's own singular values; only this rare path builds
+        if not _gram_screen_clears(R[:n, :n]):
+            # the reference decides: it raises for the shortest failing prefix,
+            # with the subdictionary's own singular values, or lets the pursuit
+            # return; only this rare path builds
             # the problem's matrix, a copy of its slice of the stack
             A = BlockedMatrix(layout, entries)
             for j in range(1, len(chosen) + 1):
                 project_least_squares(A, chosen[:j], y)
-            # reached only when the reference lands just on the other side of RANK_TOL
-            raise error
         coef = np.linalg.solve(R[:n, :n], Q[:, :n].T @ y)
         values[layout.columns(chosen).ravel()] = coef
     return RecoveryTrace(
