@@ -4,42 +4,43 @@ Each iteration picks the block whose columns correlate most strongly with
 the current residual, then projects the observation onto the span of all
 blocks chosen so far. The kernel, ``_pursue``, runs the pursuit on a stack
 of same-shape problems at once: a (size, m, n) array of dictionaries, which
-it reads in place, and their observations. It has two callers: ``run_bomp``,
-a batch of one whose dictionary is read without a copy, and
-``run_experiment``, which draws its trials straight into a
-stack. Per pick, one stacked product scores every residual against every
-block, blocks already chosen are masked out, and each problem takes its
-argmax (the smallest index on ties). Each problem keeps its span as a thin
-QR factorization A_S = Q R of its chosen blocks and extends it by one block
-per pick: the new block is orthogonalized against Q by classical block
-Gram-Schmidt and its remainder is QR-factored, in one stacked call for the
-batch, into the next d columns of Q and R. One pass leaves in each column
-of the remainder a part along Q of about eps times the column's norm before
-the pass. When every column kept at least half of its squared norm, that
-part is at most about sqrt(2) eps relative to what is left, so the block
-loses at most about sqrt(2d) times the orthogonality that a second pass
-(CGS2) would leave, and the pass is skipped. A problem with a column that
-kept less, which every pick nearly dependent on the chosen blocks does,
-takes the second pass: the selective reorthogonalization of Daniel, Gragg,
-Kaufman and Stewart (Math. Comp., 1976) with eta = 1/sqrt(2), analysed for
-block CGS by Barlow and Smoktunowicz (Numer. Math., 2013). Two passes
-suffice for any numerically full-rank subdictionary. Only the problems that
-need it take it, so none depends on its batchmates. The residual update is
-then ``r -= q (q' r)``. A problem gets its outcome when its stopping rule
-fires, its estimate solved from ``R coef = Q' y``, or when its scores
-overflow. It still takes every step with the rest of the batch, on the
-full-batch arrays, until the last one stops; nothing reads it again.
+it reads in place, and their observations. ``run_bomp`` calls it on a stack
+of one, a view of its dictionary, and ``run_experiment`` on the stack it
+draws its trials into. Per pick, one stacked product scores every residual
+against every block, blocks already chosen are masked out, and each problem
+takes its argmax (the smallest index on ties); the picked blocks come out
+of a (size, m, M, d) view of the stack, which splitting the column axis
+gives for any strides, in one strided copy. Each problem keeps a thin QR
+factorization A_S = Q R of its chosen blocks, with Q stored as the rows of
+Qt = Q', and extends it by one block per pick: the block is orthogonalized
+against Q by classical block Gram-Schmidt and its remainder QR-factored, in
+one stacked call, into the next d rows of Qt and columns of R. One pass
+leaves in each column of the remainder a part along Q of about eps times
+the column's norm before the pass. When every column kept at least half of
+its squared norm, that part is at most about sqrt(2) eps relative to what
+is left, so the block loses at most about sqrt(2d) times the orthogonality
+that a second pass (CGS2) would leave, and the pass is skipped. A problem
+with a column that kept less, as every pick nearly dependent on the chosen
+blocks has, takes the second pass: the selective reorthogonalization of
+Daniel, Gragg, Kaufman and Stewart (Math. Comp., 1976) with eta =
+1/sqrt(2), analysed for block CGS by Barlow and Smoktunowicz (Numer. Math.,
+2013), enough for any numerically full-rank subdictionary. Only the
+problems that need it take it, so none depends on its batchmates. The
+residual update is then ``r -= q (q' r)``. A problem gets its outcome when
+its stopping rule fires, its estimate solved from ``R coef = Qt y``, or
+when its scores overflow; it rides along with the batch until the last one
+stops, and nothing reads it again.
 
 The rank check is deferred to that point. R has the singular values of the
 subdictionary, and adding columns never raises the smallest one nor lowers
 the largest (Cauchy interlacing), so an R far from ``RANK_TOL`` clears every
-prefix of the picks. A Gram eigen-screen finds such an R without an SVD:
-when the extreme eigenvalues of R'R, the squared singular values, are more
-than 1e-8 apart in ratio (see ``_GRAM_SCREEN``). The screen only clears.
-For any other R, ``project_least_squares``, the one-shot SVD route kept as
-the reference, runs on each prefix of the picks in turn: it raises for the
-shortest failing prefix, or, when every prefix passes, the pursuit
-returns. So the pursuit refuses exactly what the reference refuses.
+prefix of the picks. A screen finds such an R without an SVD: R'R minus a
+shift of 1e-8 times its trace, an upper bound on its largest eigenvalue,
+has a Cholesky factor (see ``_GRAM_SCREEN``). The screen only clears. For
+any other R, ``project_least_squares``, the one-shot SVD route kept as the
+reference, runs on each prefix of the picks in turn: it raises for the
+shortest failing prefix, or, when every prefix passes, the pursuit returns.
+So the pursuit refuses exactly what the reference refuses.
 """
 
 from __future__ import annotations
@@ -53,15 +54,16 @@ from .errors import BompError, RankDeficientError
 from .io import json_fields
 
 RANK_TOL = 1e-10
-# The Gram screen of the rank check (_gram_screen_clears). The eigenvalues of
-# R'R are the squared singular values of R; forming R'R and eigen-solving it,
-# both backward stable, move them by at most about 2n eps sigma_max^2, under
-# 2e-12 sigma_max^2 even at n = 4096 columns. So an R with
-# lam_min > 1e-8 lam_max has a singular-value ratio above about 1e-4, six
-# orders of magnitude clear of RANK_TOL, where no prefix of the picks can
-# fail the reference's SVD of its subdictionary. The value
-# sits between that error bound and RANK_TOL**2 with wide room on both
-# sides; it is derived from them, not tuned.
+# The rank check's screen (_gram_screen_clears) clears R, scaled to S with
+# largest entry 1, when S'S - tau I has a Cholesky factor, tau = _GRAM_SCREEN
+# ||S||_F^2, and ||S||_F^2 = trace(S'S) >= sigma_max^2. With n columns and
+# u = 2^-53, forming S'S, the shift and a Cholesky factor that completes
+# (Higham, Accuracy and Stability, 2nd ed., 3.5 and 10.1) move S'S by at
+# most (2n+3) u ||S||_F^2 in 2-norm. So a cleared R has sigma_min/sigma_max
+# > sqrt(_GRAM_SCREEN - (2n+3) u): 1e-4, less 5e-5 relative at n = 4096, and
+# above RANK_TOL for any n below 4e7. Every R with a ratio above
+# sqrt(n _GRAM_SCREEN) = 1e-4 sqrt(n) clears, as ||S||_F^2 <= n sigma_max^2,
+# up to the same O(n u); in between it depends on the other singular values.
 _GRAM_SCREEN = 1e-8
 
 RESIDUAL_THRESHOLD = "residual_threshold"
@@ -127,10 +129,11 @@ def select_block(A: BlockedMatrix, r: np.ndarray, exclude=()) -> int:
     ValueError when ``exclude`` leaves no block.
     """
     scores = block_correlation_scores(A, r)
-    if exclude:
+    exclude = np.asarray(exclude, dtype=int).ravel()
+    if exclude.size:
         for i in exclude:
             A.layout.check_index(i)
-        scores[np.asarray(exclude, dtype=int) - 1] = -1.0
+        scores[exclude - 1] = -1.0
         if scores.max() < 0.0:
             raise ValueError(f"exclude covers all {A.layout.num_blocks} blocks; no block is left")
     # np.argmax returns the first maximum, which is the smallest block index
@@ -159,13 +162,13 @@ def _stacked_scores(entries: np.ndarray, residuals: np.ndarray, d: int) -> np.nd
     """
     with np.errstate(over="ignore", invalid="ignore"):
         products = np.matmul(entries.transpose(0, 2, 1), residuals[:, :, None])
-        return np.linalg.norm(products.reshape(len(residuals), -1, d), axis=2)
+        products = products.reshape(len(residuals), -1, d)
+        return np.sqrt(np.einsum("tld,tld->tl", products, products))
 
 
 def _stacked_norms(vectors: np.ndarray) -> np.ndarray:
-    """Euclidean norm along the last axis, each by its own dot product (as
-    ``np.linalg.norm`` takes it for one vector), so a vector's norm does not
-    depend on the vectors stacked with it. Overflow is not warned about."""
+    """Euclidean norm along the last axis, each by its own dot product, so a vector's
+    norm does not depend on the vectors stacked with it. Overflow is not warned about."""
     with np.errstate(over="ignore", invalid="ignore"):
         return np.sqrt(np.matmul(vectors[..., None, :], vectors[..., :, None])[..., 0, 0])
 
@@ -188,14 +191,19 @@ def _rank_failure(indices, sigma: np.ndarray):
 def _gram_screen_clears(R: np.ndarray) -> bool:
     """Whether the square thin-QR factor ``R`` of a subdictionary, which has
     its singular values, is far enough from ``RANK_TOL`` to pass the rank
-    check without an SVD. A zero ``R`` is never cleared."""
+    check without an SVD (see ``_GRAM_SCREEN``). A zero ``R`` is never cleared."""
     scale = np.abs(R).max()
-    if scale > 0.0:
-        # a largest entry of 1 keeps R'R from overflowing; the ratio is unchanged
-        S = R / scale
-        lam = np.linalg.eigvalsh(S.T @ S)
-        return bool(lam[0] > _GRAM_SCREEN * lam[-1])
-    return False
+    if not scale > 0.0:
+        return False
+    # a largest entry of 1 keeps S'S from overflowing; the ratio is unchanged
+    S = R / scale
+    gram = S.T @ S
+    gram.flat[:: len(gram) + 1] -= _GRAM_SCREEN * np.trace(gram)
+    try:
+        np.linalg.cholesky(gram)
+    except np.linalg.LinAlgError:
+        return False
+    return True
 
 
 def _checked_svd(A: BlockedMatrix, indices: list):
@@ -206,9 +214,7 @@ def _checked_svd(A: BlockedMatrix, indices: list):
     """
     sub = extract_blocks(A, indices)
     if sub.shape[1] > A.rows:
-        raise RankDeficientError(
-            f"support spans {sub.shape[1]} columns but only {A.rows} rows"
-        )
+        raise RankDeficientError(f"support spans {sub.shape[1]} columns but only {A.rows} rows")
     U, sigma, Vt = np.linalg.svd(sub, full_matrices=False)
     if sigma.size:
         error = _rank_failure(indices, sigma)
@@ -280,11 +286,13 @@ def _pursue(entries: np.ndarray, observations: np.ndarray, layout, stop: Stoppin
     capacity = min(layout.num_blocks, m // d)
     budget = capacity if stop.max_iterations is None else min(stop.max_iterations, capacity)
 
-    problem_index = np.arange(size)[:, None]
+    problems = np.arange(size)
+    # each dictionary's columns split into its blocks: a view for any strides
+    blocks = entries.reshape(size, m, layout.num_blocks, d)
     residual = observations.copy()
-    # thin QR of each problem's chosen blocks in pick order:
-    # A_S = Q[t, :, :n] @ R[t, :n, :n]
-    Q = np.empty((size, m, budget * d))
+    # thin QR of each problem's chosen blocks in pick order, the basis kept
+    # as rows: A_S = Qt[t, :n].T @ R[t, :n, :n]
+    Qt = np.empty((size, budget * d, m))
     R = np.zeros((size, budget * d, budget * d))
     chosen = np.zeros((size, budget), dtype=int)
     norms = np.empty((size, budget + 1))
@@ -306,10 +314,8 @@ def _pursue(entries: np.ndarray, observations: np.ndarray, layout, stop: Stoppin
         for t in np.flatnonzero(stopping):
             status = STATUS_CONVERGED if converged[t] else STATUS_BUDGET_EXCEEDED
             try:
-                outcomes[t] = _finish(
-                    entries[t], observations[t], layout,
-                    chosen[t, :k], norms[t, : k + 1], Q[t], R[t], status,
-                )
+                outcomes[t] = _finish(entries[t], observations[t], layout, chosen[t, :k],
+                                      norms[t, : k + 1], Qt[t], R[t], status)
             except (BompError, np.linalg.LinAlgError) as exc:
                 outcomes[t] = exc
         active &= ~stopping
@@ -324,33 +330,29 @@ def _pursue(entries: np.ndarray, observations: np.ndarray, layout, stop: Stoppin
             for t in np.flatnonzero(overflow):
                 outcomes[t] = _overflow_error()
             active &= ~overflow
-            np.put_along_axis(scores, chosen[:, :k] - 1, -1.0, axis=1)
+            scores[problems[:, None], chosen[:, :k] - 1] = -1.0
             # np.argmax returns the first maximum, which is the smallest block index
             picks = np.argmax(scores, axis=1)
             chosen[:, k] = picks + 1
 
             n = k * d
-            basis = Q[:, :, :n]
-            # the picked block of each dictionary, gathered into a C-ordered
-            # (size, m, d) array; the stack itself is never copied
-            block = np.ascontiguousarray(
-                entries[problem_index, :, layout.columns(picks + 1)].transpose(0, 2, 1)
-            )
+            basis = Qt[:, :n]
+            # the picked blocks, in one strided copy, as a C-ordered (size, m, d) array
+            block = blocks[problems, :, picks, :]
             # block classical Gram-Schmidt; a second pass only for the
             # problems where the first cancelled (see the module docstring)
-            before = _stacked_norms(block.transpose(0, 2, 1))
-            c1 = np.matmul(basis.transpose(0, 2, 1), block)
-            block = block - np.matmul(basis, c1)
-            after = _stacked_norms(block.transpose(0, 2, 1))
-            cancelled = active & (np.sqrt(2.0) * after < before).any(axis=1)
+            before = np.einsum("tmd,tmd->td", block, block)
+            c1 = basis @ block
+            block -= (c1.transpose(0, 2, 1) @ basis).transpose(0, 2, 1)
+            after = np.einsum("tmd,tmd->td", block, block)
+            cancelled = active & (2.0 * after < before).any(axis=1)
             if cancelled.any():
-                rows = np.flatnonzero(cancelled)
-                basis_rows = Q[rows, :, :n]
-                c2 = np.matmul(basis_rows.transpose(0, 2, 1), block[rows])
-                block[rows] -= np.matmul(basis_rows, c2)
-                c1[rows] += c2
+                basis_rows = Qt[cancelled, :n]
+                c2 = basis_rows @ block[cancelled]
+                block[cancelled] -= (c2.transpose(0, 2, 1) @ basis_rows).transpose(0, 2, 1)
+                c1[cancelled] += c2
             q, r_diag = np.linalg.qr(block)
-            Q[:, :, n : n + d] = q
+            Qt[:, n : n + d] = q.transpose(0, 2, 1)
             R[:, :n, n : n + d] = c1
             R[:, n : n + d, n : n + d] = r_diag
             residual -= np.matmul(q, np.matmul(q.transpose(0, 2, 1), residual[:, :, None]))[:, :, 0]
@@ -359,7 +361,7 @@ def _pursue(entries: np.ndarray, observations: np.ndarray, layout, stop: Stoppin
     return outcomes
 
 
-def _finish(entries, y, layout, picks, norms, Q, R, status) -> RecoveryTrace:
+def _finish(entries, y, layout, picks, norms, Qt, R, status) -> RecoveryTrace:
     """The trace of one problem, with dictionary ``entries`` and observation
     ``y``, after its ``picks``, from its QR factors.
 
@@ -371,14 +373,12 @@ def _finish(entries, y, layout, picks, norms, Q, R, status) -> RecoveryTrace:
     n = len(chosen) * layout.block_width
     if n:
         if not _gram_screen_clears(R[:n, :n]):
-            # the reference decides: it raises for the shortest failing prefix,
-            # with the subdictionary's own singular values, or lets the pursuit
-            # return; only this rare path builds
-            # the problem's matrix, a copy of its slice of the stack
+            # the reference decides, raising for the shortest failing prefix; only
+            # this rare path builds the problem's matrix, a copy of its slice
             A = BlockedMatrix(layout, entries)
             for j in range(1, len(chosen) + 1):
                 project_least_squares(A, chosen[:j], y)
-        coef = np.linalg.solve(R[:n, :n], Q[:, :n].T @ y)
+        coef = np.linalg.solve(R[:n, :n], Qt[:n] @ y)
         values[layout.columns(chosen).ravel()] = coef
     return RecoveryTrace(
         chosen_indices=tuple(chosen),

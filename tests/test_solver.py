@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from bomp.solver import (
     STATUS_BUDGET_EXCEEDED,
     STATUS_CONVERGED,
     StoppingRule,
+    _GRAM_SCREEN,
     _gram_screen_clears,
     _pursue,
     _rank_failure,
@@ -78,6 +80,13 @@ def test_select_block_validates_input():
         select_block(A, np.zeros(6), exclude=(7,))
     with pytest.raises(ValueError, match="no block is left"):
         select_block(A, np.zeros(6), exclude=(1, 2, 3))
+    # a NumPy array of indices is masked like a tuple of them
+    r = np.arange(1.0, 7.0)
+    assert select_block(A, r, exclude=np.array([1, 2])) == 3
+    assert select_block(A, r, exclude=np.array([], dtype=int)) == select_block(A, r) == 3
+    assert select_block(A, r, exclude=np.array([3])) == 2
+    with pytest.raises(ValueError, match="no block is left"):
+        select_block(A, r, exclude=np.array([3, 1, 2]))
 
 
 def test_correlation_scores_match_definition():
@@ -255,6 +264,12 @@ def _differential_cases():
         SensingProblem(matrix=A, observation=rng.normal(size=30)),
         StoppingRule(FIXED_ITERATIONS, max_iterations=6),
     )
+    # deep bases, 128 and 48 columns; at d = 1 each block is one column
+    rng = np.random.default_rng(18)
+    for m, M, d, K in ((256, 128, 4, 32), (160, 160, 1, 48)):
+        support = tuple(int(i) for i in rng.choice(M, size=K, replace=False) + 1)
+        problem, _ = _random_problem(rng, m=m, M=M, d=d, support=support, noise=0.3)
+        yield problem, StoppingRule(FIXED_ITERATIONS, max_iterations=K)
 
 
 def test_pursuit_matches_the_svd_reference_on_every_prefix():
@@ -269,6 +284,30 @@ def test_pursuit_matches_the_svd_reference_on_every_prefix():
         np.testing.assert_allclose(
             trace.final_estimate.values, estimate.values, rtol=0, atol=1e-10
         )
+
+
+def test_a_fortran_ordered_read_only_dictionary_is_read_in_place():
+    rng = np.random.default_rng(19)
+    problem, _ = _random_problem(rng, m=256, M=128, d=4, support=(3, 40, 77, 101), noise=0.2)
+    fortran = np.asfortranarray(problem.matrix.entries)
+    fortran.setflags(write=False)
+    column_major = SensingProblem(
+        matrix=BlockedMatrix(problem.matrix.layout, fortran), observation=problem.observation
+    )
+    assert column_major.matrix.entries is fortran
+    stop = StoppingRule(FIXED_ITERATIONS, max_iterations=8)
+
+    tracemalloc.start()
+    try:
+        got = run_bomp(column_major, stop)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < fortran.nbytes / 2
+    want = run_bomp(problem, stop)
+    assert got.chosen_indices == want.chosen_indices
+    assert got.residual_norms == want.residual_norms
+    np.testing.assert_array_equal(got.final_estimate.values, want.final_estimate.values)
 
 
 def test_mid_run_rank_deficiency_raises_the_reference_error():
@@ -394,10 +433,12 @@ def test_the_second_pass_leaves_batchmates_bit_for_bit_alone():
 
 @settings(derandomize=True, max_examples=300, deadline=None)
 @given(
-    n=st.integers(1, 12),
+    n=st.integers(1, 64),
     ratio=st.one_of(
         st.floats(-14.0, 0.0).map(lambda e: 10.0**e),
         st.floats(-1e-6, 1e-6).map(lambda u: RANK_TOL * (1.0 + u)),
+        # the screen's own band, 1e-4 to 1e-4 sqrt(n), and a decade on each side
+        st.floats(-1.0, 2.0).map(lambda e: math.sqrt(_GRAM_SCREEN) * 10.0**e),
     ),
     magnitude=st.floats(-200.0, 200.0),
     seed=st.integers(0, 2**32 - 1),
@@ -417,7 +458,11 @@ def test_the_gram_screen_never_clears_what_the_svd_of_r_refuses(n, ratio, magnit
     if cleared:
         indices = list(range(1, n + 1))
         assert _rank_failure(indices, np.linalg.svd(R, compute_uv=False)) is None
-    if sigma[-1] > 1e-3 * sigma[0]:
+    # the derived band (see _GRAM_SCREEN): never cleared below sqrt(_GRAM_SCREEN)
+    # in singular-value ratio, always cleared above sqrt(n _GRAM_SCREEN)
+    if sigma[-1] < 0.99 * math.sqrt(_GRAM_SCREEN) * sigma[0]:
+        assert not cleared
+    if sigma[-1] > 1.01 * math.sqrt(n * _GRAM_SCREEN) * sigma[0]:
         assert cleared
 
 
