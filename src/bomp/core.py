@@ -105,7 +105,7 @@ class BlockLayout:
 
     def block_slice(self, index: int) -> slice:
         """Coordinate slice of block ``index`` (1-based)."""
-        self.check_index(index)
+        index = self.check_index(index)
         d = self.block_width
         return slice((index - 1) * d, index * d)
 
@@ -115,11 +115,14 @@ class BlockLayout:
         d = self.block_width
         return (np.asarray(indices, dtype=int).reshape(-1, 1) - 1) * d + np.arange(d)
 
-    def check_index(self, index: int) -> None:
+    def check_index(self, index) -> int:
+        """``index`` as a plain int: the one rule for a block index. ValueError
+        unless it is an integer (not a bool) in 1..num_blocks."""
+        if isinstance(index, bool) or not isinstance(index, numbers.Integral):
+            raise ValueError(f"block index must be an integer, got {index!r}")
         if not 1 <= index <= self.num_blocks:
-            raise ValueError(
-                f"block index {index} out of range 1..{self.num_blocks}"
-            )
+            raise ValueError(f"block index {index} out of range 1..{self.num_blocks}")
+        return int(index)
 
     def block_indices(self) -> range:
         """All block indices, 1-based."""
@@ -234,9 +237,7 @@ def extract_blocks(A: BlockedMatrix, support) -> np.ndarray:
     order given; duplicate or out-of-range indices are rejected. An empty
     support yields an (m, 0) matrix.
     """
-    indices = [int(i) for i in support]
-    for i in indices:
-        A.layout.check_index(i)
+    indices = [A.layout.check_index(i) for i in support]
     if len(set(indices)) != len(indices):
         raise ValueError(f"duplicate block indices in support {indices}")
     indices.sort()
@@ -244,35 +245,34 @@ def extract_blocks(A: BlockedMatrix, support) -> np.ndarray:
 
 
 def gaussian_instance(
-    rng: np.random.Generator,
-    layout: BlockLayout,
-    rows: int,
-    sparsity: int,
-    draw_blocks,
-    epsilon: float,
+    rng: np.random.Generator, layout: BlockLayout, rows: int, sparsity: int, epsilon: float
 ):
-    """Random block-sparse instance over a Gaussian dictionary; returns
-    (problem, truth).
+    """Random block-sparse instance of the proof sweeps (:mod:`bomp.proofs`)
+    over a Gaussian dictionary; returns (problem, truth).
 
     Draws from ``rng`` in this order, which seeded streams depend on: the
     dictionary with i.i.d. entries of variance 1/rows; a uniform random
-    size-``sparsity`` block support; the supported blocks as
-    ``draw_blocks(rng, sparsity)``, in ascending index order; and, only when
+    size-``sparsity`` block support; the supported blocks with i.i.d.
+    standard normal entries, in ascending index order; and, only when
     ``epsilon > 0``, noise rescaled to norm exactly ``epsilon``. The problem
     keeps no record of ``epsilon``; the noise is ``observation - A @ truth``.
-    This allocates the dictionary and wraps :func:`_draw_gaussian`, which
-    draws the same instance into an array the caller owns.
+    This allocates the dictionary and wraps :func:`_draw_gaussian`.
     """
+
+    def normal_blocks(rng, count):
+        return rng.normal(size=(count, layout.block_width))
+
     entries = np.empty((rows, layout.ambient_dim))
-    y, truth = _draw_gaussian(rng, layout, entries, sparsity, draw_blocks, epsilon)
+    y, truth = _draw_gaussian(rng, layout, entries, sparsity, normal_blocks, epsilon)
     entries.setflags(write=False)  # so the matrix adopts it without a copy
     return SensingProblem(matrix=BlockedMatrix(layout, entries), observation=y), truth
 
 
 def _draw_gaussian(rng, layout, out, sparsity, draw_blocks, epsilon):
-    """The draw of :func:`gaussian_instance`, with the dictionary written in
-    place into ``out``, a C-contiguous (rows, ``layout.ambient_dim``) float64
-    array; returns (observation, truth).
+    """The draw shared by the proof sweeps' :func:`gaussian_instance` and the
+    experiments' :func:`bomp.experiment.generate_instance`, which differ only in
+    ``draw_blocks(rng, sparsity)``; writes the dictionary into ``out``, a C-contiguous
+    (rows, ``layout.ambient_dim``) float64 array, and returns (observation, truth).
 
     ``rng.standard_normal(out=...)`` gives the values of ``rng.normal(size=...)``
     and leaves the generator in the same state. Nothing is checked here: the

@@ -86,6 +86,11 @@ class ExperimentConfig:
                 "stopping",
                 StoppingRule(mode=FIXED_ITERATIONS, max_iterations=self.K),
             )
+        elif not isinstance(self.stopping, StoppingRule):
+            raise ValueError(
+                f"stopping must be an object with keys "
+                f"{sorted(f.name for f in fields(StoppingRule))}, got {self.stopping!r}"
+            )
 
     @property
     def layout(self) -> BlockLayout:
@@ -98,11 +103,6 @@ class ExperimentConfig:
         stopping = data.get("stopping")
         if isinstance(stopping, dict):
             data["stopping"] = StoppingRule(**_checked_keys(StoppingRule, stopping, "stopping"))
-        elif stopping is not None:
-            raise ValueError(
-                f"stopping must be an object with keys "
-                f"{sorted(f.name for f in fields(StoppingRule))}, got {stopping!r}"
-            )
         return cls(**data)
 
     @classmethod

@@ -81,17 +81,16 @@ class ProofInstance:
     probe_index: int
 
     def __post_init__(self):
-        object.__setattr__(
-            self, "partial_support", tuple(sorted(int(i) for i in self.partial_support))
-        )
+        layout = self.problem.matrix.layout
+        chosen = tuple(sorted(layout.check_index(i) for i in self.partial_support))
+        object.__setattr__(self, "partial_support", chosen)
+        object.__setattr__(self, "probe_index", layout.check_index(self.probe_index))
         T = set(self.support)
-        chosen = set(self.partial_support)
-        if not chosen < T:
+        if not set(chosen) < T:
             raise ValueError(
-                f"partial support {sorted(chosen)} must be a strict subset "
+                f"partial support {list(chosen)} must be a strict subset "
                 f"of the true support {sorted(T)}"
             )
-        self.problem.matrix.layout.check_index(self.probe_index)
         if self.probe_index in T:
             raise ValueError(f"probe index {self.probe_index} lies in the support")
 
@@ -134,6 +133,12 @@ class ProofInstance:
         """Residual of y after least squares on the partial support."""
         A = self.problem.matrix
         return project_least_squares(A, self.partial_support, self.problem.observation)[1]
+
+    @cached_property
+    def probe_score(self) -> float:
+        """``||A[j]' r||_2``: the probe's selection score against :attr:`partial_residual`."""
+        A = self.problem.matrix
+        return float(np.linalg.norm(A.block(self.probe_index).T @ self.partial_residual))
 
     @cached_property
     def theta(self) -> BlockSignal:
@@ -200,11 +205,10 @@ def eta_direct(inst: ProofInstance) -> float:
     alpha_21 = inst.alpha_21
     r = inst.partial_residual
     e_off_support = inst.noise_off_support
-    probe_score = float(np.linalg.norm(inst.problem.matrix.block(inst.probe_index).T @ r))
 
     r2 = float(np.dot(r, r))
     e2 = float(np.dot(e_off_support, e_off_support))
-    return (r2 - e2) / alpha_21 - probe_score
+    return (r2 - e2) / alpha_21 - inst.probe_score
 
 
 def eta_via_identity(inst: ProofInstance, t: float = 1.0) -> float:
@@ -293,29 +297,6 @@ def lemma1_check(inst: ProofInstance) -> Lemma1Report:
         )
 
 
-def random_recovery_problem(
-    rng: np.random.Generator,
-    num_blocks: int,
-    block_width: int,
-    sparsity: int,
-    rows: int,
-    epsilon: float,
-):
-    """Gaussian dictionary (entries of variance 1/rows), Gaussian signal on a
-    uniform random block support, and noise rescaled to norm exactly epsilon.
-
-    Returns (problem, truth).
-    """
-    return gaussian_instance(
-        rng,
-        BlockLayout(num_blocks, block_width),
-        rows,
-        sparsity,
-        lambda rng, count: [rng.normal(size=block_width) for _ in range(count)],
-        epsilon,
-    )
-
-
 def random_proof_instance(
     rng: np.random.Generator,
     num_blocks: int = 6,
@@ -338,20 +319,19 @@ def random_proof_instance(
     if sparsity >= num_blocks:
         raise ValueError("need sparsity < num_blocks to leave a probe block")
     rows = 10 * (sparsity + 1) * block_width
+    layout = BlockLayout(num_blocks, block_width)
 
     # a draw or a projection of it can overflow only through epsilon
     try:
         with np.errstate(over="raise"):
             for _ in range(MAX_ATTEMPTS):
-                problem, truth = random_recovery_problem(
-                    rng, num_blocks, block_width, sparsity, rows, epsilon
-                )
+                problem, truth = gaussian_instance(rng, layout, rows, sparsity, epsilon)
                 T = block_support(truth)
                 if len(T) != sparsity:
                     continue
                 k = int(rng.integers(0, sparsity))
                 chosen = rng.choice(np.array(T), size=k, replace=False)
-                off = [i for i in problem.matrix.layout.block_indices() if i not in T]
+                off = [i for i in layout.block_indices() if i not in T]
                 probe = int(off[rng.integers(0, len(off))])
                 inst = ProofInstance(
                     problem=problem, truth=truth, partial_support=chosen, probe_index=probe
@@ -363,7 +343,7 @@ def random_proof_instance(
                     inst.alpha_21
                 except ZeroDivisionError:
                     continue
-                if np.linalg.norm(problem.matrix.block(probe).T @ inst.partial_residual) == 0.0:
+                if inst.probe_score == 0.0:
                     continue
                 return inst
     except FloatingPointError:

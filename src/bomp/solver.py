@@ -129,11 +129,9 @@ def select_block(A: BlockedMatrix, r: np.ndarray, exclude=()) -> int:
     ValueError when ``exclude`` leaves no block.
     """
     scores = block_correlation_scores(A, r)
-    exclude = np.asarray(exclude, dtype=int).ravel()
-    if exclude.size:
-        for i in exclude:
-            A.layout.check_index(i)
-        scores[exclude - 1] = -1.0
+    masked = [A.layout.check_index(i) - 1 for i in exclude]
+    if masked:
+        scores[masked] = -1.0
         if scores.max() < 0.0:
             raise ValueError(f"exclude covers all {A.layout.num_blocks} blocks; no block is left")
     # np.argmax returns the first maximum, which is the smallest block index
@@ -239,7 +237,7 @@ def project_least_squares(A: BlockedMatrix, support, y: np.ndarray):
     y = np.asarray(y, dtype=float)
     if y.shape != (A.rows,):
         raise ValueError(f"observation must have length {A.rows}")
-    indices = sorted(int(i) for i in support)
+    indices = sorted(A.layout.check_index(i) for i in support)
     sub, U, sigma, Vt = _checked_svd(A, indices)
     coef = Vt.T @ ((U.T @ y) / sigma)
     values = np.zeros(A.layout.ambient_dim)

@@ -3,6 +3,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from bomp.cli import main
 from bomp.core import BlockedMatrix, BlockLayout, BlockSignal
@@ -468,3 +470,80 @@ def test_overflowing_draws_are_refused_by_name(tmp_path, capsys):
         assert main(["experiment", "--config", str(cfg_path)]) == 2, cfg
         err = _one_line_error(capsys)
         assert "min_block_norm" in err and "noise_norm" in err, err
+
+
+# Flag values a user might type: edge and malformed values mixed with valid ones.
+_EDGE_VALUES = ("0", "-1", "-0.5", "5e-324", "1e308", "inf", "-inf", "nan", "abc", "", "[1]")
+
+
+def _flag(valid, required=False):
+    """A flag value: valid three times in four, else one of ``_EDGE_VALUES``, so
+    that whole argument vectors are often valid; or left out (None) when
+    optional. A left-out required flag is one case only, so it is not drawn."""
+    valid = valid.map(str)
+    values = st.one_of(valid, valid, valid, st.sampled_from(_EDGE_VALUES))
+    return values if required else st.one_of(st.none(), values)
+
+
+def _reals(high):
+    return st.floats(1e-6, high).map(repr)
+
+
+def _comma_joined(values):
+    return ",".join(map(str, values))
+
+
+_CLI_FLAGS = {
+    "bounds": {
+        "--K": _flag(st.integers(1, 60), required=True),
+        "--delta": _flag(_reals(1.0), required=True),
+        "--epsilon": _flag(_reals(10.0)),
+        "--min-block-norm": _flag(_reals(100.0)),
+    },
+    "figure1": {
+        "--K": _flag(st.lists(st.integers(1, 50), min_size=1, max_size=3).map(_comma_joined)),
+        "--points": _flag(st.integers(2, 40)),
+        "--epsilon": _flag(_reals(10.0)),
+    },
+    "adversarial": {
+        "--d": _flag(st.integers(1, 4), required=True),
+        "--K": _flag(st.integers(1, 5), required=True),
+        "--delta": _flag(_reals(0.5), required=True),
+        "--epsilon": _flag(_reals(10.0), required=True),
+        "--t0": _flag(_reals(10.0)),
+    },
+}
+
+
+def _refuse_constant(name):
+    raise ValueError(f"non-JSON constant {name}")
+
+
+@pytest.mark.parametrize("command", sorted(_CLI_FLAGS))
+@settings(
+    derandomize=True,
+    max_examples=150,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(data=st.data())
+def test_cli_exits_cleanly_on_any_flag_values(command, data, tmp_path, capsys):
+    """Exit 0, 2 or 3; a refusal is one ``error:`` line, a success strict JSON."""
+    argv = [command]
+    for flag, values in _CLI_FLAGS[command].items():
+        value = data.draw(values, label=flag)
+        if value is not None:
+            argv += [flag, value]
+    if command == "adversarial":
+        argv += ["--out-dir", str(tmp_path / "adv")]
+
+    code = main(argv)
+    out, err = capsys.readouterr()
+    assert code in (0, 2, 3), (argv, code, err)
+    if code == 0:
+        assert err == "", argv
+        if command != "figure1":  # figure1 writes CSV
+            json.loads(out, parse_constant=_refuse_constant)
+    else:
+        lines = err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: "), (argv, err)

@@ -20,7 +20,8 @@ from bomp.core import (
     mixed_norm,
 )
 from bomp.experiment import ExperimentConfig, generate_instance
-from bomp.proofs import random_recovery_problem
+from bomp.proofs import ProofInstance
+from bomp.solver import project_least_squares, select_block
 
 
 def test_layout_basics():
@@ -52,6 +53,38 @@ def test_layout_index_range_is_one_based():
         layout.block_slice(0)
     with pytest.raises(ValueError):
         layout.block_slice(4)
+
+
+_BLOCK_INDEX_ENTRY_POINTS = {
+    "block_slice": lambda A, i: A.layout.block_slice(i),
+    "matrix_block": lambda A, i: A.block(i),
+    "from_blocks": lambda A, i: BlockSignal.from_blocks(A.layout, {i: [1.0, 2.0]}),
+    "extract_blocks": lambda A, i: extract_blocks(A, [i]),
+    "select_block_exclude": lambda A, i: select_block(A, np.ones(A.rows), exclude=[i]),
+    "project_least_squares": lambda A, i: project_least_squares(A, [i], np.ones(A.rows)),
+    "partial_support": lambda A, i: _proof_instance(A, partial_support=[i], probe_index=4),
+    "probe_index": lambda A, i: _proof_instance(A, partial_support=[], probe_index=i),
+}
+
+
+def _proof_instance(A, **indices):
+    truth = BlockSignal.from_blocks(A.layout, {1: [1.0, 0.5], 2: [0.0, 2.0], 3: [1.0, 1.0]})
+    problem = SensingProblem(matrix=A, observation=A.entries @ truth.values)
+    return ProofInstance(problem=problem, truth=truth, **indices)
+
+
+@pytest.mark.parametrize("entry", sorted(_BLOCK_INDEX_ENTRY_POINTS))
+@pytest.mark.parametrize("index", [1.5, True, "2"], ids=repr)
+def test_every_block_index_is_an_integer(entry, index):
+    """``BlockLayout.check_index`` is the one rule: nothing truncates or coerces."""
+    call = _BLOCK_INDEX_ENTRY_POINTS[entry]
+    A = BlockedMatrix(BlockLayout(4, 2), np.random.default_rng(4).normal(size=(12, 8)))
+    with pytest.raises(ValueError, match=f"block index must be an integer, got {index!r}"):
+        call(A, index)
+    # a NumPy integer is an integer, and range errors keep their message
+    call(A, np.int64(4 if entry == "probe_index" else 1))
+    with pytest.raises(ValueError, match="block index 5 out of range 1..4"):
+        call(A, 5)
 
 
 def test_signal_blocks_and_immutability():
@@ -132,15 +165,16 @@ def test_drawing_into_a_slice_is_the_allocating_draw(m, M, d, data, seed, epsilo
     t = data.draw(st.integers(0, chunk - 1), label="t")
     layout = BlockLayout(M, d)
 
-    def draw_blocks(rng, count):
-        return [rng.normal(size=d) for _ in range(count)]
-
     rng = np.random.default_rng(seed)
-    problem, truth = gaussian_instance(rng, layout, m, K, draw_blocks, epsilon)
+    problem, truth = gaussian_instance(rng, layout, m, K, epsilon)
 
     # every entry the draw must write starts as NaN
     stack = np.full((chunk, m, layout.ambient_dim), np.nan)
     in_place = np.random.default_rng(seed)
+
+    def draw_blocks(rng, count):
+        return rng.normal(size=(count, d))
+
     y, drawn = _draw_gaussian(in_place, layout, stack[t], K, draw_blocks, epsilon)
 
     assert stack[t].tobytes() == problem.matrix.entries.tobytes()
@@ -298,7 +332,7 @@ _PINNED_TRIALS = {
         ],
     },
 }
-# random_recovery_problem(default_rng(0), 3, 2, 2, rows=4, epsilon=0.2)
+# gaussian_instance(default_rng(0), BlockLayout(3, 2), rows=4, sparsity=2, epsilon=0.2)
 _PINNED_PROOF_DRAW = {
     "support": (1, 2),
     "A": [
@@ -345,6 +379,6 @@ def test_gaussian_streams_match_pinned_values():
         _assert_pinned(*generate_instance(cfg, trial), expected)
 
     rng = np.random.default_rng(0)
-    problem, truth = random_recovery_problem(rng, 3, 2, 2, rows=4, epsilon=0.2)
+    problem, truth = gaussian_instance(rng, BlockLayout(3, 2), 4, 2, epsilon=0.2)
     _assert_pinned(problem, truth, _PINNED_PROOF_DRAW)
     assert rng.bit_generator.state["state"]["state"] == _PINNED_PROOF_DRAW["state_after"]

@@ -63,6 +63,13 @@ def test_default_stopping_is_k_iterations():
     assert cfg.stopping.max_iterations == cfg.K
 
 
+def test_constructor_refuses_a_stopping_that_is_not_a_rule():
+    # built directly, not through from_dict: refused here, not inside run_experiment
+    for stopping in ({"mode": FIXED_ITERATIONS, "max_iterations": 2}, "fixed_iterations"):
+        with pytest.raises(ValueError, match="stopping must be an object with keys"):
+            _small_cfg(stopping=stopping)
+
+
 def test_config_dict_roundtrip():
     cfg = _small_cfg(stopping=StoppingRule(RESIDUAL_THRESHOLD, epsilon=0.5))
     back = ExperimentConfig.from_dict(cfg.to_dict())

@@ -15,6 +15,7 @@ from bomp.core import (
     SensingProblem,
     block_support,
     extract_blocks,
+    gaussian_instance,
 )
 from bomp.errors import DegenerateProbeError, InfeasibleError, RankDeficientError
 from bomp.proofs import (
@@ -26,7 +27,6 @@ from bomp.proofs import (
     eta_via_identity,
     lemma1_check,
     random_proof_instance,
-    random_recovery_problem,
     run_proof_verification,
 )
 from bomp.solver import project_least_squares
@@ -66,7 +66,7 @@ def test_instance_validation():
 
 def test_instance_xi_reproduces_projection():
     rng = np.random.default_rng(30)
-    problem, truth = random_recovery_problem(rng, 5, 2, 2, rows=30, epsilon=0.2)
+    problem, truth = gaussian_instance(rng, BlockLayout(5, 2), 30, 2, epsilon=0.2)
     support = block_support(truth)
     probe = min(set(range(1, 6)) - set(support))
     xi = ProofInstance(problem, truth, partial_support=(), probe_index=probe).xi
@@ -155,7 +155,7 @@ def test_orthogonal_probe_raises_degenerate_error():
 
 def test_lemma_noiseless_is_tight():
     rng = np.random.default_rng(33)
-    problem, truth = random_recovery_problem(rng, 5, 2, 2, rows=40, epsilon=0.0)
+    problem, truth = gaussian_instance(rng, BlockLayout(5, 2), 40, 2, epsilon=0.0)
     probe = next(i for i in range(1, 6) if i not in block_support(truth))
     report = lemma1_check(ProofInstance(problem, truth, (), probe))
     assert report.holds
