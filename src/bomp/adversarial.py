@@ -113,13 +113,11 @@ def build_adversarial_instance(p: AdversarialParams):
 def closed_form_spectrum(p: AdversarialParams) -> np.ndarray:
     """Eigenvalues of the width-1 dictionary's Gram matrix, ascending.
 
-    Only stated for d = 1: {1-delta, 1+delta} when K = 1, and
-    {1-delta^2 with multiplicity K-1, 1-delta, 1+delta} when K > 1.
+    Only stated for d = 1: {1-delta^2 with multiplicity K-1, 1-delta, 1+delta},
+    which is {1-delta, 1+delta} when K = 1.
     """
     if p.d != 1:
         raise ValueError("closed-form spectrum is only available for d = 1")
-    if p.K == 1:
-        return np.array([1.0 - p.delta, 1.0 + p.delta])
     eigenvalues = np.concatenate(
         [
             np.full(p.K - 1, 1.0 - p.delta**2),

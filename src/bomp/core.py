@@ -124,6 +124,14 @@ class BlockLayout:
             raise ValueError(f"block index {index} out of range 1..{self.num_blocks}")
         return int(index)
 
+    def check_support(self, indices) -> list:
+        """``indices`` as an ascending list of plain ints: the one rule for a
+        support. ValueError for an index :meth:`check_index` refuses or a repeat."""
+        support = [self.check_index(i) for i in indices]
+        if len(set(support)) != len(support):
+            raise ValueError(f"duplicate block indices in support {sorted(support)}")
+        return sorted(support)
+
     def block_indices(self) -> range:
         """All block indices, 1-based."""
         return range(1, self.num_blocks + 1)
@@ -237,11 +245,7 @@ def extract_blocks(A: BlockedMatrix, support) -> np.ndarray:
     order given; duplicate or out-of-range indices are rejected. An empty
     support yields an (m, 0) matrix.
     """
-    indices = [A.layout.check_index(i) for i in support]
-    if len(set(indices)) != len(indices):
-        raise ValueError(f"duplicate block indices in support {indices}")
-    indices.sort()
-    return A.entries[:, A.layout.columns(indices).ravel()]
+    return A.entries[:, A.layout.columns(A.layout.check_support(support)).ravel()]
 
 
 def gaussian_instance(

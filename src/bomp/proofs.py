@@ -82,7 +82,7 @@ class ProofInstance:
 
     def __post_init__(self):
         layout = self.problem.matrix.layout
-        chosen = tuple(sorted(layout.check_index(i) for i in self.partial_support))
+        chosen = tuple(layout.check_support(self.partial_support))
         object.__setattr__(self, "partial_support", chosen)
         object.__setattr__(self, "probe_index", layout.check_index(self.probe_index))
         T = set(self.support)

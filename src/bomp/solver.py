@@ -49,7 +49,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import BlockedMatrix, BlockSignal, SensingProblem, as_int, as_real, extract_blocks
+from .core import (BlockedMatrix, BlockSignal, SensingProblem, _frozen_array, as_int, as_real,
+                   extract_blocks)
 from .errors import BompError, RankDeficientError
 from .io import json_fields
 
@@ -121,21 +122,11 @@ class RecoveryTrace:
         return {**json_fields(self), "final_estimate": self.final_estimate.values.tolist()}
 
 
-def select_block(A: BlockedMatrix, r: np.ndarray, exclude=()) -> int:
-    """Index of the block maximizing ||A[l]' r||_2, smallest index on ties:
-    the per-residual reference of the pick, which no library path calls.
-    Blocks in ``exclude`` are masked out of the argmax; they cannot win once
-    the residual is orthogonal to them, but masking is robust to round-off.
-    ValueError when ``exclude`` leaves no block.
-    """
-    scores = block_correlation_scores(A, r)
-    masked = [A.layout.check_index(i) - 1 for i in exclude]
-    if masked:
-        scores[masked] = -1.0
-        if scores.max() < 0.0:
-            raise ValueError(f"exclude covers all {A.layout.num_blocks} blocks; no block is left")
-    # np.argmax returns the first maximum, which is the smallest block index
-    return int(np.argmax(scores)) + 1
+def select_block(A: BlockedMatrix, r: np.ndarray) -> int:
+    """Index of the block maximizing ||A[l]' r||_2, smallest index on ties (np.argmax
+    takes the first maximum): the per-residual reference of the pick, which no
+    library path calls. It masks no block; the pursuit masks the blocks it chose."""
+    return int(np.argmax(block_correlation_scores(A, r))) + 1
 
 
 def block_correlation_scores(A: BlockedMatrix, r: np.ndarray) -> np.ndarray:
@@ -144,9 +135,7 @@ def block_correlation_scores(A: BlockedMatrix, r: np.ndarray) -> np.ndarray:
     Raises :class:`BompError` when a score is not finite: an argmax over
     overflowed scores would pick a block by its index, not by correlation.
     """
-    r = np.asarray(r, dtype=float)
-    if r.shape != (A.rows,):
-        raise ValueError(f"residual must have length {A.rows}")
+    r = _frozen_array(r, (A.rows,), "residual")
     scores = _stacked_scores(A.entries[None], r[None], A.layout.block_width)[0]
     if not np.isfinite(scores).all():
         raise _overflow_error()
@@ -173,6 +162,16 @@ def _stacked_norms(vectors: np.ndarray) -> np.ndarray:
 
 def _overflow_error() -> BompError:
     return BompError("the residual norm or the block selection scores overflow double precision")
+
+
+def _estimate(layout, indices, coef: np.ndarray) -> BlockSignal:
+    """The signal with ``coef`` on the blocks ``indices``, in that order, and
+    zero elsewhere. Raises :class:`BompError` when a coefficient is not finite."""
+    if not np.isfinite(coef).all():
+        raise BompError("the least-squares estimate overflows double precision")
+    values = np.zeros(layout.ambient_dim)
+    values[layout.columns(indices).ravel()] = coef
+    return BlockSignal(layout, values)
 
 
 def _rank_failure(indices, sigma: np.ndarray):
@@ -234,17 +233,12 @@ def project_least_squares(A: BlockedMatrix, support, y: np.ndarray):
     ``run_bomp`` reaches the same projections incrementally, and the proof
     checks and the solver's differential tests compare against this one.
     """
-    y = np.asarray(y, dtype=float)
-    if y.shape != (A.rows,):
-        raise ValueError(f"observation must have length {A.rows}")
-    indices = sorted(A.layout.check_index(i) for i in support)
+    y = _frozen_array(y, (A.rows,), "observation")
+    indices = A.layout.check_support(support)
     sub, U, sigma, Vt = _checked_svd(A, indices)
-    coef = Vt.T @ ((U.T @ y) / sigma)
-    values = np.zeros(A.layout.ambient_dim)
-    values[A.layout.columns(indices).ravel()] = coef
-    estimate = BlockSignal(A.layout, values)
-    residual = y - sub @ coef
-    return estimate, residual
+    with np.errstate(over="ignore", invalid="ignore"):  # _estimate refuses an overflow
+        coef = Vt.T @ ((U.T @ y) / sigma)
+    return _estimate(A.layout, indices, coef), y - sub @ coef
 
 
 def run_bomp(problem: SensingProblem, stop: StoppingRule) -> RecoveryTrace:
@@ -367,20 +361,17 @@ def _finish(entries, y, layout, picks, norms, Qt, R, status) -> RecoveryTrace:
     the reference replays the prefixes of the picks and decides.
     """
     chosen = [int(i) for i in picks]
-    values = np.zeros(layout.ambient_dim)
     n = len(chosen) * layout.block_width
-    if n:
-        if not _gram_screen_clears(R[:n, :n]):
-            # the reference decides, raising for the shortest failing prefix; only
-            # this rare path builds the problem's matrix, a copy of its slice
-            A = BlockedMatrix(layout, entries)
-            for j in range(1, len(chosen) + 1):
-                project_least_squares(A, chosen[:j], y)
-        coef = np.linalg.solve(R[:n, :n], Qt[:n] @ y)
-        values[layout.columns(chosen).ravel()] = coef
+    if n and not _gram_screen_clears(R[:n, :n]):
+        # the reference decides, raising for the shortest failing prefix; only
+        # this rare path builds the problem's matrix, a copy of its slice
+        A = BlockedMatrix(layout, entries)
+        for j in range(1, len(chosen) + 1):
+            project_least_squares(A, chosen[:j], y)
+    coef = np.linalg.solve(R[:n, :n], Qt[:n] @ y)
     return RecoveryTrace(
         chosen_indices=tuple(chosen),
         residual_norms=tuple(norms.tolist()),
-        final_estimate=BlockSignal(layout, values),
+        final_estimate=_estimate(layout, chosen, coef),
         status=status,
     )

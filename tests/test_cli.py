@@ -90,6 +90,49 @@ def test_run_rejects_overflowing_selection_scores(tmp_path, capsys):
     ]
 
 
+def test_run_rejects_an_overflowing_estimate(tmp_path, capsys):
+    rng = np.random.default_rng(0)
+    A = BlockedMatrix(BlockLayout(5, 2), 1e-300 * rng.normal(size=(20, 10)))
+    save_matrix(tmp_path / "A.csv", A, tmp_path / "A.json")
+    save_vector(tmp_path / "y.csv", 1e10 * rng.normal(size=20))
+    code = main([
+        "run",
+        "--matrix", str(tmp_path / "A.csv"),
+        "--layout", str(tmp_path / "A.json"),
+        "--obs", str(tmp_path / "y.csv"),
+        "--max-iter", "3",
+    ])
+    assert code == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err.splitlines() == ["error: the least-squares estimate overflows double precision"]
+
+
+def test_run_with_both_flags_stops_at_whichever_fires_first(instance_files, capsys):
+    rng = np.random.default_rng(51)
+    clean = np.loadtxt(instance_files / "y.csv", delimiter=",")
+    save_vector(instance_files / "noisy.csv", clean + 0.1 * rng.normal(size=clean.size))
+
+    def run(obs, *flags):
+        code = main([
+            "run",
+            "--matrix", str(instance_files / "A.csv"),
+            "--layout", str(instance_files / "A.json"),
+            "--obs", str(instance_files / obs),
+            *flags,
+        ])
+        assert code == 0
+        payload = _json_out(capsys)
+        return payload["iterations_run"], payload["status"]
+
+    # the residual reaches epsilon after the two true blocks, inside the budget
+    assert run("y.csv", "--epsilon", "1e-10", "--max-iter", "4") == (2, "converged")
+    # the budget fires before the residual gets there: still converged
+    assert run("y.csv", "--epsilon", "1e-10", "--max-iter", "1") == (1, "converged")
+    # epsilon alone, out of reach of the noise: the four blocks run out first
+    assert run("noisy.csv", "--epsilon", "1e-3") == (4, "iteration_budget_exceeded")
+
+
 def test_rip_exact_and_sampled(instance_files, capsys):
     args = [
         "rip",
@@ -505,6 +548,15 @@ _CLI_FLAGS = {
         "--points": _flag(st.integers(2, 40)),
         "--epsilon": _flag(_reals(10.0)),
     },
+    "run": {
+        "--epsilon": _flag(_reals(10.0)),
+        "--max-iter": _flag(st.integers(1, 6)),
+    },
+    "verify-proofs": {
+        # a left-out --trials would run the default 100
+        "--trials": _flag(st.integers(1, 5), required=True),
+        "--seed": _flag(st.integers(0, 2**32)),
+    },
     "adversarial": {
         "--d": _flag(st.integers(1, 4), required=True),
         "--K": _flag(st.integers(1, 5), required=True),
@@ -513,6 +565,21 @@ _CLI_FLAGS = {
         "--t0": _flag(_reals(10.0)),
     },
 }
+
+
+def _run_files(tmp_path) -> list:
+    """The ``--matrix``, ``--layout`` and ``--obs`` flags of a noisy 12x8
+    system, written once under ``tmp_path``."""
+    if not (tmp_path / "y.csv").exists():
+        rng = np.random.default_rng(52)
+        A = BlockedMatrix(BlockLayout(4, 2), rng.normal(size=(12, 8)) / np.sqrt(12))
+        save_matrix(tmp_path / "A.csv", A, tmp_path / "A.json")
+        save_vector(tmp_path / "y.csv", A.entries @ rng.normal(size=8) + 0.1 * rng.normal(size=12))
+    return [
+        "--matrix", str(tmp_path / "A.csv"),
+        "--layout", str(tmp_path / "A.json"),
+        "--obs", str(tmp_path / "y.csv"),
+    ]
 
 
 def _refuse_constant(name):
@@ -536,6 +603,8 @@ def test_cli_exits_cleanly_on_any_flag_values(command, data, tmp_path, capsys):
             argv += [flag, value]
     if command == "adversarial":
         argv += ["--out-dir", str(tmp_path / "adv")]
+    if command == "run":
+        argv += _run_files(tmp_path)
 
     code = main(argv)
     out, err = capsys.readouterr()

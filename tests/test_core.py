@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -21,7 +22,7 @@ from bomp.core import (
 )
 from bomp.experiment import ExperimentConfig, generate_instance
 from bomp.proofs import ProofInstance
-from bomp.solver import project_least_squares, select_block
+from bomp.solver import project_least_squares
 
 
 def test_layout_basics():
@@ -60,7 +61,6 @@ _BLOCK_INDEX_ENTRY_POINTS = {
     "matrix_block": lambda A, i: A.block(i),
     "from_blocks": lambda A, i: BlockSignal.from_blocks(A.layout, {i: [1.0, 2.0]}),
     "extract_blocks": lambda A, i: extract_blocks(A, [i]),
-    "select_block_exclude": lambda A, i: select_block(A, np.ones(A.rows), exclude=[i]),
     "project_least_squares": lambda A, i: project_least_squares(A, [i], np.ones(A.rows)),
     "partial_support": lambda A, i: _proof_instance(A, partial_support=[i], probe_index=4),
     "probe_index": lambda A, i: _proof_instance(A, partial_support=[], probe_index=i),
@@ -71,6 +71,35 @@ def _proof_instance(A, **indices):
     truth = BlockSignal.from_blocks(A.layout, {1: [1.0, 0.5], 2: [0.0, 2.0], 3: [1.0, 1.0]})
     problem = SensingProblem(matrix=A, observation=A.entries @ truth.values)
     return ProofInstance(problem=problem, truth=truth, **indices)
+
+
+_SUPPORT_ENTRY_POINTS = {
+    "extract_blocks": lambda A, s: extract_blocks(A, s),
+    "project_least_squares": lambda A, s: project_least_squares(A, s, np.ones(A.rows)),
+    "partial_support": lambda A, s: _proof_instance(A, partial_support=s, probe_index=4),
+}
+
+
+def test_a_support_is_an_ascending_list_of_distinct_indices():
+    layout = BlockLayout(4, 2)
+    support = layout.check_support((3, np.int64(1)))
+    assert support == [1, 3] and all(type(i) is int for i in support)
+    assert layout.check_support(()) == []
+    with pytest.raises(ValueError, match=re.escape("duplicate block indices in support [1, 3, 3]")):
+        layout.check_support([3, 1, 3])
+
+
+@pytest.mark.parametrize("entry", sorted(_SUPPORT_ENTRY_POINTS))
+def test_every_support_takes_the_one_rule(entry):
+    """``BlockLayout.check_support`` refuses a repeat where the support enters,
+    and a support may come in any order."""
+    call = _SUPPORT_ENTRY_POINTS[entry]
+    A = BlockedMatrix(BlockLayout(4, 2), np.random.default_rng(4).normal(size=(12, 8)))
+    with pytest.raises(ValueError, match=re.escape("duplicate block indices in support [2, 2]")):
+        call(A, [2, 2])
+    with pytest.raises(ValueError, match="block index must be an integer, got 2.0"):
+        call(A, [1, 2.0])
+    call(A, (np.int64(2), 1))
 
 
 @pytest.mark.parametrize("entry", sorted(_BLOCK_INDEX_ENTRY_POINTS))

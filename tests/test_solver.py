@@ -1,4 +1,5 @@
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -69,24 +70,29 @@ def test_select_block_breaks_ties_toward_smallest_index():
     A = BlockedMatrix(layout, np.eye(6))
     y = np.array([0.0, 1.0, 0.0, 0.0, 1.0, 0.0])  # blocks 2 and 5 tie exactly
     assert select_block(A, y) == 2
-    assert select_block(A, y, exclude=(2,)) == 5
 
 
 def test_select_block_validates_input():
     A = BlockedMatrix(BlockLayout(3, 2), np.eye(6))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=re.escape("residual must have shape (6,), got (5,)")):
         select_block(A, np.zeros(5))
-    with pytest.raises(ValueError):
-        select_block(A, np.zeros(6), exclude=(7,))
-    with pytest.raises(ValueError, match="no block is left"):
-        select_block(A, np.zeros(6), exclude=(1, 2, 3))
-    # a NumPy array of indices is masked like a tuple of them
-    r = np.arange(1.0, 7.0)
-    assert select_block(A, r, exclude=np.array([1, 2])) == 3
-    assert select_block(A, r, exclude=np.array([], dtype=int)) == select_block(A, r) == 3
-    assert select_block(A, r, exclude=np.array([3])) == 2
-    with pytest.raises(ValueError, match="no block is left"):
-        select_block(A, r, exclude=np.array([3, 1, 2]))
+    assert select_block(A, np.arange(1.0, 7.0)) == 3
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=repr)
+def test_a_vector_with_a_non_finite_entry_is_refused_by_name(bad):
+    """The rule ``SensingProblem`` applies to its observation, at every entry
+    point that takes a vector; a NaN is not reported as an overflow."""
+    A = BlockedMatrix(BlockLayout(3, 2), np.random.default_rng(2).normal(size=(8, 6)))
+    v = np.ones(8)
+    v[5] = bad
+    for call in (block_correlation_scores, select_block):
+        with pytest.raises(ValueError, match="^residual contains non-finite entries$"):
+            call(A, v)
+    with pytest.raises(ValueError, match="^observation contains non-finite entries$"):
+        project_least_squares(A, (1,), v)
+    with pytest.raises(ValueError, match=re.escape("observation must have shape (8,), got (7,)")):
+        project_least_squares(A, (1,), np.ones(7))
 
 
 def test_correlation_scores_match_definition():
@@ -214,7 +220,8 @@ def test_trace_serialization_mirrors_fields():
 
 
 def _reference_pursuit(problem, stop):
-    """The pursuit replayed with one SVD projection per pick.
+    """The pursuit replayed with one SVD projection per pick, from the
+    reference scores with the chosen blocks masked out.
 
     Returns (chosen, residual norms, estimate, status), or raises what
     ``project_least_squares`` raises on the first rank-deficient prefix.
@@ -232,7 +239,11 @@ def _reference_pursuit(problem, stop):
             return chosen, norms, estimate, STATUS_CONVERGED
         if len(chosen) == budget:
             return chosen, norms, estimate, STATUS_BUDGET_EXCEEDED
-        chosen.append(select_block(A, residual, exclude=chosen))
+        # mask the blocks already chosen: they cannot win once the residual
+        # is orthogonal to them, but masking is robust to round-off
+        scores = block_correlation_scores(A, residual)
+        scores[[i - 1 for i in chosen]] = -1.0
+        chosen.append(int(np.argmax(scores)) + 1)
         estimate, residual = project_least_squares(A, chosen, y)
         norms.append(float(np.linalg.norm(residual)))
 
@@ -579,3 +590,37 @@ def test_overflowing_scores_raise_instead_of_picking_by_index():
             assert outcome.status == alone.status
             np.testing.assert_array_equal(outcome.final_estimate.values, alone.final_estimate.values)
         assert outcomes[2].iterations_run >= 4
+
+
+def _tiny_dictionary_problems():
+    """One Gaussian problem twice: as drawn, and with its dictionary scaled by
+    1e-300, so that the least-squares estimate of the second passes 1e308."""
+    rng = np.random.default_rng(0)
+    layout = BlockLayout(5, 2)
+    entries = rng.normal(size=(20, 10))
+    y = 1e10 * rng.normal(size=20)
+    return [
+        SensingProblem(matrix=BlockedMatrix(layout, scale * entries), observation=y)
+        for scale in (1.0, 1e-300)
+    ]
+
+
+def test_an_overflowing_estimate_is_refused_as_that_problems_outcome():
+    fine, tiny = _tiny_dictionary_problems()
+    stop = StoppingRule(FIXED_ITERATIONS, max_iterations=3)
+    message = "^the least-squares estimate overflows double precision$"
+    with pytest.raises(BompError, match=message):
+        run_bomp(tiny, stop)
+    with pytest.raises(BompError, match=message):
+        project_least_squares(tiny.matrix, (1, 2, 3), tiny.observation)
+
+    outcomes = _pursue_stack([fine, tiny, fine], stop)
+    assert [type(outcome).__name__ for outcome in outcomes] == [
+        "RecoveryTrace", "BompError", "RecoveryTrace"
+    ]
+    assert str(outcomes[1]) == "the least-squares estimate overflows double precision"
+    alone = run_bomp(fine, stop)
+    for outcome in outcomes[::2]:
+        assert outcome.chosen_indices == alone.chosen_indices
+        assert outcome.residual_norms == alone.residual_norms
+        assert outcome.final_estimate.values.tobytes() == alone.final_estimate.values.tobytes()
