@@ -33,8 +33,11 @@ REASON_NORM = "norm"
 
 
 def delta_limit(K: int) -> float:
-    """Feasibility edge 1/sqrt(K+1); ValueError unless K is a positive integer."""
-    return 1.0 / math.sqrt(as_int(K, "K") + 1)
+    """Feasibility edge 1/sqrt(K+1); ValueError unless 1 <= K < the largest double."""
+    K = as_int(K, "K")
+    if not K < sys.float_info.max:
+        raise ValueError(f"K must be below the largest double, got a {K.bit_length()}-bit integer")
+    return 1.0 / math.sqrt(K + 1)
 
 
 @dataclass(frozen=True)
@@ -49,6 +52,7 @@ class BoundInputs:
 
     def __post_init__(self):
         object.__setattr__(self, "K", as_int(self.K, "K"))
+        delta_limit(self.K)  # refuses a K that no bound can take
         object.__setattr__(self, "delta", as_real(self.delta, "delta", positive=True))
         object.__setattr__(self, "epsilon", as_real(self.epsilon, "epsilon", positive=True))
         if not self.delta < 1.0:
@@ -68,7 +72,7 @@ class BoundInputs:
         if not self.feasible:
             raise InfeasibleError(
                 f"delta={self.delta} is not below 1/sqrt(K+1)="
-                f"{delta_limit(self.K):.6f} for K={self.K}"
+                f"{delta_limit(self.K):.6g} for K={self.K}"
             )
 
 

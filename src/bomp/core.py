@@ -214,17 +214,15 @@ def block_norms(x: BlockSignal) -> np.ndarray:
 def mixed_norm(x: BlockSignal, p) -> float:
     """Mixed l2/lp norm: the lp norm of the vector of per-block l2 norms.
 
-    ``p`` must be 1, 2, or infinity. For p=2 this coincides with the plain
-    Euclidean norm of the flat vector.
+    ``p`` must be 1, 2, or infinity, and not a bool. For p=2 this coincides
+    with the plain Euclidean norm of the flat vector.
     """
+    if isinstance(p, (bool, np.bool_)) or p not in (1, 2, math.inf):
+        raise ValueError(f"unsupported mixed-norm order {p!r}; use 1, 2, or math.inf")
     w = block_norms(x)
     if p == 1:
         return float(np.sum(w))
-    if p == 2:
-        return float(np.linalg.norm(w))
-    if p == math.inf:
-        return float(np.max(w))
-    raise ValueError(f"unsupported mixed-norm order {p!r}; use 1, 2, or math.inf")
+    return float(np.linalg.norm(w) if p == 2 else np.max(w))
 
 
 def block_support(x: BlockSignal, zero_tol: float = DEFAULT_ZERO_TOL) -> tuple:

@@ -12,14 +12,15 @@ here on randomized instances:
   ``epsilon/sqrt(1 - delta)``, where delta is the exact isometry constant
   of order K+1.
 
-The margin is computed by two routes. Both read the projection
-coefficients ``xi`` of y on the true support (and so alpha, their part on
-the unchosen blocks) from :class:`ProofInstance`. Each route computes the
-rest on its own: the direct route takes the residual r from SVD-based least
-squares, and the identity route takes r and the projected dictionary from
-an orthonormal basis of the projected-out subspace. The identity route
-derives its ``t``-free parts once per instance (``c = 1/||alpha||_{2,1}``,
-the projected images ``B u`` and ``B v`` and the noise term, in
+The margin is computed by two routes. Both read the projection coefficients
+``xi`` of y on the true support (and so alpha, their part on the unchosen
+blocks) from :class:`ProofInstance`. Each route computes the rest on its
+own: the direct route takes the residuals r and ``y - A xi`` from the
+solver's SVD-based least squares and the probe's score from the pursuit's
+scorer, and the identity route takes r and the projected dictionary from an
+orthonormal basis of the projected-out subspace. The identity route derives
+its ``t``-free parts once per instance (``c = 1/||alpha||_{2,1}``, the
+projected images ``B u`` and ``B v`` and the noise term, in
 :attr:`ProofInstance.identity_images`), so a further t costs two scaled sums
 and two dot products. It refuses a t whose squares overflow or cancel past
 ``IDENTITY_REL_TOL`` of the value, which happens far from t = 1 or when the
@@ -27,9 +28,9 @@ noise swamps the signal, rather than return a margin that has lost its
 digits. Agreement to 1e-9 across instances and t values is strong evidence
 both are implemented as stated. The perturbation bound has one route. Its
 epsilon is the instance's own noise norm ``||y - A x||``, and it reads
-``xi``, ``theta = xi - x`` and the exact constant from the same instance, so
-one least-squares solve on the true support serves both the direct margin
-and the bound.
+``xi`` (and so ``theta = xi - x``) and the exact constant from the same
+instance, so one least-squares fit on the true support, kept with its
+residual, serves both the direct margin and the bound.
 """
 
 from __future__ import annotations
@@ -52,10 +53,10 @@ from .core import (
     extract_blocks,
     gaussian_instance,
 )
-from .errors import DegenerateProbeError, InfeasibleError
+from .errors import BompError, DegenerateProbeError, InfeasibleError
 from .io import json_fields
 from .rip import exact_block_rip
-from .solver import _checked_svd, project_least_squares
+from .solver import _checked_svd, block_correlation_scores, project_least_squares
 
 LEMMA_SLACK = 1e-10
 MAX_ATTEMPTS = 200
@@ -72,7 +73,7 @@ class ProofInstance:
     chosen, so it must be a strict subset of the truth's support; the probe
     index is a block outside the support competing for selection. Each
     quantity the margin routes and the perturbation bound read is derived
-    once, on first use.
+    once, on first use, from one solver fit per support and the pursuit's scorer.
     """
 
     problem: SensingProblem
@@ -108,11 +109,15 @@ class ProofInstance:
         return self.problem.observation - self.problem.matrix.entries @ self.truth.values
 
     @cached_property
+    def support_fit(self) -> tuple:
+        """``(xi, y - A xi)``: the one least-squares fit of y on the true support."""
+        return project_least_squares(self.problem.matrix, self.support, self.problem.observation)
+
+    @property
     def xi(self) -> BlockSignal:
         """Projection coefficients of y on the true support: zero off it, and
         ``A xi`` is the orthogonal projection of y onto its span."""
-        A = self.problem.matrix
-        return project_least_squares(A, self.support, self.problem.observation)[0]
+        return self.support_fit[0]
 
     @cached_property
     def alpha_21(self) -> float:
@@ -136,21 +141,14 @@ class ProofInstance:
 
     @cached_property
     def probe_score(self) -> float:
-        """``||A[j]' r||_2``: the probe's selection score against :attr:`partial_residual`."""
-        A = self.problem.matrix
-        return float(np.linalg.norm(A.block(self.probe_index).T @ self.partial_residual))
+        """``||A[j]' r||_2``: the probe's score against :attr:`partial_residual`."""
+        scores = block_correlation_scores(self.problem.matrix, self.partial_residual)
+        return float(scores[self.probe_index - 1])
 
-    @cached_property
-    def theta(self) -> BlockSignal:
-        """``xi - x``: the theta of the decomposition ``xi = x + theta``, which
-        are the coefficients of the noise projected onto the true support."""
-        return BlockSignal(self.truth.layout, self.xi.values - self.truth.values)
-
-    @cached_property
+    @property
     def noise_off_support(self) -> np.ndarray:
-        """``y - A xi``, the part of the noise orthogonal to the span of the
-        true support: it equals ``Pperp_T e`` because ``A x`` lies in that span."""
-        return self.problem.observation - self.problem.matrix.entries @ self.xi.values
+        """``y - A xi``, the fit's residual: ``Pperp_T e``, as ``A x`` lies in span(A_T)."""
+        return self.support_fit[1]
 
     @cached_property
     def rip_delta(self) -> float:
@@ -188,7 +186,7 @@ class ProofInstance:
 
 def _range_basis(A: BlockedMatrix, support) -> np.ndarray:
     """Orthonormal basis of the span of the supported column blocks."""
-    return _checked_svd(A, sorted(support))[1]
+    return _checked_svd(A, support)[2]
 
 
 def _project_out(basis: np.ndarray, w: np.ndarray) -> np.ndarray:
@@ -203,11 +201,8 @@ def eta_direct(inst: ProofInstance) -> float:
     projection coefficients on the not-yet-chosen support blocks.
     """
     alpha_21 = inst.alpha_21
-    r = inst.partial_residual
-    e_off_support = inst.noise_off_support
-
-    r2 = float(np.dot(r, r))
-    e2 = float(np.dot(e_off_support, e_off_support))
+    r, e_off_support = inst.partial_residual, inst.noise_off_support
+    r2, e2 = float(np.dot(r, r)), float(np.dot(e_off_support, e_off_support))
     return (r2 - e2) / alpha_21 - inst.probe_score
 
 
@@ -273,10 +268,10 @@ def lemma1_check(inst: ProofInstance) -> Lemma1Report:
     """Check the minimum-block-norm perturbation bound on one instance.
 
     The noise bound epsilon is the instance's own noise norm ``||y - A x||``,
-    the tightest value the lemma admits. Reads ``xi``, ``theta`` and the exact
-    isometry constant of order |T|+1 from the instance, so the instance must
-    be small enough to enumerate; raises :class:`InfeasibleError` when that
-    constant is not below 1, and ValueError when a quantity overflows.
+    the tightest value the lemma admits. Reads ``xi`` (so ``theta = xi - x``)
+    and the exact isometry constant of order |T|+1 from the instance, so the
+    instance must be small enough to enumerate; raises :class:`InfeasibleError`
+    when that constant is not below 1, and ValueError when a quantity overflows.
     """
     delta = inst.rip_delta
     if delta >= 1.0:
@@ -292,7 +287,7 @@ def lemma1_check(inst: ProofInstance) -> Lemma1Report:
         return Lemma1Report(
             lhs=float(block_norms(inst.xi)[on_support].min()),
             rhs=float(block_norms(inst.truth)[on_support].min()) - margin,
-            theta_norm=float(np.linalg.norm(inst.theta.values)),
+            theta_norm=float(np.linalg.norm(inst.xi.values - inst.truth.values)),
             theta_bound=margin,
         )
 
@@ -321,7 +316,7 @@ def random_proof_instance(
     rows = 10 * (sparsity + 1) * block_width
     layout = BlockLayout(num_blocks, block_width)
 
-    # a draw or a projection of it can overflow only through epsilon
+    # only epsilon overflows a draw, its fit or scores: numpy raises, the solver a plain BompError
     try:
         with np.errstate(over="raise"):
             for _ in range(MAX_ATTEMPTS):
@@ -346,7 +341,9 @@ def random_proof_instance(
                 if inst.probe_score == 0.0:
                     continue
                 return inst
-    except FloatingPointError:
+    except (FloatingPointError, BompError) as exc:
+        if type(exc) not in (FloatingPointError, BompError):
+            raise
         raise ValueError(f"epsilon {epsilon:g} overflows double precision") from None
     raise RuntimeError(f"no acceptable instance after {MAX_ATTEMPTS} attempts")
 

@@ -49,8 +49,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import (BlockedMatrix, BlockSignal, SensingProblem, _frozen_array, as_int, as_real,
-                   extract_blocks)
+from .core import BlockedMatrix, BlockSignal, SensingProblem, _frozen_array, as_int, as_real
 from .errors import BompError, RankDeficientError
 from .io import json_fields
 
@@ -203,13 +202,15 @@ def _gram_screen_clears(R: np.ndarray) -> bool:
     return True
 
 
-def _checked_svd(A: BlockedMatrix, indices: list):
-    """Thin SVD of the subdictionary on the sorted block ``indices``.
+def _checked_svd(A: BlockedMatrix, support):
+    """Thin SVD of the subdictionary on the blocks ``support``, checked here once.
 
-    Returns ``(sub, U, sigma, Vt)``; raises :class:`RankDeficientError` when
-    ``sub`` has more columns than rows or fails :func:`_rank_failure`.
+    Returns ``(indices, sub, U, sigma, Vt)``, ``indices`` the checked ascending
+    support; raises :class:`RankDeficientError` when ``sub`` has more columns
+    than rows or fails :func:`_rank_failure`.
     """
-    sub = extract_blocks(A, indices)
+    indices = A.layout.check_support(support)
+    sub = A.entries[:, A.layout.columns(indices).ravel()]
     if sub.shape[1] > A.rows:
         raise RankDeficientError(f"support spans {sub.shape[1]} columns but only {A.rows} rows")
     U, sigma, Vt = np.linalg.svd(sub, full_matrices=False)
@@ -217,7 +218,7 @@ def _checked_svd(A: BlockedMatrix, indices: list):
         error = _rank_failure(indices, sigma)
         if error is not None:
             raise error
-    return sub, U, sigma, Vt
+    return indices, sub, U, sigma, Vt
 
 
 def project_least_squares(A: BlockedMatrix, support, y: np.ndarray):
@@ -234,8 +235,7 @@ def project_least_squares(A: BlockedMatrix, support, y: np.ndarray):
     checks and the solver's differential tests compare against this one.
     """
     y = _frozen_array(y, (A.rows,), "observation")
-    indices = A.layout.check_support(support)
-    sub, U, sigma, Vt = _checked_svd(A, indices)
+    indices, sub, U, sigma, Vt = _checked_svd(A, support)
     with np.errstate(over="ignore", invalid="ignore"):  # _estimate refuses an overflow
         coef = Vt.T @ ((U.T @ y) / sigma)
     return _estimate(A.layout, indices, coef), y - sub @ coef

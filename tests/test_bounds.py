@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bomp.adversarial import AdversarialParams
 from bomp.bounds import (
     REASON_NORM,
     REASON_RIP,
@@ -48,6 +49,17 @@ def test_inputs_validation():
     for epsilon in (0.0, float("inf"), float("nan")):
         with pytest.raises(ValueError, match="epsilon"):
             BoundInputs(K=1, delta=0.1, epsilon=epsilon)
+    # every bound takes sqrt(K+1), so a K that no double holds is refused by name
+    message = "^K must be below the largest double, got a 1329-bit integer$"
+    for build in (
+        lambda: delta_limit(10**400),
+        lambda: BoundInputs(K=10**400, delta=0.1),
+        lambda: check_sufficient(10**400, 0.1, 1.0, 1.0),
+        lambda: AdversarialParams(d=2, K=10**400, delta=0.1, epsilon=1.0, t0=1.0),
+    ):
+        with pytest.raises(ValueError, match=message):
+            build()
+    assert BoundInputs(K=int(sys.float_info.max) - 1, delta=1e-160).feasible
 
 
 def test_feasibility_edge():

@@ -209,6 +209,22 @@ def test_bounds_json(capsys):
 def test_bounds_infeasible_exit_code(capsys):
     assert main(["bounds", "--K", "10", "--delta", "0.5"]) == 3
     assert "not below" in capsys.readouterr().err
+    # the edge prints to six significant digits, so a tiny one does not read 0
+    assert main(["bounds", "--K", str(10**30), "--delta", "0.1"]) == 3
+    assert "1/sqrt(K+1)=1e-15 for K=" in _one_line_error(capsys)
+
+
+def test_a_k_that_no_double_holds_is_refused_by_name(tmp_path, capsys):
+    huge = str(10**400)
+    for argv in (
+        ["bounds", "--K", huge, "--delta", "0.1"],
+        ["figure1", "--K", huge],
+        ["adversarial", "--d", "2", "--K", huge, "--delta", "0.1", "--epsilon", "1",
+         "--out-dir", str(tmp_path / "adv")],
+    ):
+        assert main(argv) == 2, argv
+        err = _one_line_error(capsys)
+        assert "K must be below the largest double, got a 1329-bit integer" in err, argv
 
 
 def test_figure1_stdout_and_file(tmp_path, capsys):
@@ -516,15 +532,21 @@ def test_overflowing_draws_are_refused_by_name(tmp_path, capsys):
 
 
 # Flag values a user might type: edge and malformed values mixed with valid ones.
-_EDGE_VALUES = ("0", "-1", "-0.5", "5e-324", "1e308", "inf", "-inf", "nan", "abc", "", "[1]")
+# The first is a 401-digit integer, which no double holds; hypothesis draws the
+# first value of a ``sampled_from`` most often, so the derandomized runs reach it.
+_EDGE_VALUES = (
+    "1" + "0" * 400, "0", "-1", "-0.5", "5e-324", "1e308", "inf", "-inf", "nan", "abc", "", "[1]",
+)
+# a huge trial count is valid and only runs long, so a count never draws one
+_COUNT_EDGE_VALUES = _EDGE_VALUES[1:]
 
 
-def _flag(valid, required=False):
-    """A flag value: valid three times in four, else one of ``_EDGE_VALUES``, so
+def _flag(valid, required=False, edges=_EDGE_VALUES):
+    """A flag value: valid three times in four, else one of ``edges``, so
     that whole argument vectors are often valid; or left out (None) when
     optional. A left-out required flag is one case only, so it is not drawn."""
     valid = valid.map(str)
-    values = st.one_of(valid, valid, valid, st.sampled_from(_EDGE_VALUES))
+    values = st.one_of(valid, valid, valid, st.sampled_from(edges))
     return values if required else st.one_of(st.none(), values)
 
 
@@ -554,7 +576,7 @@ _CLI_FLAGS = {
     },
     "verify-proofs": {
         # a left-out --trials would run the default 100
-        "--trials": _flag(st.integers(1, 5), required=True),
+        "--trials": _flag(st.integers(1, 5), required=True, edges=_COUNT_EDGE_VALUES),
         "--seed": _flag(st.integers(0, 2**32)),
     },
     "adversarial": {

@@ -271,6 +271,10 @@ def test_block_norms_and_mixed_norms():
     assert mixed_norm(x, 2) == pytest.approx(np.linalg.norm(x.values))
     with pytest.raises(ValueError):
         mixed_norm(x, 3)
+    # True == 1, but an order is refused as a bool as every numeric parameter is
+    for p in (True, False, np.True_):
+        with pytest.raises(ValueError, match=rf"^unsupported mixed-norm order {p!r}; "):
+            mixed_norm(x, p)
 
 
 def test_block_support_threshold():

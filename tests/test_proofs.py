@@ -17,7 +17,12 @@ from bomp.core import (
     extract_blocks,
     gaussian_instance,
 )
-from bomp.errors import DegenerateProbeError, InfeasibleError, RankDeficientError
+from bomp.errors import (
+    BudgetExceededError,
+    DegenerateProbeError,
+    InfeasibleError,
+    RankDeficientError,
+)
 from bomp.proofs import (
     IDENTITY_REL_TOL,
     T_VALUES,
@@ -29,7 +34,7 @@ from bomp.proofs import (
     random_proof_instance,
     run_proof_verification,
 )
-from bomp.solver import project_least_squares
+from bomp.solver import block_correlation_scores, project_least_squares
 
 
 def _identity_instance(values, partial, probe):
@@ -74,6 +79,17 @@ def test_instance_xi_reproduces_projection():
     residual = problem.observation - problem.matrix.entries @ xi.values
     for i in support:
         assert np.linalg.norm(problem.matrix.block(i).T @ residual) < 1e-10
+
+    # the instance keeps the solver's fit and reads the pursuit's scorer, bit for bit
+    rng = np.random.default_rng(39)
+    for _ in range(10):
+        inst = random_proof_instance(rng)
+        A, y = inst.problem.matrix, inst.problem.observation
+        xi, residual = project_least_squares(A, inst.support, y)
+        np.testing.assert_array_equal(inst.xi.values, xi.values)
+        np.testing.assert_array_equal(inst.noise_off_support, residual)
+        scores = block_correlation_scores(A, inst.partial_residual)
+        assert inst.probe_score == scores[inst.probe_index - 1]
 
 
 def test_range_basis_refuses_what_the_solver_refuses():
@@ -245,8 +261,11 @@ def test_identity_and_lemma_hold_on_random_instances(seed, shape, epsilon):
 
 
 def test_overflowing_epsilon_is_refused_by_name():
-    with pytest.raises(ValueError, match=r"^epsilon 1\.7e\+308 overflows double precision$"):
-        random_proof_instance(np.random.default_rng(0), epsilon=1.7e308)
+    # at seed 9, 1e155 overflows first in the selection scores of the probe's residual
+    for seed, epsilon in ((0, 1.7e308), (0, 1e155), (9, 1e155)):
+        message = f"^{re.escape(f'epsilon {epsilon:g} overflows double precision')}$"
+        with pytest.raises(ValueError, match=message):
+            random_proof_instance(np.random.default_rng(seed), epsilon=epsilon)
 
 
 def test_lemma_refuses_an_overflowed_quantity():
@@ -289,6 +308,9 @@ def test_generator_shapes_and_rejection():
     assert set(inst.partial_support) < set(inst.support)
     with pytest.raises(ValueError):
         random_proof_instance(rng, num_blocks=3, block_width=1, sparsity=3)
+    # the exact constant's budget refusal is not mistaken for an overflow
+    with pytest.raises(BudgetExceededError):
+        random_proof_instance(rng, num_blocks=60, block_width=3, sparsity=3)
 
 
 def test_generator_is_deterministic_given_state():
@@ -314,15 +336,17 @@ def test_verification_batch_summary():
         run_proof_verification(trials=0, seed=1)
 
 
-def _count_calls(monkeypatch, name="project_least_squares"):
+def _count_calls(monkeypatch, name="project_least_squares", owner=bomp.proofs):
+    """Record the second argument of every call to ``owner.name``: the support
+    of a projection or a basis, or the support a layout method checks."""
     calls = []
-    original = getattr(bomp.proofs, name)
+    original = getattr(owner, name)
 
     def counting(*args, **kwargs):
         calls.append(args[1])
         return original(*args, **kwargs)
 
-    monkeypatch.setattr(bomp.proofs, name, counting)
+    monkeypatch.setattr(owner, name, counting)
     return calls
 
 
@@ -349,17 +373,26 @@ def test_sweep_solves_at_most_two_bases_per_trial(monkeypatch):
 
 
 def test_instance_derives_each_projection_once(monkeypatch):
-    inst = random_proof_instance(np.random.default_rng(37))
+    drawn = random_proof_instance(np.random.default_rng(37))
+    # the same draw afresh, so that every quantity is derived under the counters
+    inst = ProofInstance(drawn.problem, drawn.truth, drawn.partial_support, drawn.probe_index)
     calls = _count_calls(monkeypatch)
     rip_calls = _count_calls(monkeypatch, "exact_block_rip")
+    checks = _count_calls(monkeypatch, "check_support", BlockLayout)
     direct = eta_direct(inst)
-    seen = len(calls)
     assert eta_direct(inst) == direct
-    for t in (0.1, 1.0, 10.0):
+    for t in T_VALUES:
         eta_via_identity(inst, t)
-    assert len(calls) == seen
-    # the perturbation bound reads the same xi and constant; theta is xi - x
+    # the perturbation bound reads the same fit and constant
     report = lemma1_check(inst)
     assert report.holds and report.theta_holds
-    assert len(calls) == seen
-    assert rip_calls == []
+    # one fit per support, however many quantities read it
+    assert sorted(calls) == sorted([inst.support, inst.partial_support])
+    assert len(rip_calls) == 1
+    # each fit and each of the identity's two bases checks its support once,
+    # and the identity's stack of the unchosen blocks once
+    assert len(checks) == 2 + 2 + 1
+
+    checks.clear()
+    project_least_squares(inst.problem.matrix, inst.support, inst.problem.observation)
+    assert checks == [inst.support]
