@@ -27,7 +27,15 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .bounds import BoundInputs, necessary_bound
-from .core import BlockedMatrix, BlockLayout, BlockSignal, SensingProblem, as_int, as_real
+from .core import (
+    MAX_ARRAY_DOUBLES,
+    BlockedMatrix,
+    BlockLayout,
+    BlockSignal,
+    SensingProblem,
+    as_int,
+    as_real,
+)
 from .io import json_fields
 from .solver import block_correlation_scores
 
@@ -45,7 +53,8 @@ class AdversarialParams:
     ``0.99`` times the failure threshold, strictly inside the failure
     region with margin for round-off, which makes the default available
     only in that regime. ``d`` is a positive integer and ``t0`` finite and
-    positive; K, delta and epsilon are checked by :class:`BoundInputs`.
+    positive; K, delta and epsilon are checked by :class:`BoundInputs`. The
+    dictionary's side d(K+1) must leave its square within one array.
     """
 
     d: int
@@ -59,6 +68,12 @@ class AdversarialParams:
         b = BoundInputs(K=self.K, delta=self.delta, epsilon=self.epsilon)
         for name in ("K", "delta", "epsilon"):
             object.__setattr__(self, name, getattr(b, name))
+        side = self.d * (self.K + 1)
+        if side * side > MAX_ARRAY_DOUBLES:
+            raise ValueError(
+                f"the dictionary side d*(K+1) must be at most {math.isqrt(MAX_ARRAY_DOUBLES)}, "
+                f"got a {side.bit_length()}-bit integer"
+            )
         t0 = DEFAULT_T0_SAFETY * necessary_bound(b) if self.t0 is None else self.t0
         object.__setattr__(self, "t0", as_real(t0, "t0", positive=True))
 

@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import as_int, as_real
+from .core import MAX_ARRAY_DOUBLES, as_int, as_real
 from .errors import InfeasibleError
 from .io import json_fields
 
@@ -146,10 +146,16 @@ def check_sufficient(
 
 
 def open_delta_grid(limit: float, points: int) -> np.ndarray:
-    """Uniform grid of ``points`` values strictly inside (0, limit)."""
+    """Uniform grid of ``points`` values strictly inside (0, limit); ValueError
+    unless 2 <= points <= ``MAX_ARRAY_DOUBLES``."""
     points = as_int(points, "points")
     if points < 2:
         raise ValueError(f"points must be at least 2, got {points}")
+    if points > MAX_ARRAY_DOUBLES:
+        raise ValueError(
+            f"points must be at most {MAX_ARRAY_DOUBLES} (2**56), "
+            f"got a {points.bit_length()}-bit integer"
+        )
     return limit * np.arange(1, points + 1) / (points + 1)
 
 

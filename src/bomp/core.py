@@ -19,6 +19,10 @@ import numpy as np
 DEFAULT_ZERO_TOL = 1e-10
 # entries tested per step of the finiteness check, which bounds its mask
 _FINITE_CHECK_ENTRIES = 1 << 16
+# The most doubles a count may ask one array for (512 PiB). Past about 8 EiB
+# NumPy refuses an array with a message that names no parameter; below this,
+# an allocation that fails is a MemoryError that gives its size.
+MAX_ARRAY_DOUBLES = 1 << 56
 
 
 def _read_only(values) -> np.ndarray:

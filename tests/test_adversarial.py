@@ -28,6 +28,11 @@ def test_params_validation():
         AdversarialParams(d=1, K=1, delta=1.0, epsilon=1.0)
     with pytest.raises(ValueError):
         AdversarialParams(d=1, K=1, delta=0.1, epsilon=1.0, t0=-1.0)
+    # the square d(K+1) dictionary must fit one array: its side is refused by name
+    assert AdversarialParams(d=2**28 // 4, K=3, delta=0.1, epsilon=1.0, t0=1.0).d == 2**26
+    for d, K in ((2**26 + 1, 3), (10**400, 2), (1, 2**28)):
+        with pytest.raises(ValueError, match=r"^the dictionary side d\*\(K\+1\) must be at most"):
+            AdversarialParams(d=d, K=K, delta=1e-5, epsilon=1.0, t0=1.0)
 
 
 def test_default_t0_needs_the_failure_regime():

@@ -124,6 +124,10 @@ def test_open_delta_grid_stays_strictly_inside():
     assert np.all(np.diff(grid) > 0)
     with pytest.raises(ValueError):
         open_delta_grid(0.5, 1)
+    # a count past any array is refused by name, not by NumPy
+    for points in (2**56 + 1, 10**400):
+        with pytest.raises(ValueError, match=r"^points must be at most 72057594037927936"):
+            open_delta_grid(0.5, points)
 
 
 def test_figure1_curves_shape_and_content():

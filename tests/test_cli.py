@@ -227,6 +227,21 @@ def test_a_k_that_no_double_holds_is_refused_by_name(tmp_path, capsys):
         assert "K must be below the largest double, got a 1329-bit integer" in err, argv
 
 
+def test_a_count_too_large_for_an_array_is_refused_by_name(tmp_path, capsys):
+    huge = str(10**400)
+    adversarial = ["adversarial", "--K", "2", "--delta", "0.1", "--epsilon", "1",
+                   "--out-dir", str(tmp_path / "adv")]
+    for argv, message in (
+        (["figure1", "--points", huge], "points must be at most 72057594037927936 (2**56)"),
+        (["figure1", "--points", str(2**56 + 1)], "points must be at most"),
+        (adversarial + ["--d", huge], "the dictionary side d*(K+1) must be at most 268435456"),
+        (adversarial + ["--d", str(10**9)], "the dictionary side d*(K+1) must be at most"),
+    ):
+        assert main(argv) == 2, argv
+        assert message in _one_line_error(capsys), argv
+    assert not (tmp_path / "adv").exists()
+
+
 def test_figure1_stdout_and_file(tmp_path, capsys):
     assert main(["figure1", "--K", "10,20", "--points", "4"]) == 0
     lines = capsys.readouterr().out.strip().splitlines()

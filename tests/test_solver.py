@@ -1,3 +1,4 @@
+import contextlib
 import math
 import re
 import tracemalloc
@@ -7,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import bomp.solver
 from bomp.core import BlockedMatrix, BlockLayout, BlockSignal, SensingProblem
 from bomp.errors import BompError, RankDeficientError
 from bomp.solver import (
@@ -18,9 +20,13 @@ from bomp.solver import (
     STATUS_CONVERGED,
     StoppingRule,
     _GRAM_SCREEN,
+    _SCREEN_ENTRIES,
+    _Float32Screen,
+    _float64_picks,
     _gram_screen_clears,
     _pursue,
     _rank_failure,
+    _stacked_norms,
     block_correlation_scores,
     project_least_squares,
     run_bomp,
@@ -47,6 +53,26 @@ def _pursue_stack(problems, stop):
     entries = np.stack([p.matrix.entries for p in problems])
     observations = np.stack([p.observation for p in problems])
     return _pursue(entries, observations, problems[0].matrix.layout, stop)
+
+
+@contextlib.contextmanager
+def _screen(on):
+    """The float32 screen forced on for every dictionary, or off for all."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(bomp.solver, "_SCREEN_ENTRIES", 0 if on else math.inf)
+        yield
+
+
+def _assert_same_outcome(got, want):
+    """Bit for bit: the same trace, or the same exception and message."""
+    assert type(got) is type(want)
+    if isinstance(want, Exception):
+        assert str(got) == str(want)
+        return
+    assert got.chosen_indices == want.chosen_indices
+    assert got.residual_norms == want.residual_norms
+    assert got.status == want.status
+    assert got.final_estimate.values.tobytes() == want.final_estimate.values.tobytes()
 
 
 def test_stopping_rule_validation():
@@ -509,8 +535,12 @@ def test_pursuit_does_not_fall_back_to_the_svd_projection(monkeypatch):
     mode=st.sampled_from((RESIDUAL_THRESHOLD, FIXED_ITERATIONS, BOTH)),
     noise=st.sampled_from((0.0, 0.3)),
     seed=st.integers(0, 2**32 - 1),
+    screen=st.booleans(),
 )
-def test_batched_pursuit_equals_one_problem_at_a_time(d, M, extra_rows, size, mode, noise, seed):
+def test_batched_pursuit_equals_one_problem_at_a_time(
+    d, M, extra_rows, size, mode, noise, seed, screen
+):
+    # alone, these small problems take the float64 pass; batched, also the screen
     rng = np.random.default_rng(seed)
     m = d * int(rng.integers(1, M + 1)) + extra_rows
     K = int(rng.integers(1, min(M, m // d) + 1))
@@ -523,7 +553,8 @@ def test_batched_pursuit_equals_one_problem_at_a_time(d, M, extra_rows, size, mo
     budget = None if mode == RESIDUAL_THRESHOLD else K
     stop = StoppingRule(mode, epsilon=noise + 1e-10, max_iterations=budget)
 
-    outcomes = _pursue_stack(problems, stop)
+    with _screen(screen):
+        outcomes = _pursue_stack(problems, stop)
     assert len(outcomes) == size
     for problem, outcome in zip(problems, outcomes):
         try:
@@ -545,6 +576,33 @@ def test_batched_pursuit_equals_one_problem_at_a_time(d, M, extra_rows, size, mo
 
 
 def test_overflowing_scores_raise_instead_of_picking_by_index():
+    for screen in (False, True):
+        with _screen(screen):
+            _overflowing_scores_raise()
+    # with the screen on: entries and an observation about 1e200, whose norm
+    # overflows before any pick; then the float64 scores overflow where the
+    # float32 copy is infinite (entries about 1e200) and where the scaled
+    # float32 scores are finite (entries about 1e10), and no block is picked
+    rng = np.random.default_rng(1)
+    stop = StoppingRule(FIXED_ITERATIONS, max_iterations=1)
+    for entry_scale, observation_scale, copy_is_finite in (
+        (1e200, 1e200, False),
+        (1e200, 1e100, False),
+        (1e10, 1e150, True),
+    ):
+        A = BlockedMatrix(BlockLayout(8, 2), entry_scale * rng.normal(size=(16, 16)))
+        y = observation_scale * rng.normal(size=16)
+        with pytest.raises(BompError, match="overflow"):
+            block_correlation_scores(A, y)
+        screen = _Float32Screen(A.entries[None], 2)
+        assert np.isfinite(screen.norms).all() == copy_is_finite
+        _, decided = screen.picks(y[None], _stacked_norms(y[None]), np.zeros((1, 0), int))
+        assert not decided[0]
+        with _screen(True), pytest.raises(BompError, match="overflow"):
+            run_bomp(SensingProblem(matrix=A, observation=y), stop)
+
+
+def _overflowing_scores_raise():
     rng = np.random.default_rng(0)
     A = BlockedMatrix(BlockLayout(4, 2), rng.normal(size=(6, 8)))
     y = A.block(2) @ np.array([1e160, 2e160])
@@ -624,3 +682,108 @@ def test_an_overflowing_estimate_is_refused_as_that_problems_outcome():
         assert outcome.chosen_indices == alone.chosen_indices
         assert outcome.residual_norms == alone.residual_norms
         assert outcome.final_estimate.values.tobytes() == alone.final_estimate.values.tobytes()
+
+
+def _near_tie_problem(rng, kind, m, M, d, entry_exponent, observation_exponent):
+    """A Gaussian problem whose dictionary invites a tie: a block ``repeat``ed
+    exactly, ``scaled`` by a power of two, copied with a ``near`` relative
+    perturbation of 1e-10 to 1e-5, ``rank``-deficient against another block,
+    or with a ``mixed`` block 1e-300 times smaller; then the dictionary and the
+    observation are scaled by the given powers of ten."""
+    entries = rng.normal(size=(m, M * d)) / np.sqrt(m)
+    blocks = entries.reshape(m, M, d)
+    src, dst = (int(i) for i in rng.choice(M, size=2, replace=False))
+    if kind == "repeat":
+        blocks[:, dst] = blocks[:, src]
+    elif kind == "scaled":
+        blocks[:, dst] = 2.0 ** int(rng.integers(-3, 4)) * blocks[:, src]
+    elif kind == "near":
+        perturbation = 10.0 ** rng.uniform(-10, -5) * rng.normal(size=(m, d))
+        blocks[:, dst] = blocks[:, src] * (1.0 + perturbation)
+    elif kind == "rank":
+        blocks[:, dst, 0] = blocks[:, src] @ rng.normal(size=d)
+    elif kind == "mixed":
+        blocks[:, dst] *= 1e-300
+    x = np.zeros(M * d)
+    support = rng.choice(M, size=min(M, 1 + m // (2 * d)), replace=False)
+    x.reshape(M, d)[support] = rng.normal(size=(len(support), d)) + 2.0
+    y = (entries @ x + 0.1 * rng.normal(size=m) / np.sqrt(m)) * 10.0**observation_exponent
+    entries *= 10.0**entry_exponent
+    return SensingProblem(matrix=BlockedMatrix(BlockLayout(M, d), entries), observation=y)
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(
+    kind=st.sampled_from(("near", "repeat", "scaled", "rank", "mixed", "gaussian")),
+    d=st.integers(1, 3),
+    M=st.integers(2, 10),
+    extra_rows=st.integers(0, 8),
+    size=st.integers(1, 4),
+    # the screen decides in range and at 1e19; past float32, underflowing
+    # in float32, or out of its range, the float64 pass decides
+    entry_exponent=st.one_of(st.just(0), st.sampled_from((19, -38, -300, 300, 150))),
+    observation_exponent=st.one_of(st.just(0), st.sampled_from((100, -100, -300, 300, 150))),
+    mode=st.sampled_from((FIXED_ITERATIONS, RESIDUAL_THRESHOLD)),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_the_float32_screen_never_changes_an_outcome(
+    kind, d, M, extra_rows, size, entry_exponent, observation_exponent, mode, seed
+):
+    rng = np.random.default_rng(seed)
+    m = d * int(rng.integers(1, M + 1)) + extra_rows
+    problems = [
+        _near_tie_problem(rng, kind, m, M, d, entry_exponent, observation_exponent)
+        for _ in range(size)
+    ]
+    stop = StoppingRule(mode, epsilon=1e-9 * 10.0**observation_exponent, max_iterations=M)
+    with _screen(True):
+        screened = _pursue_stack(problems, stop)
+    with _screen(False):
+        plain = _pursue_stack(problems, stop)
+    for got, want in zip(screened, plain):
+        _assert_same_outcome(got, want)
+
+
+def test_the_screen_proves_clear_picks_and_leaves_near_ties():
+    rng = np.random.default_rng(23)
+    m, M, d = 64, 16, 2
+    entries = rng.normal(size=(m, M * d)) / np.sqrt(m)
+    nothing = np.zeros((1, 0), dtype=int)
+    r = entries[:, 2:4] @ np.array([1.0, -2.0])  # block 2 wins clearly
+    for copy in (
+        entries[:, 2:4],  # exact repeat: a tie, the smallest index wins
+        entries[:, 2:4] * (1.0 + 1e-9 * rng.normal(size=(m, 2))),  # below float32
+        None,
+    ):
+        A = entries.copy()
+        if copy is not None:
+            A[:, 20:22] = copy
+        screen = _Float32Screen(A[None], d)
+        top, decided = screen.picks(r[None], _stacked_norms(r[None]), nothing)
+        want, _ = _float64_picks(A[None], r[None], d, nothing)
+        assert decided[0] == (copy is None)
+        if decided[0]:
+            assert top[0] == want[0] == 1
+    # a masked block is never the pick, and a lone unmasked block is proved
+    chosen = np.array([[i for i in range(1, M + 1) if i != 7]])
+    top, decided = _Float32Screen(entries[None], d).picks(r[None], _stacked_norms(r[None]), chosen)
+    assert top[0] == 6 and decided[0]
+
+
+def test_above_the_size_the_float32_copy_is_the_only_dictionary_sized_allocation():
+    rng = np.random.default_rng(24)
+    m, M, d = 1024, 256, 4
+    assert m * M * d >= _SCREEN_ENTRIES
+    problem, _ = _random_problem(rng, m=m, M=M, d=d, support=(3, 40, 77, 101), noise=0.2)
+    stop = StoppingRule(FIXED_ITERATIONS, max_iterations=8)
+    run_bomp(problem, stop)  # modules numpy imports on first use
+    tracemalloc.start()
+    try:
+        trace = run_bomp(problem, stop)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the float32 copy is half the dictionary; a float64 copy alone is all of it
+    assert peak < 0.75 * problem.matrix.entries.nbytes
+    with _screen(False):
+        assert run_bomp(problem, stop).chosen_indices == trace.chosen_indices
