@@ -19,6 +19,8 @@ import numpy as np
 DEFAULT_ZERO_TOL = 1e-10
 # entries tested per step of the finiteness check, which bounds its mask
 _FINITE_CHECK_ENTRIES = 1 << 16
+# the entries whose squares are normal doubles: 2^-511 squared is 2^-1022
+_UNDERFLOW_ROOT = 2.0**-511
 # The most doubles a count may ask one array for (512 PiB). Past about 8 EiB
 # NumPy refuses an array with a message that names no parameter; below this,
 # an allocation that fails is a MemoryError that gives its size.
@@ -209,10 +211,32 @@ class SensingProblem:
         object.__setattr__(self, "observation", y)
 
 
+def _norm_without_underflow(values: np.ndarray) -> np.ndarray:
+    """The Euclidean norm of each row of ``values``, or of ``values`` itself
+    when it is 1-D, by the operations of ``np.linalg.norm`` (``sqrt(dot(x, x))``
+    for one vector, ``sqrt(add.reduce(x * x))`` along rows) without its
+    argument handling, so with its bits wherever no square underflows.
+
+    When some nonzero entry is below 2**-511, whose square underflows (every
+    square of a block of 1e-170 does, and its norm would read 0), each row is
+    scaled by 2**-e first and its norm by 2**e after, e = min(0, exponent of
+    its largest entry). Both scalings are exact, so a row whose squares do
+    not underflow keeps its bits, and a row whose largest entry is at least
+    1/2 is not touched at all, so overflow is as unscaled."""
+
+    def norm(x):
+        return np.sqrt(x.dot(x) if x.ndim == 1 else np.add.reduce(x * x, axis=1))
+
+    if np.count_nonzero(values) == np.count_nonzero(np.abs(values) >= _UNDERFLOW_ROOT):
+        return norm(values)
+    e = np.minimum(np.frexp(np.abs(values).max(axis=-1, keepdims=True))[1], 0)
+    return np.ldexp(norm(np.ldexp(values, -e)), e[..., 0])
+
+
 def block_norms(x: BlockSignal) -> np.ndarray:
     """Per-block Euclidean norms: entry ``l`` is ||x[l]||_2."""
     d = x.layout.block_width
-    return np.linalg.norm(x.values.reshape(x.layout.num_blocks, d), axis=1)
+    return _norm_without_underflow(x.values.reshape(x.layout.num_blocks, d))
 
 
 def mixed_norm(x: BlockSignal, p) -> float:
@@ -226,7 +250,7 @@ def mixed_norm(x: BlockSignal, p) -> float:
     w = block_norms(x)
     if p == 1:
         return float(np.sum(w))
-    return float(np.linalg.norm(w) if p == 2 else np.max(w))
+    return float(_norm_without_underflow(w) if p == 2 else np.max(w))
 
 
 def block_support(x: BlockSignal, zero_tol: float = DEFAULT_ZERO_TOL) -> tuple:
@@ -277,8 +301,11 @@ def gaussian_instance(
 def _draw_gaussian(rng, layout, out, sparsity, draw_blocks, epsilon):
     """The draw shared by the proof sweeps' :func:`gaussian_instance` and the
     experiments' :func:`bomp.experiment.generate_instance`, which differ only in
-    ``draw_blocks(rng, sparsity)``; writes the dictionary into ``out``, a C-contiguous
-    (rows, ``layout.ambient_dim``) float64 array, and returns (observation, truth).
+    ``draw_blocks(rng, sparsity)``, a (sparsity, width) array of the supported
+    blocks in ascending index order; writes the dictionary into ``out``, a
+    C-contiguous (rows, ``layout.ambient_dim``) float64 array, and returns
+    (observation, truth). The blocks go into the truth's one array through
+    ``layout.columns``, whose indices come from ``rng.choice`` and need no check.
 
     ``rng.standard_normal(out=...)`` gives the values of ``rng.normal(size=...)``
     and leaves the generator in the same state. Nothing is checked here: the
@@ -288,9 +315,11 @@ def _draw_gaussian(rng, layout, out, sparsity, draw_blocks, epsilon):
     rows = out.shape[0]
     rng.standard_normal(out=out)
     out /= math.sqrt(rows)  # in place: no second dictionary-sized temporary
-    chosen = rng.choice(layout.num_blocks, size=sparsity, replace=False) + 1
-    support = sorted(int(i) for i in chosen)
-    truth = BlockSignal.from_blocks(layout, dict(zip(support, draw_blocks(rng, sparsity))))
+    support = np.sort(rng.choice(layout.num_blocks, size=sparsity, replace=False)) + 1
+    values = np.zeros(layout.ambient_dim)
+    values[layout.columns(support)] = draw_blocks(rng, sparsity)
+    values.setflags(write=False)  # so the signal adopts it without a copy
+    truth = BlockSignal(layout, values)
     noise = np.zeros(rows)
     if epsilon > 0.0:
         raw = rng.normal(size=rows)

@@ -5,7 +5,11 @@ Instances are generated from a counter-based stream keyed by
 depend on the trials batched with it, so a result is a pure function of the
 config. A batch draws each chunk of trials straight into one stack of
 dictionaries, which the pursuit kernel reads in place, so no trial's
-dictionary exists twice. Aggregation is a plain fold in trial-index order.
+dictionary exists twice. The fixed costs are paid per chunk where the
+outputs allow it: the kernel finishes together every trial that stops at a
+step, and a chunk's recovered flags come from one pass over its stacked
+truths. Each trial still draws from its own stream, but its K directions
+come from one call. Aggregation is a plain fold in trial-index order.
 """
 
 from __future__ import annotations
@@ -22,18 +26,20 @@ from .core import (
     _draw_gaussian,
     as_int,
     as_real,
-    block_support,
 )
 from .io import json_fields, load_json_object
-from .solver import FIXED_ITERATIONS, StoppingRule, _pursue
+from .solver import FIXED_ITERATIONS, StoppingRule, _pursue, _stacked_norms
 
 # bytes of the one stack of dictionaries a batch draws into and pursues:
-# eight trials at m=128, n=256. Per-call overhead, not flops, bounds the
-# pursuit there, so larger stacks are faster: 300 such trials took a median
-# 0.36 s in 8-trial stacks drawn in place, against 0.48 s in the 2-trial
-# stacks (2^19 bytes) of copied dictionaries (BENCH_14.json). The stack is
-# the only copy of each dictionary; it raised peak RSS by 1.2 MB (3%).
-_CHUNK_BYTES = 1 << 21
+# 16 trials at m=128, n=256. Per-call overhead, not flops, bounds the pursuit
+# there, so larger stacks are faster: 300 such trials took a median of
+# minimum op times of 283 ms in 16-trial stacks against 320 ms in the 8-trial
+# stacks of 2^21 bytes, lower in 7 of 8 alternating in-process rounds
+# (2-vCPU x86_64, numpy 2.4.6, 2 BLAS threads). The stack is the only copy
+# of each dictionary; mc_medium's peak RSS rose 3.0 MB (7.1%, BENCH_24.json)
+# with the stacked finish, about 2.7 MB of it for the larger stack, inside
+# its 0.1 bound. A 32-trial stack would add about 6 MB and break it.
+_CHUNK_BYTES = 1 << 22
 
 
 def _checked_keys(cls, data: dict, what: str) -> dict:
@@ -116,12 +122,20 @@ class ExperimentConfig:
         return json_fields(self)
 
 
-def _unit_direction(rng: np.random.Generator, d: int) -> np.ndarray:
-    while True:
-        g = rng.normal(size=d)
-        norm = np.linalg.norm(g)
-        if norm > 0.0:
-            return g / norm
+def _unit_directions(rng: np.random.Generator, count: int, d: int) -> np.ndarray:
+    """``count`` random unit vectors in R^d, as rows, drawn from ``rng`` as
+    ``count`` calls of ``rng.normal(size=d)`` would draw them, each call
+    repeated while it gives a zero vector: the nonzero rows keep their order
+    and a zero row's redraw comes after them. Each norm is its own dot
+    product, the form ``np.linalg.norm`` takes for one vector, so every row
+    has the bits of a single draw's ``g / np.linalg.norm(g)``."""
+    rows = rng.normal(size=(count, d))
+    norms = _stacked_norms(rows)
+    while not (norms > 0.0).all():
+        kept = rows[norms > 0.0]
+        rows = np.concatenate([kept, rng.normal(size=(count - len(kept), d))])
+        norms = _stacked_norms(rows)
+    return rows / norms[:, None]
 
 
 def generate_instance(cfg: ExperimentConfig, trial_index: int):
@@ -151,7 +165,7 @@ def _draw_trial(cfg: ExperimentConfig, trial_index: int, out: np.ndarray):
     def floored_blocks(rng, count):
         excess = np.abs(rng.normal(size=count))
         excess[int(np.argmin(excess))] = 0.0
-        return [cfg.min_block_norm * (1.0 + e) * _unit_direction(rng, cfg.d) for e in excess]
+        return (cfg.min_block_norm * (1.0 + excess))[:, None] * _unit_directions(rng, count, cfg.d)
 
     rng = np.random.default_rng((cfg.seed, trial_index))
     # the block norms and the noise are the only draws that can overflow
@@ -191,20 +205,13 @@ class ExperimentResult:
         return {**json_fields(self), "records": [record.to_dict() for record in self.records]}
 
 
-def _record(trial_index: int, truth, outcome) -> TrialRecord:
-    if isinstance(outcome, Exception):
-        return TrialRecord(trial_index, False, 0, error=f"{type(outcome).__name__}: {outcome}")
-    # off-support entries are exact zeros, so any nonzero block was drawn
-    recovered = set(outcome.chosen_indices) == set(block_support(truth, zero_tol=0.0))
-    return TrialRecord(trial_index, recovered, outcome.iterations_run)
-
-
 def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     """Run the batch; recovered means the chosen index set equals the support.
 
     One stack of ``_CHUNK_BYTES`` of dictionaries is allocated per batch and
     reused for every chunk of trials: each trial draws its instance straight
     into its slice, and the pursuit kernel reads the filled stack in place.
+    A chunk's supports are read off its stacked truths in one pass.
     Per-trial solver failures land in the record's error field instead of
     aborting the batch.
     """
@@ -221,8 +228,18 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
         _check_finite(entries.reshape(-1, n), "matrix")
         _check_finite(observations, "observation")
         outcomes = _pursue(entries, observations, cfg.layout, cfg.stopping)
+        # off-support entries are exact zeros, so any nonzero block was drawn
+        truths = np.stack([truth.values for _, truth in draws]).reshape(-1, cfg.M, cfg.d)
+        support = (truths != 0.0).any(axis=2)
+        chosen = np.zeros_like(support)
+        for t, outcome in enumerate(outcomes):
+            if not isinstance(outcome, Exception):
+                chosen[t, np.array(outcome.chosen_indices, dtype=int) - 1] = True
+        recovered = (chosen == support).all(axis=1)
         records += [
-            _record(k, truth, outcome)
-            for k, (_, truth), outcome in zip(trials, draws, outcomes)
+            TrialRecord(k, False, 0, error=f"{type(outcome).__name__}: {outcome}")
+            if isinstance(outcome, Exception)
+            else TrialRecord(k, bool(ok), outcome.iterations_run)
+            for k, outcome, ok in zip(trials, outcomes, recovered)
         ]
     return ExperimentResult(records=tuple(records))

@@ -40,7 +40,12 @@ has a Cholesky factor (see ``_GRAM_SCREEN``). The screen only clears. For
 any other R, ``project_least_squares``, the one-shot SVD route kept as the
 reference, runs on each prefix of the picks in turn: it raises for the
 shortest failing prefix, or, when every prefix passes, the pursuit returns.
-So the pursuit refuses exactly what the reference refuses.
+So the pursuit refuses exactly what the reference refuses. All problems
+whose rule fires at one step are finished together: one stacked screen and
+one stacked solve. LAPACK runs on each matrix of a stack as on that matrix
+alone, so a stacked result is bit for bit the one a problem gets alone; when
+one singular matrix makes a stacked call raise, each problem's own call
+decides (``_stacked_or_each``).
 
 On a dictionary of ``_SCREEN_ENTRIES`` entries or more, a float32 screen
 makes the picks: it reads half the bytes per pick and never changes one.
@@ -295,14 +300,22 @@ def _overflow_error() -> BompError:
     return BompError("the residual norm or the block selection scores overflow double precision")
 
 
-def _estimate(layout, indices, coef: np.ndarray) -> BlockSignal:
-    """The signal with ``coef`` on the blocks ``indices``, in that order, and
-    zero elsewhere. Raises :class:`BompError` when a coefficient is not finite."""
-    if not np.isfinite(coef).all():
-        raise BompError("the least-squares estimate overflows double precision")
-    values = np.zeros(layout.ambient_dim)
-    values[layout.columns(indices).ravel()] = coef
-    return BlockSignal(layout, values)
+def _estimates(layout, picks: np.ndarray, coef: np.ndarray) -> list:
+    """For each row i, the signal with ``coef[i]`` on the blocks ``picks[i]``,
+    in that order, and zero elsewhere; a :class:`BompError` in its place when
+    a coefficient is not finite."""
+    estimates = []
+    columns = layout.columns(picks).reshape(coef.shape)
+    finite = np.logical_and.reduce(np.isfinite(coef), axis=1)
+    for row, values, ok in zip(columns, coef, finite):
+        if not ok:
+            estimates.append(BompError("the least-squares estimate overflows double precision"))
+            continue
+        signal = np.zeros(layout.ambient_dim)
+        signal[row] = values
+        signal.setflags(write=False)  # so the signal adopts it without a copy
+        estimates.append(BlockSignal(layout, signal))
+    return estimates
 
 
 def _rank_failure(indices, sigma: np.ndarray):
@@ -316,22 +329,46 @@ def _rank_failure(indices, sigma: np.ndarray):
     return None
 
 
-def _gram_screen_clears(R: np.ndarray) -> bool:
-    """Whether the square thin-QR factor ``R`` of a subdictionary, which has
-    its singular values, is far enough from ``RANK_TOL`` to pass the rank
-    check without an SVD (see ``_GRAM_SCREEN``). A zero ``R`` is never cleared."""
-    scale = np.abs(R).max()
-    if not scale > 0.0:
-        return False
+def _gram_screen_clears(R: np.ndarray) -> np.ndarray:
+    """Whether each square thin-QR factor in ``R``, a stack (..., n, n) of the
+    factors of subdictionaries, which have their singular values, is far
+    enough from ``RANK_TOL`` to pass the rank check without an SVD (see
+    ``_GRAM_SCREEN``). A zero factor is never cleared. Each decision reads
+    only its own factor: one stacked Cholesky call, and when it raises, one
+    per factor."""
+    shape, n = R.shape[:-2], R.shape[-1]
+    R = R.reshape(-1, n, n)
+    cleared = np.zeros(len(R), dtype=bool)
+    scale = np.abs(R).max(axis=(1, 2))
+    nonzero = np.flatnonzero(scale > 0.0)
     # a largest entry of 1 keeps S'S from overflowing; the ratio is unchanged
-    S = R / scale
-    gram = S.T @ S
-    gram.flat[:: len(gram) + 1] -= _GRAM_SCREEN * np.trace(gram)
+    S = R[nonzero]
+    S /= scale[nonzero, None, None]
+    gram = S.transpose(0, 2, 1) @ S
+    diagonal = gram.reshape(len(gram), n * n)[:, :: n + 1]
+    diagonal -= _GRAM_SCREEN * diagonal.sum(axis=1, keepdims=True)
+    cleared[nonzero] = [
+        not isinstance(factor, Exception) for factor in _stacked_or_each(np.linalg.cholesky, gram)
+    ]
+    return cleared.reshape(shape)
+
+
+def _stacked_or_each(call, *stacks) -> list:
+    """``call(*stacks)``, a stacked LAPACK call, as one result per problem.
+    One singular problem makes the stacked call raise LinAlgError; then
+    ``call`` runs on each problem's stack of one instead, and a problem that
+    raises gets its own LinAlgError as its result."""
     try:
-        np.linalg.cholesky(gram)
+        return list(call(*stacks))
     except np.linalg.LinAlgError:
-        return False
-    return True
+        results = []
+        for t in range(len(stacks[0])):
+            try:
+                (result,) = call(*(stack[t : t + 1] for stack in stacks))
+            except np.linalg.LinAlgError as exc:
+                result = exc
+            results.append(result)
+        return results
 
 
 def _checked_svd(A: BlockedMatrix, support):
@@ -368,9 +405,12 @@ def project_least_squares(A: BlockedMatrix, support, y: np.ndarray):
     """
     y = _frozen_array(y, (A.rows,), "observation")
     indices, sub, U, sigma, Vt = _checked_svd(A, support)
-    with np.errstate(over="ignore", invalid="ignore"):  # _estimate refuses an overflow
+    with np.errstate(over="ignore", invalid="ignore"):  # _estimates refuses an overflow
         coef = Vt.T @ ((U.T @ y) / sigma)
-    return _estimate(A.layout, indices, coef), y - sub @ coef
+    (estimate,) = _estimates(A.layout, [indices], coef[None])
+    if isinstance(estimate, BompError):
+        raise estimate
+    return estimate, y - sub @ coef
 
 
 def run_bomp(problem: SensingProblem, stop: StoppingRule) -> RecoveryTrace:
@@ -402,7 +442,9 @@ def _pursue(entries: np.ndarray, observations: np.ndarray, layout, stop: Stoppin
     Returns one outcome per problem, in order: the trace ``run_bomp`` gives
     for that problem alone, or the exception it raises. The problems advance
     together, one pick per step, and each keeps its own stopping state, so
-    no outcome depends on the others in the stack.
+    no outcome depends on the others in the stack. The problems that stop at
+    a step are finished by one ``_finish`` call; ``run_bomp`` runs the same
+    code on a stack of one.
     """
     size, m, n_columns = entries.shape
     d = layout.block_width
@@ -435,15 +477,16 @@ def _pursue(entries: np.ndarray, observations: np.ndarray, layout, stop: Stoppin
         converged = np.full(size, check_count and k == stop.max_iterations)
         if check_residual:
             converged |= norms[:, k] <= stop.epsilon
-        stopping = active & (converged | (k == budget))
-        for t in np.flatnonzero(stopping):
-            status = STATUS_CONVERGED if converged[t] else STATUS_BUDGET_EXCEEDED
-            try:
-                outcomes[t] = _finish(entries[t], observations[t], layout, chosen[t, :k],
-                                      norms[t, : k + 1], Qt[t], R[t], status)
-            except (BompError, np.linalg.LinAlgError) as exc:
-                outcomes[t] = exc
-        active &= ~stopping
+        stopping = np.flatnonzero(active & (converged | (k == budget)))
+        if len(stopping):
+            statuses = [
+                STATUS_CONVERGED if c else STATUS_BUDGET_EXCEEDED for c in converged[stopping]
+            ]
+            finished = _finish(entries, observations, layout, stopping, chosen[stopping, :k],
+                               norms[stopping, : k + 1], Qt, R, statuses)
+            for t, outcome in zip(stopping, finished):
+                outcomes[t] = outcome
+            active[stopping] = False
         if not active.any():
             break
 
@@ -492,25 +535,45 @@ def _pursue(entries: np.ndarray, observations: np.ndarray, layout, stop: Stoppin
     return outcomes
 
 
-def _finish(entries, y, layout, picks, norms, Qt, R, status) -> RecoveryTrace:
-    """The trace of one problem, with dictionary ``entries`` and observation
-    ``y``, after its ``picks``, from its QR factors.
+def _finish(entries, observations, layout, stack, picks, norms, Qt, R, statuses) -> list:
+    """The outcomes of the problems ``stack``, all after the same number of
+    ``picks`` (one row per problem, as are ``norms`` and ``statuses``), from
+    their QR factors ``Qt`` and ``R``, stacks over all problems.
 
     The rank check runs here, once: the Gram screen clears the final R, or
-    the reference replays the prefixes of the picks and decides.
+    the reference replays the prefixes of the picks and decides. The screen
+    and the solve ``R coef = Qt y`` are stacked calls, and each problem's
+    result is the one it gets alone.
     """
-    chosen = [int(i) for i in picks]
-    n = len(chosen) * layout.block_width
-    if n and not _gram_screen_clears(R[:n, :n]):
-        # the reference decides, raising for the shortest failing prefix; only
-        # this rare path builds the problem's matrix, a copy of its slice
-        A = BlockedMatrix(layout, entries)
-        for j in range(1, len(chosen) + 1):
-            project_least_squares(A, chosen[:j], y)
-    coef = np.linalg.solve(R[:n, :n], Qt[:n] @ y)
-    return RecoveryTrace(
-        chosen_indices=tuple(chosen),
-        residual_norms=tuple(norms.tolist()),
-        final_estimate=_estimate(layout, chosen, coef),
-        status=status,
-    )
+    n = picks.shape[1] * layout.block_width
+    outcomes: list = [None] * len(stack)
+    # a slice, so views of R and Qt, where the problems are contiguous, as
+    # the one problem of run_bomp is
+    rows = slice(stack[0], stack[-1] + 1) if stack[-1] - stack[0] < len(stack) else stack
+    factors = R[rows, :n, :n]
+    if n:
+        for i in np.flatnonzero(~_gram_screen_clears(factors)):
+            # the reference decides, raising for the shortest failing prefix; only
+            # this rare path builds the problem's matrix, a copy of its slice
+            A = BlockedMatrix(layout, entries[stack[i]])
+            try:
+                for j in range(1, picks.shape[1] + 1):
+                    project_least_squares(A, picks[i, :j], observations[stack[i]])
+            except (BompError, np.linalg.LinAlgError) as exc:
+                outcomes[i] = exc
+    # each slot goes from None to the coefficients or a LinAlgError, then to
+    # the trace or the estimate's error
+    solvable = [i for i, outcome in enumerate(outcomes) if outcome is None]
+    projected = np.matmul(Qt[rows, :n], observations[rows, :, None])[solvable]
+    for i, coef in zip(solvable, _stacked_or_each(np.linalg.solve, factors[solvable], projected)):
+        outcomes[i] = coef
+    solved = [i for i, outcome in enumerate(outcomes) if isinstance(outcome, np.ndarray)]
+    coef = np.array([outcomes[i][:, 0] for i in solved]).reshape(len(solved), n)
+    for i, estimate in zip(solved, _estimates(layout, picks[solved], coef)):
+        outcomes[i] = estimate if isinstance(estimate, BompError) else RecoveryTrace(
+            chosen_indices=tuple(picks[i].tolist()),
+            residual_norms=tuple(norms[i].tolist()),
+            final_estimate=estimate,
+            status=statuses[i],
+        )
+    return outcomes

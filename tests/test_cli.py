@@ -653,3 +653,76 @@ def test_cli_exits_cleanly_on_any_flag_values(command, data, tmp_path, capsys):
     else:
         lines = err.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: "), (argv, err)
+
+
+# Config values a user might write: edge and malformed values mixed with valid
+# ones. A huge count is valid and only runs long, so no edge value is one.
+_CONFIG_EDGE_VALUES = (
+    0, -1, -0.5, 5e-324, 1e-170, 1e308, True, False, "abc", "", [1], {"m": {"d": [2]}},
+)
+
+
+def _entry(valid, required=False):
+    """A config entry: valid about five times in six, else an edge value; or
+    left out (None, which no edge value is) when optional. (``st.one_of``
+    would merge repeated branches, so the weight comes from a drawn integer.)"""
+    edges = st.sampled_from(_CONFIG_EDGE_VALUES)
+    values = st.integers(0, 5).flatmap(lambda i: edges if i == 0 else valid)
+    return values if required else st.one_of(st.none(), values)
+
+
+# valid shapes always fit: K <= M and K d <= m
+_CONFIG_ENTRIES = {
+    "m": _entry(st.integers(12, 24), required=True),
+    "M": _entry(st.integers(4, 8), required=True),
+    "d": _entry(st.integers(1, 3), required=True),
+    "K": _entry(st.integers(1, 4), required=True),
+    "noise_norm": _entry(st.floats(0.0, 10.0)),
+    "min_block_norm": _entry(st.floats(1e-6, 100.0)),
+    "trials": _entry(st.integers(1, 5)),
+    "seed": _entry(st.integers(0, 2**32)),
+}
+_STOPPING_ENTRIES = {
+    "mode": _entry(
+        st.sampled_from(("residual_threshold", "fixed_iterations", "both")), required=True
+    ),
+    "epsilon": _entry(st.floats(0.0, 10.0)),
+    "max_iterations": _entry(st.integers(1, 6)),
+}
+
+
+def _drawn_object(data, entries, label) -> dict:
+    drawn = {key: data.draw(values, label=f"{label}.{key}") for key, values in entries.items()}
+    return {key: value for key, value in drawn.items() if value is not None}
+
+
+@settings(
+    derandomize=True,
+    max_examples=200,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(data=st.data())
+def test_experiment_exits_cleanly_on_any_config_contents(data, tmp_path, capsys):
+    """Exit 0, 2 or 3; a refusal is one ``error:`` line, a success strict JSON."""
+    config = _drawn_object(data, _CONFIG_ENTRIES, "config")
+    stopping = data.draw(
+        st.one_of(st.none(), st.just("object"), st.sampled_from(_CONFIG_EDGE_VALUES)),
+        label="stopping",
+    )
+    if stopping == "object":
+        stopping = _drawn_object(data, _STOPPING_ENTRIES, "stopping")
+    if stopping is not None:
+        config["stopping"] = stopping
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+
+    code = main(["experiment", "--config", str(path)])
+    out, err = capsys.readouterr()
+    assert code in (0, 2, 3), (config, code, err)
+    if code == 0:
+        assert err == "", config
+        json.loads(out, parse_constant=_refuse_constant)
+    else:
+        lines = err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: "), (config, err)

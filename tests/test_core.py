@@ -277,6 +277,33 @@ def test_block_norms_and_mixed_norms():
             mixed_norm(x, p)
 
 
+def test_tiny_blocks_keep_their_norms():
+    # unscaled, every square here underflows and the norms read 0
+    x = BlockSignal(BlockLayout(2, 2), [1e-170, 0.0, 0.0, 0.0])
+    assert block_norms(x).tolist() == [1e-170, 0.0]
+    assert mixed_norm(x, 2) == 1e-170
+    assert block_support(x, zero_tol=0.0) == (1,)
+    subnormal = BlockSignal(BlockLayout(2, 2), [5e-324, 0.0, 0.0, -5e-324])
+    assert block_norms(subnormal).tolist() == [5e-324, 5e-324]
+    assert block_support(subnormal, zero_tol=0.0) == (1, 2)
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(
+    M=st.integers(1, 8),
+    d=st.integers(1, 8),
+    exponent=st.floats(-100.0, 150.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_norms_are_unscaled_bits_wherever_no_square_underflows(M, d, exponent, seed):
+    rng = np.random.default_rng(seed)
+    values = rng.normal(size=M * d) * 10.0**exponent * (rng.random(M * d) < 0.7)
+    x = BlockSignal(BlockLayout(M, d), values)
+    blocks = values.reshape(M, d)
+    assert block_norms(x).tobytes() == np.linalg.norm(blocks, axis=1).tobytes()
+    assert mixed_norm(x, 2) == np.linalg.norm(np.linalg.norm(blocks, axis=1))
+
+
 def test_block_support_threshold():
     layout = BlockLayout(4, 1)
     x = BlockSignal(layout, [0.0, 1e-12, 1e-9, -2.0])
@@ -398,6 +425,23 @@ _PINNED_PROOF_DRAW = {
 }
 
 
+# generate_instance at m=2d, M=3, K=2, noise_norm=0.3, min_block_norm=1.5,
+# seed=11: the supported blocks of one trial at d=3 and one at d=4, where
+# norming each direction by np.linalg.norm(axis=1) or einsum changes a last bit
+_PINNED_TRUTHS = {
+    (3, 17): [
+        -2.6834674090142405, 1.4795114139653287, 2.2692508669202742,
+        -1.2550396231632424, -0.8175699619180323, 0.08034240262534867,
+        0.0, 0.0, 0.0,
+    ],
+    (4, 0): [
+        0.0, 0.0, 0.0, 0.0,
+        -1.23728402896584, 0.6523746299032268, 0.5186515103177932, -0.15664030378468644,
+        -0.21733794594815667, -1.2597037463242666, -0.4766358558303406, 1.1827765363075156,
+    ],
+}
+
+
 def _assert_pinned(problem, truth, expected):
     assert block_support(truth) == expected["support"]
     np.testing.assert_array_equal(problem.matrix.entries, expected["A"])
@@ -415,3 +459,7 @@ def test_gaussian_streams_match_pinned_values():
     problem, truth = gaussian_instance(rng, BlockLayout(3, 2), 4, 2, epsilon=0.2)
     _assert_pinned(problem, truth, _PINNED_PROOF_DRAW)
     assert rng.bit_generator.state["state"]["state"] == _PINNED_PROOF_DRAW["state_after"]
+    for (d, trial), expected in _PINNED_TRUTHS.items():
+        cfg = ExperimentConfig(m=2 * d, M=3, d=d, K=2, noise_norm=0.3, min_block_norm=1.5, seed=11)
+        _, truth = generate_instance(cfg, trial)
+        assert truth.values.tolist() == expected

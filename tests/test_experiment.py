@@ -144,6 +144,54 @@ def test_recovery_is_judged_against_the_drawn_support():
     assert run_experiment(cfg).recovery_rate == 1.0
 
 
+def test_tiny_drawn_blocks_are_still_the_support():
+    # at this scale every float64 selection score is 0, so the pursuit picks
+    # by block index; with K = M that is the drawn support
+    cfg = ExperimentConfig(m=8, M=2, d=2, K=2, min_block_norm=1e-170, trials=4)
+    result = run_experiment(cfg)
+    assert result.recovery_rate == 1.0
+    assert all(r.error is None for r in result.records)
+
+
+class _Stream:
+    """A stand-in generator whose normal draws are ``values``, read in order."""
+
+    def __init__(self, values):
+        self.values = np.asarray(values, dtype=float)
+        self.used = 0
+
+    def normal(self, size):
+        count = int(np.prod(size))
+        drawn = self.values[self.used : self.used + count].reshape(size)
+        self.used += count
+        return drawn
+
+
+def _reference_directions(rng, count, d):
+    """The per-block draw: each direction its own call, repeated while zero."""
+    rows = []
+    for _ in range(count):
+        while True:
+            g = rng.normal(size=d)
+            norm = np.linalg.norm(g)
+            if norm > 0.0:
+                rows.append(g / norm)
+                break
+    return np.array(rows)
+
+
+@pytest.mark.parametrize("zero_rows", [(0,), (2,), (1, 2), (3, 4)])
+def test_a_zero_direction_is_redrawn_as_the_per_block_loop_redraws_it(zero_rows):
+    count, d = 4, 3
+    values = np.random.default_rng(8).normal(size=(count + 4, d))
+    values[list(zero_rows)] = 0.0
+    got_stream, want_stream = _Stream(values.ravel()), _Stream(values.ravel())
+    got = bomp.experiment._unit_directions(got_stream, count, d)
+    want = _reference_directions(want_stream, count, d)
+    assert got.tobytes() == want.tobytes()
+    assert got_stream.used == want_stream.used == (count + len(zero_rows)) * d
+
+
 @pytest.mark.parametrize(
     "stopping",
     [None, StoppingRule(RESIDUAL_THRESHOLD, epsilon=0.9, max_iterations=4)],
@@ -152,9 +200,9 @@ def test_recovery_is_judged_against_the_drawn_support():
 def test_result_is_identical_for_any_chunk_size(monkeypatch, stopping):
     cfg = _small_cfg(noise_norm=0.4, trials=24, stopping=stopping)
     dictionary_bytes = 8 * cfg.m * cfg.layout.ambient_dim
-    # the default's chunk holds 8 trials at (128, 64, 4) and every trial here
+    # the default's chunk holds 16 trials at (128, 64, 4) and every trial here
     results = [run_experiment(cfg)]
-    for chunk in (1, 7, 8, cfg.trials):
+    for chunk in (1, 7, 16, cfg.trials):
         monkeypatch.setattr(bomp.experiment, "_CHUNK_BYTES", chunk * dictionary_bytes)
         results.append(run_experiment(cfg))
     assert all(result == results[0] for result in results)
@@ -164,7 +212,7 @@ def test_result_is_identical_for_any_chunk_size(monkeypatch, stopping):
 
 
 def test_a_batch_holds_one_stack_of_dictionaries():
-    # five chunks of 8 trials; a stack allocated while the last one is
+    # chunks of 16, 16 and 8 trials; a stack allocated while the last one is
     # still referenced would hold two at once
     cfg = ExperimentConfig(m=128, M=64, d=4, K=8, noise_norm=0.1, trials=40)
     run_experiment(dataclasses.replace(cfg, trials=1))  # modules numpy imports on first use

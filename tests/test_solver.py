@@ -368,6 +368,56 @@ def test_mid_run_rank_deficiency_raises_the_reference_error():
     assert str(got.value) == str(reference.value)
 
 
+def _subdictionary_ratio(problem, chosen):
+    sigma = np.linalg.svd(np.hstack([problem.matrix.block(i) for i in chosen]), compute_uv=False)
+    return sigma[-1] / sigma[0]
+
+
+def test_a_mixed_stack_finishes_each_problem_as_it_would_alone():
+    # six blocks of width 2 on 20 rows; each stack member stops at its own step
+    m, M, d = 20, 6, 2
+    layout = BlockLayout(M, d)
+    rng = np.random.default_rng(24)
+
+    def problem(entries, y):
+        return SensingProblem(matrix=BlockedMatrix(layout, entries), observation=y)
+
+    # block 5 is block 2 plus 1e-6 times a unit direction: the six-block
+    # subdictionary passes RANK_TOL but fails the Gram screen
+    near = rng.normal(size=(m, M * d)) / np.sqrt(m)
+    direction = rng.normal(size=(m, d))
+    near[:, 8:10] = near[:, 2:4] + 1e-6 * direction / np.linalg.norm(direction)
+    near_copy = problem(near, near @ rng.normal(size=M * d))
+    # block 3 repeats the first column of block 1: rank deficient once both are in
+    deficient = rng.normal(size=(m, M * d)) / np.sqrt(m)
+    deficient[:, 4] = deficient[:, 0]
+    rank_deficient = problem(deficient, deficient @ rng.normal(size=M * d))
+    # noiseless on two, three and six blocks: they stop when the residual vanishes
+    clean = [
+        _random_problem(rng, m=m, M=M, d=d, support=support)[0]
+        for support in ((2, 5), (1, 3, 6), (1, 2, 3, 4, 5, 6))
+    ]
+    problems = [clean[0], near_copy, clean[1], rank_deficient, clean[2]]
+    stop = StoppingRule(BOTH, epsilon=1e-10, max_iterations=M)
+
+    outcomes = _pursue_stack(problems, stop)
+    alone = []
+    for p in problems:
+        try:
+            alone.append(run_bomp(p, stop))
+        except BompError as exc:
+            alone.append(exc)
+    for got, want in zip(outcomes, alone):
+        _assert_same_outcome(got, want)
+
+    assert [o.iterations_run for o in outcomes[::2]] == [2, 3, 6]
+    # between RANK_TOL and the screen's band: the reference replay decided
+    assert outcomes[1].iterations_run == M
+    ratio = _subdictionary_ratio(near_copy, outcomes[1].chosen_indices)
+    assert RANK_TOL < ratio < 0.99 * math.sqrt(_GRAM_SCREEN)
+    assert isinstance(outcomes[3], RankDeficientError)
+
+
 @settings(derandomize=True, max_examples=300, deadline=None)
 @given(
     m=st.integers(3, 12),
