@@ -17,20 +17,23 @@ The margin is computed by two routes. Both read the projection coefficients
 blocks) from :class:`ProofInstance`. Each route computes the rest on its
 own: the direct route takes the residuals r and ``y - A xi`` from the
 solver's SVD-based least squares and the probe's score from the pursuit's
-scorer, and the identity route takes r and the projected dictionary from an
-orthonormal basis of the projected-out subspace. The identity route derives
-its ``t``-free parts once per instance (``c = 1/||alpha||_{2,1}``, the
-projected images ``B u`` and ``B v`` and the noise term, in
-:attr:`ProofInstance.identity_images`), so a further t costs two scaled sums
-and two dot products. It refuses a t whose squares overflow or cancel past
-``IDENTITY_REL_TOL`` of the value, which happens far from t = 1 or when the
-noise swamps the signal, rather than return a margin that has lost its
-digits. Agreement to 1e-9 across instances and t values is strong evidence
-both are implemented as stated. The perturbation bound has one route. Its
-epsilon is the instance's own noise norm ``||y - A x||``, and it reads
-``xi`` (and so ``theta = xi - x``) and the exact constant from the same
-instance, so one least-squares fit on the true support, kept with its
-residual, serves both the direct margin and the bound.
+scorer, and the identity route takes r, the projected dictionary and the
+noise term from one Householder QR of the true support's columns, the
+chosen blocks first, so the leading columns of Q span the chosen blocks
+and all of Q spans the support: the two routes rest on different
+factorizations. The identity route derives its ``t``-free parts once per
+instance (``c = 1/||alpha||_{2,1}``, the projected images ``B u`` and
+``B v`` and the noise term, in :attr:`ProofInstance.identity_images`), so
+a further t costs two scaled sums and two dot products. It refuses a t
+whose squares overflow or cancel past ``IDENTITY_REL_TOL`` of the value,
+which happens far from t = 1 or when the noise swamps the signal, rather
+than return a margin that has lost its digits. Agreement to 1e-9 across
+instances and t values is strong evidence both are implemented as stated.
+The perturbation bound has one route. Its epsilon is the instance's own
+noise norm ``||y - A x||``, and it reads ``xi`` (and so ``theta = xi - x``)
+and the exact constant from the same instance, so one least-squares fit on
+the true support, kept with its residual, serves both the direct margin
+and the bound.
 """
 
 from __future__ import annotations
@@ -42,7 +45,6 @@ from functools import cached_property
 import numpy as np
 
 from .core import (
-    BlockedMatrix,
     BlockLayout,
     BlockSignal,
     SensingProblem,
@@ -50,13 +52,12 @@ from .core import (
     as_real,
     block_norms,
     block_support,
-    extract_blocks,
     gaussian_instance,
 )
 from .errors import BompError, DegenerateProbeError, InfeasibleError
 from .io import json_fields
 from .rip import exact_block_rip
-from .solver import _checked_svd, block_correlation_scores, project_least_squares
+from .solver import block_correlation_scores, project_least_squares
 
 LEMMA_SLACK = 1e-10
 MAX_ATTEMPTS = 200
@@ -160,15 +161,22 @@ class ProofInstance:
         """The ``t``-free parts of the identity route, ``(c, B u, B v, noise_term)``.
 
         ``B u = Pperp_chosen A_remaining alpha`` and ``B v = Pperp_chosen A_j h``,
-        each one projected vector; ``noise_term = <e, Pperp_T A_j h>``. Only
-        :func:`eta_via_identity` reads them. Raises ZeroDivisionError as
-        :attr:`alpha_21` does, and :class:`DegenerateProbeError` when the
-        probe block is orthogonal to the projected observation.
+        each one projected vector; ``noise_term = <e, Pperp_T A_j h>``. Both
+        projections come from one reduced QR of the support's columns, the
+        chosen blocks first: ``Pperp_chosen`` from its leading columns,
+        ``Pperp_T`` from all of them. Only :func:`eta_via_identity` reads
+        them. Raises ZeroDivisionError as :attr:`alpha_21` does, the
+        :class:`RankDeficientError` of the support's fit, which
+        :attr:`alpha_21` reads first, and :class:`DegenerateProbeError` when
+        the probe block is orthogonal to the projected observation.
         """
         A = self.problem.matrix
         j = self.probe_index
         c = 1.0 / self.alpha_21
-        chosen_basis = _range_basis(A, self.partial_support)
+        sub = A.entries[:, A.layout.columns(self.partial_support + self.remaining).ravel()]
+        Q = np.linalg.qr(sub)[0]
+        k = len(self.partial_support) * A.layout.block_width
+        chosen_basis = Q[:, :k]
         r = _project_out(chosen_basis, self.problem.observation)
         probe_correlation = A.block(j).T @ r
         scale = float(np.linalg.norm(probe_correlation))
@@ -177,16 +185,10 @@ class ProofInstance:
         probe_direction = A.block(j) @ (probe_correlation / scale)
 
         alpha = np.concatenate([self.xi.block(i) for i in self.remaining])
-        Bu = _project_out(chosen_basis, extract_blocks(A, self.remaining) @ alpha)
+        Bu = _project_out(chosen_basis, sub[:, k:] @ alpha)
         Bv = _project_out(chosen_basis, probe_direction)
-        support_basis = _range_basis(A, self.support)
-        noise_term = float(np.dot(self.noise, _project_out(support_basis, probe_direction)))
+        noise_term = float(np.dot(self.noise, _project_out(Q, probe_direction)))
         return c, Bu, Bv, noise_term
-
-
-def _range_basis(A: BlockedMatrix, support) -> np.ndarray:
-    """Orthonormal basis of the span of the supported column blocks."""
-    return _checked_svd(A, support)[2]
 
 
 def _project_out(basis: np.ndarray, w: np.ndarray) -> np.ndarray:

@@ -70,6 +70,19 @@ the overflow error), or when anything is not finite. So every near-tie,
 exact tie, overflow and masked pick comes out as the float64 pass gives it.
 On the three seed-0 ``pursuit_large`` instances the float64 pass decided
 1 of 192 picks.
+
+A residual with entries of about 1e-170 or less has squares that underflow,
+so its norm and scores would read 0 and its pick fall to the smallest
+index. A norm below ``_UNDERFLOW`` = 2^-480 is therefore taken again from
+the residual scaled by the power of two of its largest entry, and scaled
+back; a problem whose top unmasked float64 score is below it is scored
+again from that scaled residual and takes the rescored pick when every
+rescored score is finite (overflow is still judged on the unscaled ones).
+Scaling by a power of two is exact, so the pursuit on ``2^k y`` with
+epsilon ``2^k epsilon`` makes the same picks and stops with the same
+status, its residual norms and estimate exactly 2^k times as large. The
+common path pays one compare per problem per step. Scores on a dictionary
+scaled far down, about 1e-300, still underflow.
 """
 
 from __future__ import annotations
@@ -108,6 +121,14 @@ _SCREEN_ENTRIES = 1 << 20
 # scores below _SCREEN_RANGE (by its norm bounds), so sigma stays finite and
 # the float64 pass's squares far from overflow.
 _SCREEN_RANGE = 2.0**400
+# Residual norms and top float64 scores below this are rescaled (see the
+# module docstring). Above it, a norm, and every score within a factor 2 of
+# the top one (all that can compete for the pick), has a sum of squares of at
+# least 2^-962; a square that underflows, below 2^-1022, errs by at most
+# 2^-1075 (2^-1022 if flushed to zero), under 2^-60 of that sum and so below
+# its own rounding. The value follows from the double range; it is not a
+# tuning constant.
+_UNDERFLOW = 2.0**-480
 
 RESIDUAL_THRESHOLD = "residual_threshold"
 FIXED_ITERATIONS = "fixed_iterations"
@@ -197,12 +218,39 @@ def _stacked_scores(entries: np.ndarray, residuals: np.ndarray, d: int) -> np.nd
 
 def _float64_picks(entries: np.ndarray, residuals: np.ndarray, d: int, chosen: np.ndarray):
     """The float64 pass: each problem's argmax of ``_stacked_scores`` with the
-    blocks ``chosen`` masked out, and whether any of its scores is not finite."""
+    blocks ``chosen`` masked out, and whether any of its scores is not finite.
+
+    A problem whose top score is below ``_UNDERFLOW`` is scored again from its
+    residual scaled by the power of two of its largest entry, which leaves the
+    argmax as it is in exact arithmetic, and takes that pick when every score
+    is finite. Overflow is judged on the unscaled scores.
+    """
     scores = _stacked_scores(entries, residuals, d)
     overflow = ~np.isfinite(scores).all(axis=1)
+    picks = _masked_argmax(scores, chosen)
+    tiny = np.flatnonzero(scores[np.arange(len(scores)), picks] < _UNDERFLOW)
+    if len(tiny):
+        rescored = _stacked_scores(entries[tiny], _scaled_to_largest(residuals[tiny])[0], d)
+        finite = np.isfinite(rescored).all(axis=1)
+        picks[tiny[finite]] = _masked_argmax(rescored, chosen[tiny])[finite]
+    return picks, overflow
+
+
+def _masked_argmax(scores: np.ndarray, chosen: np.ndarray) -> np.ndarray:
+    """Each row's argmax of ``scores`` with the blocks ``chosen`` masked out,
+    in place."""
     scores[np.arange(len(scores))[:, None], chosen - 1] = -1.0
     # np.argmax returns the first maximum, which is the smallest block index
-    return np.argmax(scores, axis=1), overflow
+    return np.argmax(scores, axis=1)
+
+
+def _scaled_to_largest(vectors: np.ndarray):
+    """``(vectors * 2^-e, e)``: each row scaled by the power of two that
+    brings its largest magnitude into [1/2, 1), with its exponents e. A zero
+    row stays as it is (e = 0). The scaling is exact unless it rounds an
+    entry into the subnormal range, which a scale up never does."""
+    exponents = np.frexp(np.abs(vectors).max(axis=1))[1]
+    return np.ldexp(vectors, -exponents[:, None]), exponents
 
 
 def _gamma(k: int, u: float) -> float:
@@ -290,10 +338,21 @@ class _Float32Screen:
 
 
 def _stacked_norms(vectors: np.ndarray) -> np.ndarray:
-    """Euclidean norm along the last axis, each by its own dot product, so a vector's
-    norm does not depend on the vectors stacked with it. Overflow is not warned about."""
+    """Euclidean norm of each row, each by its own dot product, so a vector's
+    norm does not depend on the vectors stacked with it. A norm below
+    ``_UNDERFLOW``, whose squares may have underflowed, is taken again from its
+    row scaled by the power of two of its largest entry and scaled back.
+    Overflow is not warned about."""
+    def dot_norms(rows):
+        return np.sqrt(np.matmul(rows[:, None, :], rows[:, :, None])[:, 0, 0])
+
     with np.errstate(over="ignore", invalid="ignore"):
-        return np.sqrt(np.matmul(vectors[..., None, :], vectors[..., :, None])[..., 0, 0])
+        norms = dot_norms(vectors)
+        tiny = norms < _UNDERFLOW
+        if tiny.any():
+            scaled, exponents = _scaled_to_largest(vectors[tiny])
+            norms[tiny] = np.ldexp(dot_norms(scaled), exponents)
+        return norms
 
 
 def _overflow_error() -> BompError:
@@ -371,13 +430,21 @@ def _stacked_or_each(call, *stacks) -> list:
         return results
 
 
-def _checked_svd(A: BlockedMatrix, support):
-    """Thin SVD of the subdictionary on the blocks ``support``, checked here once.
+def project_least_squares(A: BlockedMatrix, support, y: np.ndarray):
+    """Least-squares fit of ``y`` on the blocks in ``support``.
 
-    Returns ``(indices, sub, U, sigma, Vt)``, ``indices`` the checked ascending
-    support; raises :class:`RankDeficientError` when ``sub`` has more columns
-    than rows or fails :func:`_rank_failure`.
+    Returns ``(estimate, residual)`` where the estimate is zero outside the
+    support and ``residual = y - A @ estimate``; the residual is orthogonal
+    to every supported column. Checks the support once; raises
+    :class:`RankDeficientError` when it spans more columns than rows or the
+    subdictionary's smallest singular value falls below ``RANK_TOL`` times
+    its largest.
+
+    This is the reference route: one SVD of the whole subdictionary per call.
+    ``run_bomp`` reaches the same projections incrementally, and the proof
+    checks and the solver's differential tests compare against this one.
     """
+    y = _frozen_array(y, (A.rows,), "observation")
     indices = A.layout.check_support(support)
     sub = A.entries[:, A.layout.columns(indices).ravel()]
     if sub.shape[1] > A.rows:
@@ -387,24 +454,6 @@ def _checked_svd(A: BlockedMatrix, support):
         error = _rank_failure(indices, sigma)
         if error is not None:
             raise error
-    return indices, sub, U, sigma, Vt
-
-
-def project_least_squares(A: BlockedMatrix, support, y: np.ndarray):
-    """Least-squares fit of ``y`` on the blocks in ``support``.
-
-    Returns ``(estimate, residual)`` where the estimate is zero outside the
-    support and ``residual = y - A @ estimate``; the residual is orthogonal
-    to every supported column. Raises :class:`RankDeficientError` when the
-    subdictionary's smallest singular value falls below ``RANK_TOL`` times
-    its largest.
-
-    This is the reference route: one SVD of the whole subdictionary per call.
-    ``run_bomp`` reaches the same projections incrementally, and the proof
-    checks and the solver's differential tests compare against this one.
-    """
-    y = _frozen_array(y, (A.rows,), "observation")
-    indices, sub, U, sigma, Vt = _checked_svd(A, support)
     with np.errstate(over="ignore", invalid="ignore"):  # _estimates refuses an overflow
         coef = Vt.T @ ((U.T @ y) / sigma)
     (estimate,) = _estimates(A.layout, [indices], coef[None])

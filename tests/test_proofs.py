@@ -27,7 +27,6 @@ from bomp.proofs import (
     IDENTITY_REL_TOL,
     T_VALUES,
     ProofInstance,
-    _range_basis,
     eta_direct,
     eta_via_identity,
     lemma1_check,
@@ -92,15 +91,20 @@ def test_instance_xi_reproduces_projection():
         assert inst.probe_score == scores[inst.probe_index - 1]
 
 
-def test_range_basis_refuses_what_the_solver_refuses():
-    layout = BlockLayout(3, 1)
-    wide = BlockedMatrix(layout, np.array([[1.0, 0.0, 1.0], [0.0, 1.0, 1.0]]))
-    repeated = BlockedMatrix(layout, np.array([[1.0, 1.0, 0.0], [0.0, 0.0, 1.0]]))
-    for A, support in ((wide, (1, 2, 3)), (repeated, (1, 2))):
+def test_identity_refuses_what_the_solver_refuses():
+    wide = BlockedMatrix(BlockLayout(4, 1), np.array([[1.0, 0.0, 1.0, 2.0], [0.0, 1.0, 1.0, 1.0]]))
+    repeated = BlockedMatrix(BlockLayout(3, 1), np.array([[1.0, 1.0, 0.0], [0.0, 0.0, 1.0]]))
+    for A, support, probe in ((wide, (1, 2, 3), 4), (repeated, (1, 2), 3)):
+        values = np.zeros(A.layout.num_blocks)
+        values[np.array(support) - 1] = 1.0
+        problem = SensingProblem(matrix=A, observation=np.ones(2))
+        truth = BlockSignal(A.layout, values)
         with pytest.raises(RankDeficientError) as reference:
             project_least_squares(A, support, np.ones(2))
-        with pytest.raises(RankDeficientError, match=re.escape(str(reference.value))):
-            _range_basis(A, support)
+        for partial in ((), support[:1]):
+            inst = ProofInstance(problem, truth, partial_support=partial, probe_index=probe)
+            with pytest.raises(RankDeficientError, match=re.escape(str(reference.value))):
+                eta_via_identity(inst, 1.0)
 
 
 def test_identity_agrees_with_direct_margin():
@@ -195,14 +199,20 @@ def test_lemma_on_random_noisy_instances():
         assert report.theta_bound > 0.0
 
 
+def _svd_basis(A, support):
+    """Orthonormal basis of the supported blocks' span, from their own SVD."""
+    return np.linalg.svd(extract_blocks(A, support), full_matrices=False)[0]
+
+
 def _reference_identity(inst, t):
-    """The identity as first written: both bases solved, the stacked
-    dictionary projected and the zero-padded u and v formed for every t."""
+    """The identity as first written: both bases solved by their own SVDs,
+    neither library route's factorization, the stacked dictionary projected
+    and the zero-padded u and v formed for every t."""
     A = inst.problem.matrix
     j = inst.probe_index
     c = 1.0 / inst.alpha_21
     alpha = np.concatenate([inst.xi.block(i) for i in inst.remaining])
-    chosen = _range_basis(A, inst.partial_support)
+    chosen = _svd_basis(A, inst.partial_support)
     r = inst.problem.observation - chosen @ (chosen.T @ inst.problem.observation)
     h = A.block(j).T @ r
     h = h / np.linalg.norm(h)
@@ -212,7 +222,7 @@ def _reference_identity(inst, t):
     v = np.concatenate([np.zeros(alpha.size), h])
     plus = B @ ((t + c) * u - v)
     minus = B @ ((t - c) * u + v)
-    support = _range_basis(A, inst.support)
+    support = _svd_basis(A, inst.support)
     probe = A.block(j) @ h
     noise_term = np.dot(inst.noise, probe - support @ (support.T @ probe))
     return float((plus @ plus - minus @ minus) / (4.0 * t) - noise_term)
@@ -336,14 +346,14 @@ def test_verification_batch_summary():
         run_proof_verification(trials=0, seed=1)
 
 
-def _count_calls(monkeypatch, name="project_least_squares", owner=bomp.proofs):
-    """Record the second argument of every call to ``owner.name``: the support
-    of a projection or a basis, or the support a layout method checks."""
+def _count_calls(monkeypatch, name="project_least_squares", owner=bomp.proofs, argument=1):
+    """Record the argument at ``argument`` of every call to ``owner.name``: by
+    default the support of a projection or the support a layout method checks."""
     calls = []
     original = getattr(owner, name)
 
     def counting(*args, **kwargs):
-        calls.append(args[1])
+        calls.append(args[argument])
         return original(*args, **kwargs)
 
     monkeypatch.setattr(owner, name, counting)
@@ -356,20 +366,21 @@ def test_sweep_projects_at_most_twice_per_trial(monkeypatch):
     assert len(calls) <= 2 * 20
 
 
-def test_identity_solves_two_bases_per_instance(monkeypatch):
+def test_identity_factors_the_support_once_per_instance(monkeypatch):
     inst = random_proof_instance(np.random.default_rng(38))
-    calls = _count_calls(monkeypatch, "_range_basis")
+    calls = _count_calls(monkeypatch, "qr", np.linalg, argument=0)
     eta_via_identity(inst, 1.0)
-    assert len(calls) == 2
+    # one QR of the support's columns serves both projections
+    assert [sub.shape[1] for sub in calls] == [len(inst.support) * inst.truth.layout.block_width]
     for t in (0.01, 0.1, 10.0, 100.0):
         eta_via_identity(inst, t)
-    assert len(calls) == 2
+    assert len(calls) == 1
 
 
-def test_sweep_solves_at_most_two_bases_per_trial(monkeypatch):
-    calls = _count_calls(monkeypatch, "_range_basis")
+def test_sweep_factors_at_most_one_support_per_trial(monkeypatch):
+    calls = _count_calls(monkeypatch, "qr", np.linalg, argument=0)
     run_proof_verification(20, 3)
-    assert len(calls) <= 2 * 20
+    assert len(calls) <= 20
 
 
 def test_instance_derives_each_projection_once(monkeypatch):
@@ -389,9 +400,8 @@ def test_instance_derives_each_projection_once(monkeypatch):
     # one fit per support, however many quantities read it
     assert sorted(calls) == sorted([inst.support, inst.partial_support])
     assert len(rip_calls) == 1
-    # each fit and each of the identity's two bases checks its support once,
-    # and the identity's stack of the unchosen blocks once
-    assert len(checks) == 2 + 2 + 1
+    # each fit checks its support once; the identity route checks none
+    assert len(checks) == 2
 
     checks.clear()
     project_least_squares(inst.problem.matrix, inst.support, inst.problem.observation)

@@ -625,6 +625,33 @@ def test_batched_pursuit_equals_one_problem_at_a_time(
             assert np.max(np.abs(A.block(i).T @ r)) <= 1e-9 * max(1.0, np.linalg.norm(y))
 
 
+@settings(derandomize=True, max_examples=120, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    k=st.integers(-600, 300),
+    mode=st.sampled_from([FIXED_ITERATIONS, RESIDUAL_THRESHOLD]),
+    epsilon=st.sampled_from([0.0, 0.05 + 1e-10]),
+    screen=st.booleans(),
+)
+def test_pursuit_is_invariant_under_power_of_two_scaling(seed, k, mode, epsilon, screen):
+    # scaling y and epsilon by 2^k scales every residual and estimate exactly,
+    # so the picks must not change, also where the squares underflow
+    rng = np.random.default_rng(seed)
+    d = int(rng.integers(1, 4))
+    support = tuple(int(i) for i in rng.choice(8, size=3, replace=False) + 1)
+    problem, _ = _random_problem(rng, m=24, M=8, d=d, support=support, noise=0.05)
+    scale = 2.0**k
+    scaled = SensingProblem(matrix=problem.matrix, observation=problem.observation * scale)
+    budget = 4 if mode == FIXED_ITERATIONS else None
+    with _screen(screen):
+        want = run_bomp(problem, StoppingRule(mode, epsilon=epsilon, max_iterations=budget))
+        got = run_bomp(scaled, StoppingRule(mode, epsilon=epsilon * scale, max_iterations=budget))
+    assert got.chosen_indices == want.chosen_indices
+    assert got.status == want.status
+    assert got.residual_norms == tuple(norm * scale for norm in want.residual_norms)
+    np.testing.assert_array_equal(got.final_estimate.values, want.final_estimate.values * scale)
+
+
 def test_overflowing_scores_raise_instead_of_picking_by_index():
     for screen in (False, True):
         with _screen(screen):
