@@ -47,42 +47,42 @@ alone, so a stacked result is bit for bit the one a problem gets alone; when
 one singular matrix makes a stacked call raise, each problem's own call
 decides (``_stacked_or_each``).
 
+Each residual is held at unit scale, as rho 2^e with the largest entry of
+rho in [1/2, 1): the update ``r -= q (q' r)`` runs on rho, which is then
+rescaled by a power of two, the shift added to e. The picks read rho alone,
+and the residual norm is ``ldexp(||rho||, e)``. A pick does not change when
+r is scaled, and power-of-two scaling is exact, so the pursuit on ``2^k y``
+with epsilon ``2^k epsilon`` makes the same picks and stops with the same
+status, its residual norms and estimate exactly 2^k times as large,
+wherever ``2^k y`` is exact; at normal scale no bit changes. A problem is
+refused when its first residual norm, or any of its scores times 2^e,
+reaches ``_OVERFLOW``. The products ``A_l' rho`` still scale with A: on the
+seed-0 (128, 64, 4) Gaussian dictionary scaled by 2^j, whatever the scale
+of y, 8 fixed picks stay right down to j = -535 (largest entry 3.5e-162),
+go wrong from j = -536, where the squares of the products underflow, and
+are refused from j = 511 (2.7e153), where they overflow.
+
 On a dictionary of ``_SCREEN_ENTRIES`` entries or more, a float32 screen
 makes the picks: it reads half the bytes per pick and never changes one.
 Once per solve, ``_Float32Screen`` casts the stack to float32, which costs
 half the stack's bytes in memory, and bounds each block's Frobenius norm
 from that copy, inflated to cover the cast and the float32 sums. Per pick,
-each residual r is scaled by the power of two sigma that brings its norm
-into [1/2, 1), cast to float32 and scored by one float32 product; the
-products are upcast and their block norms taken in float64. Each score
-s_l gets the bound e_l = c ||A_l||_F ||sigma r|| + tau, with c about
-(m + 2) 2^-24 and tau an absolute term for underflow (Higham, Accuracy and
-Stability, 2nd ed., ch. 3). It covers rounding A and r to float32, the
-m-term float32 dot products in any order, with or without FMA, and the
-float64 pass's own rounding, so it bounds the gap between s_l and sigma
-times the float64 pass's score. The top unmasked block t is the pick when
-no other unmasked block's s_l + e_l reaches s_t - e_t: t is then also the
-float64 pass's unique argmax. Otherwise the float64 pass decides on that
-problem's slice of the stack, as it does below the size. It also decides
-when the residual norm is below 2^-400, when the norm bounds let a float64
-score reach 2^400 (its squares could overflow, and the pass then raises
-the overflow error), or when anything is not finite. So every near-tie,
-exact tie, overflow and masked pick comes out as the float64 pass gives it.
-On the three seed-0 ``pursuit_large`` instances the float64 pass decided
-1 of 192 picks.
-
-A residual with entries of about 1e-170 or less has squares that underflow,
-so its norm and scores would read 0 and its pick fall to the smallest
-index. A norm below ``_UNDERFLOW`` = 2^-480 is therefore taken again from
-the residual scaled by the power of two of its largest entry, and scaled
-back; a problem whose top unmasked float64 score is below it is scored
-again from that scaled residual and takes the rescored pick when every
-rescored score is finite (overflow is still judged on the unscaled ones).
-Scaling by a power of two is exact, so the pursuit on ``2^k y`` with
-epsilon ``2^k epsilon`` makes the same picks and stops with the same
-status, its residual norms and estimate exactly 2^k times as large. The
-common path pays one compare per problem per step. Scores on a dictionary
-scaled far down, about 1e-300, still underflow.
+each rho is cast to float32 and scored by one float32 product; the products
+are upcast and their block norms taken in float64. Each score s_l gets the
+bound e_l = c ||A_l||_F ||rho|| + tau, with c about (m + 2) 2^-24 and tau an
+absolute term for underflow (Higham, Accuracy and Stability, 2nd ed., ch.
+3). It covers rounding A and rho to float32, the m-term float32 dot products
+in any order, with or without FMA, and the float64 pass's own rounding, so
+it bounds the gap between s_l and the float64 pass's score of rho. The top
+unmasked block t is the pick when no other unmasked block's s_l + e_l
+reaches s_t - e_t: t is then also the float64 pass's unique argmax.
+Otherwise the float64 pass decides on that problem's slice of the stack, as
+it does below the size. It also decides when the norm bounds let a score
+times 2^e reach ``_SCREEN_RANGE`` = 2^400 (the pass then may refuse the
+problem), or when anything is not finite. So every near-tie, exact tie,
+overflow and masked pick comes out as the float64 pass gives it. On the
+three seed-0 ``pursuit_large`` instances the float64 pass decided 1 of 192
+picks.
 """
 
 from __future__ import annotations
@@ -117,18 +117,12 @@ _GRAM_SCREEN = 1e-8
 # 1.06 and 0.98; 2^20 (1024, 256, 4) 1.06 and 0.94; 2^21 (1024, 512, 4) 1.00
 # and 0.86; stacks of 8 at (128, 64, 4) with 8 picks, 1.02.
 _SCREEN_ENTRIES = 1 << 20
-# The screen decides only for a residual norm of at least 1/_SCREEN_RANGE and
-# scores below _SCREEN_RANGE (by its norm bounds), so sigma stays finite and
-# the float64 pass's squares far from overflow.
+# A problem is refused when its first residual norm, or any of its selection
+# scores scaled back by 2^e, reaches this: its square is past the double range.
+_OVERFLOW = 2.0**512
+# The screen decides only where its norm bounds keep every score times 2^e at
+# most this, far below _OVERFLOW, so the float64 pass refuses no such problem.
 _SCREEN_RANGE = 2.0**400
-# Residual norms and top float64 scores below this are rescaled (see the
-# module docstring). Above it, a norm, and every score within a factor 2 of
-# the top one (all that can compete for the pick), has a sum of squares of at
-# least 2^-962; a square that underflows, below 2^-1022, errs by at most
-# 2^-1075 (2^-1022 if flushed to zero), under 2^-60 of that sum and so below
-# its own rounding. The value follows from the double range; it is not a
-# tuning constant.
-_UNDERFLOW = 2.0**-480
 
 RESIDUAL_THRESHOLD = "residual_threshold"
 FIXED_ITERATIONS = "fixed_iterations"
@@ -188,27 +182,38 @@ class RecoveryTrace:
 def select_block(A: BlockedMatrix, r: np.ndarray) -> int:
     """Index of the block maximizing ||A[l]' r||_2, smallest index on ties (np.argmax
     takes the first maximum): the per-residual reference of the pick, which no
-    library path calls. It masks no block; the pursuit masks the blocks it chose."""
-    return int(np.argmax(block_correlation_scores(A, r))) + 1
+    library path calls. It masks no block; the pursuit masks the blocks it chose.
+    Like the pursuit, it scores r at unit scale, so ``2^k r`` gives its pick."""
+    return int(np.argmax(_unit_scores(A, r)[0])) + 1
 
 
 def block_correlation_scores(A: BlockedMatrix, r: np.ndarray) -> np.ndarray:
-    """All selection scores ||A[l]' r||_2 as a length-M vector.
+    """All selection scores ||A[l]' r||_2 as a length-M vector, scored from r at
+    unit scale and scaled back, so a score underflows only in this last step.
 
-    Raises :class:`BompError` when a score is not finite: an argmax over
-    overflowed scores would pick a block by its index, not by correlation.
+    Raises :class:`BompError` when a score reaches ``_OVERFLOW`` or is NaN, as
+    the pursuit does: an argmax over overflowed scores would pick a block by
+    its index, not by correlation.
     """
+    scores, e = _unit_scores(A, r)
+    return np.ldexp(scores, e)
+
+
+def _unit_scores(A: BlockedMatrix, r: np.ndarray):
+    """``(scores, e)``: the selection scores of ``r 2^-e``, the residual scaled to
+    a largest entry in [1/2, 1), with e; raises the pursuit's overflow error."""
     r = _frozen_array(r, (A.rows,), "residual")
-    scores = _stacked_scores(A.entries[None], r[None], A.layout.block_width)[0]
-    if not np.isfinite(scores).all():
+    rho, e = _scaled_to_largest(r[None])
+    scores = _stacked_scores(A.entries[None], rho, A.layout.block_width)
+    if _overflows(scores, e)[0]:
         raise _overflow_error()
-    return scores
+    return scores[0], e[0]
 
 
 def _stacked_scores(entries: np.ndarray, residuals: np.ndarray, d: int) -> np.ndarray:
     """Selection scores of a stack of problems: entry [t, l] is ||A_t[l]' r_t||_2.
 
-    Overflow is not warned about; callers test the scores for finiteness.
+    Overflow is not warned about; callers test the scores with ``_overflows``.
     """
     with np.errstate(over="ignore", invalid="ignore"):
         products = np.matmul(entries.transpose(0, 2, 1), residuals[:, :, None])
@@ -216,32 +221,23 @@ def _stacked_scores(entries: np.ndarray, residuals: np.ndarray, d: int) -> np.nd
         return np.sqrt(np.einsum("tld,tld->tl", products, products))
 
 
-def _float64_picks(entries: np.ndarray, residuals: np.ndarray, d: int, chosen: np.ndarray):
-    """The float64 pass: each problem's argmax of ``_stacked_scores`` with the
-    blocks ``chosen`` masked out, and whether any of its scores is not finite.
-
-    A problem whose top score is below ``_UNDERFLOW`` is scored again from its
-    residual scaled by the power of two of its largest entry, which leaves the
-    argmax as it is in exact arithmetic, and takes that pick when every score
-    is finite. Overflow is judged on the unscaled scores.
-    """
-    scores = _stacked_scores(entries, residuals, d)
-    overflow = ~np.isfinite(scores).all(axis=1)
-    picks = _masked_argmax(scores, chosen)
-    tiny = np.flatnonzero(scores[np.arange(len(scores)), picks] < _UNDERFLOW)
-    if len(tiny):
-        rescored = _stacked_scores(entries[tiny], _scaled_to_largest(residuals[tiny])[0], d)
-        finite = np.isfinite(rescored).all(axis=1)
-        picks[tiny[finite]] = _masked_argmax(rescored, chosen[tiny])[finite]
-    return picks, overflow
+def _overflows(scores: np.ndarray, e: np.ndarray) -> np.ndarray:
+    """Whether some score of each problem, scaled back by 2^e, reaches
+    ``_OVERFLOW`` or is NaN."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return ~(np.ldexp(scores.max(axis=1), e) < _OVERFLOW)
 
 
-def _masked_argmax(scores: np.ndarray, chosen: np.ndarray) -> np.ndarray:
-    """Each row's argmax of ``scores`` with the blocks ``chosen`` masked out,
-    in place."""
+def _float64_picks(entries: np.ndarray, rho: np.ndarray, e: np.ndarray, d: int,
+                   chosen: np.ndarray):
+    """The float64 pass: each problem's argmax of the scores of its unit-scale
+    residual ``rho`` with the blocks ``chosen`` masked out, and whether it
+    overflows (``_overflows``)."""
+    scores = _stacked_scores(entries, rho, d)
+    overflow = _overflows(scores, e)
     scores[np.arange(len(scores))[:, None], chosen - 1] = -1.0
     # np.argmax returns the first maximum, which is the smallest block index
-    return np.argmax(scores, axis=1)
+    return np.argmax(scores, axis=1), overflow
 
 
 def _scaled_to_largest(vectors: np.ndarray):
@@ -292,67 +288,55 @@ class _Float32Screen:
         self.norms = np.sqrt((sums + 2.0 * m * d * _TINY32) * inflate) + floor
         self.norms *= 1.0 + 2.0 * _U32
         self.largest = self.norms.max(axis=1)
-        # per unit of ||A_l||_F ||rho||: the float32 route (rounding A and rho,
-        # m-term products), the float64 pass's own m-term products and d-term
-        # norm, the screen's float64 norm, and the underflow that grows with A
+        # per unit of ||A_l||_F ||rho||, which is at least ||A_l||_F / 2: the
+        # float32 route (rounding A and rho, m-term products), the float64
+        # pass's own m-term products and d-term norm, the screen's float64
+        # norm, and the underflow that grows with A
         self.relative = (
             _gamma(m + 2, _U32) + _gamma(m + d + 2, _U64) + 2.0 * _gamma(d + 1, _U64)
             + 10.0 * math.sqrt(m) * _TINY32
         )
-        # absolute: float32 underflow, and the float64 pass's, scaled by sigma
-        self.floor32 = 12.0 * m * math.sqrt(d) * _TINY32
-        self.floor64 = math.sqrt(d) * (5.0 * m * _TINY64 + 2.0 * math.sqrt(_TINY64))
-        # ||r|| is at most its computed norm times this
+        # absolute, as every |rho_i| < 1: float32 underflow, and the float64
+        # pass's on rho
+        self.absolute = 12.0 * m * math.sqrt(d) * _TINY32 + math.sqrt(d) * (
+            5.0 * m * _TINY64 + 2.0 * math.sqrt(_TINY64)
+        )
+        # ||rho|| is at most its computed norm times this
         self.norm_slack = 1.0 + _gamma(m + 3, _U64)
 
-    def picks(self, residuals: np.ndarray, residual_norms: np.ndarray, chosen: np.ndarray):
-        """Each problem's argmax of the float32 scores with the blocks ``chosen``
-        masked out, and whether that pick is proved to be the float64 pass's.
+    def picks(self, rho: np.ndarray, rho_norms: np.ndarray, e: np.ndarray, chosen: np.ndarray):
+        """Each problem's argmax of the float32 scores of its unit-scale residual
+        ``rho`` (the residual is ``rho 2^e``) with the blocks ``chosen`` masked
+        out, and whether that pick is proved to be the float64 pass's.
 
-        ``residual_norms`` are the residuals' norms as ``_stacked_norms`` gives
-        them. Overflow and NaN are not warned about; they leave a pick unproved.
+        ``rho_norms`` are the norms of ``rho`` as ``_stacked_norms`` gives them.
+        Overflow and NaN are not warned about; they leave a pick unproved.
         """
-        size = len(residuals)
+        size = len(rho)
         problems = np.arange(size)
         with np.errstate(all="ignore"):
-            # sigma = 2^-e for a norm f 2^e with f in [1/2, 1): rho = sigma r, exactly
-            sigma = np.ldexp(1.0, -np.frexp(residual_norms)[1])
-            rho = (residuals * sigma[:, None]).astype(np.float32)
-            products = np.matmul(rho[:, None, :], self.copy).reshape(size, -1, self.d)
-            products = products.astype(np.float64)
+            products = np.matmul(rho.astype(np.float32)[:, None, :], self.copy)
+            products = products.reshape(size, -1, self.d).astype(np.float64)
             scores = np.sqrt(np.einsum("tld,tld->tl", products, products))
-            rho_norm = sigma * residual_norms * self.norm_slack
-            error = self.relative * self.norms * rho_norm[:, None]
-            error += (self.floor32 + self.floor64 * sigma)[:, None]
+            error = self.relative * self.norms * (rho_norms * self.norm_slack)[:, None]
+            error += self.absolute
             scores[problems[:, None], chosen - 1] = -np.inf
             top = np.argmax(scores, axis=1)
             low = scores[problems, top] - error[problems, top]
             high = scores + error
             high[problems, top] = -np.inf
-            # the float64 scores are finite, and their squares far from overflow
-            in_range = (residual_norms >= 1.0 / _SCREEN_RANGE) & (
-                self.largest * residual_norms <= _SCREEN_RANGE
-            )
+            # the float64 pass refuses none, and a finite copy keeps its squares
+            # of rho's products far from overflow
+            in_range = np.ldexp(self.largest * rho_norms, e) <= _SCREEN_RANGE
             # false where anything is NaN
             return top, in_range & (high.max(axis=1) < low)
 
 
 def _stacked_norms(vectors: np.ndarray) -> np.ndarray:
     """Euclidean norm of each row, each by its own dot product, so a vector's
-    norm does not depend on the vectors stacked with it. A norm below
-    ``_UNDERFLOW``, whose squares may have underflowed, is taken again from its
-    row scaled by the power of two of its largest entry and scaled back.
-    Overflow is not warned about."""
-    def dot_norms(rows):
-        return np.sqrt(np.matmul(rows[:, None, :], rows[:, :, None])[:, 0, 0])
-
-    with np.errstate(over="ignore", invalid="ignore"):
-        norms = dot_norms(vectors)
-        tiny = norms < _UNDERFLOW
-        if tiny.any():
-            scaled, exponents = _scaled_to_largest(vectors[tiny])
-            norms[tiny] = np.ldexp(dot_norms(scaled), exponents)
-        return norms
+    norm does not depend on the vectors stacked with it. The pursuit's rows are
+    at unit scale, where the squares neither overflow nor underflow."""
+    return np.sqrt(np.matmul(vectors[:, None, :], vectors[:, :, None])[:, 0, 0])
 
 
 def _overflow_error() -> BompError:
@@ -505,17 +489,20 @@ def _pursue(entries: np.ndarray, observations: np.ndarray, layout, stop: Stoppin
     problems = np.arange(size)
     # each dictionary's columns split into its blocks: a view for any strides
     blocks = entries.reshape(size, m, layout.num_blocks, d)
-    residual = observations.copy()
+    # each residual is rho 2^e, rho at unit scale (see the module docstring)
+    rho, e = _scaled_to_largest(observations)
     # thin QR of each problem's chosen blocks in pick order, the basis kept
     # as rows: A_S = Qt[t, :n].T @ R[t, :n, :n]
     Qt = np.empty((size, budget * d, m))
     R = np.zeros((size, budget * d, budget * d))
     chosen = np.zeros((size, budget), dtype=int)
     norms = np.empty((size, budget + 1))
-    norms[:, 0] = _stacked_norms(residual)
+    rho_norms = _stacked_norms(rho)
+    with np.errstate(over="ignore"):
+        norms[:, 0] = np.ldexp(rho_norms, e)
     outcomes: list = [None] * size
     # projections only shrink the residual, so its first norm is the one to test
-    active = np.isfinite(norms[:, 0])
+    active = norms[:, 0] < _OVERFLOW
     for t in np.flatnonzero(~active):
         outcomes[t] = _overflow_error()
 
@@ -543,14 +530,14 @@ def _pursue(entries: np.ndarray, observations: np.ndarray, layout, stop: Stoppin
         # along, and may carry inf or NaN, which no other row reads
         with np.errstate(all="ignore"):
             if screen is None:
-                picks, overflow = _float64_picks(entries, residual, d, chosen[:, :k])
+                picks, overflow = _float64_picks(entries, rho, e, d, chosen[:, :k])
             else:
-                picks, decided = screen.picks(residual, norms[:, k], chosen[:, :k])
+                picks, decided = screen.picks(rho, rho_norms, e, chosen[:, :k])
                 overflow = np.zeros(size, dtype=bool)
                 for t in np.flatnonzero(active & ~decided):
                     # the float64 pass on the problem's slice, as in the stack
                     (picks[t],), (overflow[t],) = _float64_picks(
-                        entries[t : t + 1], residual[t : t + 1], d, chosen[t : t + 1, :k]
+                        entries[t : t + 1], rho[t : t + 1], e[t : t + 1], d, chosen[t : t + 1, :k]
                     )
             overflow &= active
             for t in np.flatnonzero(overflow):
@@ -578,8 +565,11 @@ def _pursue(entries: np.ndarray, observations: np.ndarray, layout, stop: Stoppin
             Qt[:, n : n + d] = q.transpose(0, 2, 1)
             R[:, :n, n : n + d] = c1
             R[:, n : n + d, n : n + d] = r_diag
-            residual -= np.matmul(q, np.matmul(q.transpose(0, 2, 1), residual[:, :, None]))[:, :, 0]
-            norms[:, k + 1] = _stacked_norms(residual)
+            rho -= np.matmul(q, np.matmul(q.transpose(0, 2, 1), rho[:, :, None]))[:, :, 0]
+            rho, shift = _scaled_to_largest(rho)
+            e += shift
+            rho_norms = _stacked_norms(rho)
+            norms[:, k + 1] = np.ldexp(rho_norms, e)
 
     return outcomes
 

@@ -5,7 +5,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import bomp.solver
@@ -26,6 +26,7 @@ from bomp.solver import (
     _gram_screen_clears,
     _pursue,
     _rank_failure,
+    _scaled_to_largest,
     _stacked_norms,
     block_correlation_scores,
     project_least_squares,
@@ -130,6 +131,19 @@ def test_correlation_scores_match_definition():
     expected = [np.linalg.norm(A.block(i).T @ r) for i in layout.block_indices()]
     np.testing.assert_allclose(scores, expected, rtol=1e-14)
     assert select_block(A, r) == 1 + int(np.argmax(expected))
+
+
+def test_the_reference_pick_scores_the_residual_at_unit_scale():
+    # the squares of y * 2^-600 against this dictionary underflow, so scores of
+    # the unscaled residual would all read 0 and pick block 1 by its index
+    rng = np.random.default_rng(0)
+    A = BlockedMatrix(BlockLayout(12, 2), rng.normal(size=(24, 24)) / np.sqrt(24))
+    y = A.block(4) @ np.array([3.0, 4.0]) + A.block(2) @ np.array([1.0, 2.0])
+    stop = StoppingRule(FIXED_ITERATIONS, max_iterations=1)
+    first = run_bomp(SensingProblem(matrix=A, observation=y), stop)
+    assert select_block(A, y * 2.0**-600) == select_block(A, y) == first.chosen_indices[0] == 4
+    scores = block_correlation_scores(A, y)
+    assert np.array_equal(block_correlation_scores(A, y * 2.0**-600), scores * 2.0**-600)
 
 
 def test_projection_residual_is_orthogonal():
@@ -628,7 +642,7 @@ def test_batched_pursuit_equals_one_problem_at_a_time(
 @settings(derandomize=True, max_examples=120, deadline=None)
 @given(
     seed=st.integers(0, 2**32 - 1),
-    k=st.integers(-600, 300),
+    k=st.integers(-1000, 400),
     mode=st.sampled_from([FIXED_ITERATIONS, RESIDUAL_THRESHOLD]),
     epsilon=st.sampled_from([0.0, 0.05 + 1e-10]),
     screen=st.booleans(),
@@ -640,8 +654,10 @@ def test_pursuit_is_invariant_under_power_of_two_scaling(seed, k, mode, epsilon,
     d = int(rng.integers(1, 4))
     support = tuple(int(i) for i in rng.choice(8, size=3, replace=False) + 1)
     problem, _ = _random_problem(rng, m=24, M=8, d=d, support=support, noise=0.05)
+    y = problem.observation
+    assume(np.array_equal(np.ldexp(y * 2.0**k, -k), y))  # only exact scalings
     scale = 2.0**k
-    scaled = SensingProblem(matrix=problem.matrix, observation=problem.observation * scale)
+    scaled = SensingProblem(matrix=problem.matrix, observation=y * scale)
     budget = 4 if mode == FIXED_ITERATIONS else None
     with _screen(screen):
         want = run_bomp(problem, StoppingRule(mode, epsilon=epsilon, max_iterations=budget))
@@ -650,6 +666,7 @@ def test_pursuit_is_invariant_under_power_of_two_scaling(seed, k, mode, epsilon,
     assert got.status == want.status
     assert got.residual_norms == tuple(norm * scale for norm in want.residual_norms)
     np.testing.assert_array_equal(got.final_estimate.values, want.final_estimate.values * scale)
+    assert select_block(scaled.matrix, scaled.observation) == select_block(problem.matrix, y)
 
 
 def test_overflowing_scores_raise_instead_of_picking_by_index():
@@ -673,7 +690,8 @@ def test_overflowing_scores_raise_instead_of_picking_by_index():
             block_correlation_scores(A, y)
         screen = _Float32Screen(A.entries[None], 2)
         assert np.isfinite(screen.norms).all() == copy_is_finite
-        _, decided = screen.picks(y[None], _stacked_norms(y[None]), np.zeros((1, 0), int))
+        rho, e = _scaled_to_largest(y[None])
+        _, decided = screen.picks(rho, _stacked_norms(rho), e, np.zeros((1, 0), int))
         assert not decided[0]
         with _screen(True), pytest.raises(BompError, match="overflow"):
             run_bomp(SensingProblem(matrix=A, observation=y), stop)
@@ -827,6 +845,7 @@ def test_the_screen_proves_clear_picks_and_leaves_near_ties():
     entries = rng.normal(size=(m, M * d)) / np.sqrt(m)
     nothing = np.zeros((1, 0), dtype=int)
     r = entries[:, 2:4] @ np.array([1.0, -2.0])  # block 2 wins clearly
+    rho, e = _scaled_to_largest(r[None])
     for copy in (
         entries[:, 2:4],  # exact repeat: a tie, the smallest index wins
         entries[:, 2:4] * (1.0 + 1e-9 * rng.normal(size=(m, 2))),  # below float32
@@ -836,14 +855,14 @@ def test_the_screen_proves_clear_picks_and_leaves_near_ties():
         if copy is not None:
             A[:, 20:22] = copy
         screen = _Float32Screen(A[None], d)
-        top, decided = screen.picks(r[None], _stacked_norms(r[None]), nothing)
-        want, _ = _float64_picks(A[None], r[None], d, nothing)
+        top, decided = screen.picks(rho, _stacked_norms(rho), e, nothing)
+        want, _ = _float64_picks(A[None], rho, e, d, nothing)
         assert decided[0] == (copy is None)
         if decided[0]:
             assert top[0] == want[0] == 1
     # a masked block is never the pick, and a lone unmasked block is proved
     chosen = np.array([[i for i in range(1, M + 1) if i != 7]])
-    top, decided = _Float32Screen(entries[None], d).picks(r[None], _stacked_norms(r[None]), chosen)
+    top, decided = _Float32Screen(entries[None], d).picks(rho, _stacked_norms(rho), e, chosen)
     assert top[0] == 6 and decided[0]
 
 
