@@ -27,7 +27,7 @@ from .core import (
     as_int,
     as_real,
 )
-from .io import json_fields, load_json_object
+from .io import checked_keys, json_fields, load_json_object
 from .solver import FIXED_ITERATIONS, StoppingRule, _pursue, _stacked_norms
 
 # bytes of the one stack of dictionaries a batch draws into and pursues:
@@ -42,16 +42,10 @@ from .solver import FIXED_ITERATIONS, StoppingRule, _pursue, _stacked_norms
 _CHUNK_BYTES = 1 << 22
 
 
-def _checked_keys(cls, data: dict, what: str) -> dict:
-    """``data`` unchanged; ValueError unless its keys are field names of the
-    dataclass ``cls`` and include every field without a default."""
-    unknown = set(data) - {f.name for f in fields(cls)}
-    if unknown:
-        raise ValueError(f"unknown {what} keys: {sorted(unknown)}")
-    missing = {f.name for f in fields(cls) if f.default is MISSING} - set(data)
-    if missing:
-        raise ValueError(f"{what} is missing required keys: {sorted(missing)}")
-    return data
+def _keys(cls) -> tuple[set, set]:
+    """The field names of the dataclass ``cls``, and those without a default."""
+    names = fields(cls)
+    return {f.name for f in names}, {f.name for f in names if f.default is MISSING}
 
 
 @dataclass(frozen=True)
@@ -105,10 +99,11 @@ class ExperimentConfig:
     @classmethod
     def from_dict(cls, data: dict) -> "ExperimentConfig":
         """The config a JSON object describes; ``stopping`` is an object too."""
-        data = dict(_checked_keys(cls, data, "config"))
+        data = dict(checked_keys(data, *_keys(cls), "config"))
         stopping = data.get("stopping")
         if isinstance(stopping, dict):
-            data["stopping"] = StoppingRule(**_checked_keys(StoppingRule, stopping, "stopping"))
+            stopping = checked_keys(stopping, *_keys(StoppingRule), "stopping")
+            data["stopping"] = StoppingRule(**stopping)
         return cls(**data)
 
     @classmethod

@@ -66,6 +66,18 @@ def load_json_object(path, what: str) -> dict:
     return data
 
 
+def checked_keys(data: dict, allowed, required, what: str) -> dict:
+    """``data`` unchanged; ValueError, naming ``what`` and the keys, unless every
+    key is one of ``allowed`` and every name in ``required`` is a key."""
+    unknown = set(data) - set(allowed)
+    if unknown:
+        raise ValueError(f"unknown {what} keys: {sorted(unknown)}")
+    missing = set(required) - set(data)
+    if missing:
+        raise ValueError(f"{what} is missing keys: {sorted(missing)}")
+    return data
+
+
 def save_layout(path, layout: BlockLayout, rows: int) -> None:
     with open(path, "w", encoding="utf-8") as handle:
         json.dump(
@@ -77,13 +89,9 @@ def save_layout(path, layout: BlockLayout, rows: int) -> None:
 
 def load_layout(path) -> tuple[int, BlockLayout]:
     """Read a layout sidecar; returns (rows, layout)."""
-    meta = load_json_object(path, "layout sidecar")
-    try:
-        rows, M, d = (
-            as_int(meta[key], f"layout sidecar {path}: {key}") for key in ("m", "M", "d")
-        )
-    except KeyError as exc:
-        raise ValueError(f"layout sidecar {path} is missing key {exc}") from exc
+    where, keys = f"layout sidecar {path}", ("m", "M", "d")
+    meta = checked_keys(load_json_object(path, "layout sidecar"), keys, keys, where)
+    rows, M, d = (as_int(meta[key], f"{where}: {key}") for key in keys)
     return rows, BlockLayout(M, d)
 
 

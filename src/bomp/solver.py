@@ -65,24 +65,25 @@ are refused from j = 511 (2.7e153), where they overflow.
 On a dictionary of ``_SCREEN_ENTRIES`` entries or more, a float32 screen
 makes the picks: it reads half the bytes per pick and never changes one.
 Once per solve, ``_Float32Screen`` casts the stack to float32, which costs
-half the stack's bytes in memory, and bounds each block's Frobenius norm
-from that copy, inflated to cover the cast and the float32 sums. Per pick,
-each rho is cast to float32 and scored by one float32 product; the products
-are upcast and their block norms taken in float64. Each score s_l gets the
-bound e_l = c ||A_l||_F ||rho|| + tau, with c about (m + 2) 2^-24 and tau an
-absolute term for underflow (Higham, Accuracy and Stability, 2nd ed., ch.
-3). It covers rounding A and rho to float32, the m-term float32 dot products
-in any order, with or without FMA, and the float64 pass's own rounding, so
-it bounds the gap between s_l and the float64 pass's score of rho. The top
-unmasked block t is the pick when no other unmasked block's s_l + e_l
-reaches s_t - e_t: t is then also the float64 pass's unique argmax.
-Otherwise the float64 pass decides on that problem's slice of the stack, as
-it does below the size. It also decides when the norm bounds let a score
-times 2^e reach ``_SCREEN_RANGE`` = 2^400 (the pass then may refuse the
-problem), or when anything is not finite. So every near-tie, exact tie,
-overflow and masked pick comes out as the float64 pass gives it. On the
-three seed-0 ``pursuit_large`` instances the float64 pass decided 1 of 192
-picks.
+half the stack's bytes in memory, and bounds each problem's largest block
+Frobenius norm by L from that copy. Per pick, each rho is cast to float32
+and scored by one float32 product, whose block norms are taken in float64.
+Each score is within one bound per problem, E = c L ||rho|| + tau, of the
+float64 pass's score of rho (Higham, Accuracy and Stability, 2nd ed., ch.
+3): c = gamma_{m+d+4}(2^-24) + 10 sqrt(m) 2^-126 covers the casts and the
+m-term float32 products in any order, with or without FMA, and tau their
+underflow. A float64 rounding is 2^29 times smaller than a float32 one, so
+the float64 pass's products and norms, the screen's norms, the slack on the
+computed ||rho|| and the test's roundings fit in the d + 2 float32
+roundings from gamma_{m+2} to gamma_{m+d+4}. The top unmasked block t, of
+score s_t, is the pick when the runner-up score plus E stays below s_t - E:
+t is then also the float64 pass's unique argmax. Otherwise the float64 pass
+decides on that problem's slice of the stack, as it does below the size. It
+also decides when L ||rho|| times 2^e reaches ``_SCREEN_RANGE`` = 2^400
+(the pass then may refuse the problem), or when anything is not finite. So
+every near-tie, exact tie, overflow and masked pick comes out as the float64
+pass gives it. On the three seed-0 ``pursuit_large`` instances the float64
+pass decided 1 of 192 picks.
 """
 
 from __future__ import annotations
@@ -256,19 +257,20 @@ def _gamma(k: int, u: float) -> float:
     return k * u / (1.0 - k * u) if k * u < 0.25 else math.inf
 
 
-_U32, _U64 = 2.0**-24, 2.0**-53  # unit roundoffs
-# the absolute error of one rounding that underflows, flushed to zero or not
-_TINY32, _TINY64 = 2.0**-126, 2.0**-1022
+_U32 = 2.0**-24  # float32 unit roundoff
+# the absolute error of one float32 rounding that underflows, flushed to zero
+# or not, and of reading a subnormal input as zero
+_TINY32 = 2.0**-126
 
 
 class _Float32Screen:
     """The selection step's float32 screen on a stack of dictionaries.
 
-    It holds a float32 copy of the stack, cast without a float64 temporary,
-    and an upper bound ``norms[t, l]`` on ||A_t[l]||_F, summed from the copy and
-    inflated to cover the cast and the float32 sums. ``picks`` scores every
-    residual against the copy and proves, where it can, that its pick is the
-    float64 pass's (see the module docstring for the bound).
+    It holds a float32 copy of the stack, cast without a float64 temporary, and
+    for each problem an upper bound ``largest[t]`` on its blocks' ||A_t[l]||_F,
+    summed from the copy and inflated to cover the cast and the float32 sums.
+    ``picks`` scores every residual against the copy and proves, where it can,
+    that its pick is the float64 pass's (see the module docstring for the bound).
     """
 
     def __init__(self, entries: np.ndarray, d: int):
@@ -279,30 +281,26 @@ class _Float32Screen:
         with np.errstate(over="ignore", invalid="ignore"):
             self.copy = entries.astype(np.float32)
             columns = np.einsum("tmn,tmn->tn", self.copy, self.copy).astype(np.float64)
-        sums = columns.reshape(size, -1, d).sum(axis=2)
-        # each cast is within u32|a| + _TINY32 of a; each m-term float32 sum of
-        # squares within gamma_m of its value plus 2m _TINY32; the d-term sum in
-        # float64 within gamma_d; the factors 2 leave room for this line's rounding
-        floor = math.sqrt(m * d) * _TINY32
-        inflate = (1.0 + 2.0 * _gamma(m, _U32)) * (1.0 + 2.0 * _gamma(d, _U64))
-        self.norms = np.sqrt((sums + 2.0 * m * d * _TINY32) * inflate) + floor
-        self.norms *= 1.0 + 2.0 * _U32
-        self.largest = self.norms.max(axis=1)
-        # per unit of ||A_l||_F ||rho||, which is at least ||A_l||_F / 2: the
-        # float32 route (rounding A and rho, m-term products), the float64
-        # pass's own m-term products and d-term norm, the screen's float64
-        # norm, and the underflow that grows with A
-        self.relative = (
-            _gamma(m + 2, _U32) + _gamma(m + d + 2, _U64) + 2.0 * _gamma(d + 1, _U64)
-            + 10.0 * math.sqrt(m) * _TINY32
-        )
-        # absolute, as every |rho_i| < 1: float32 underflow, and the float64
-        # pass's on rho
-        self.absolute = 12.0 * m * math.sqrt(d) * _TINY32 + math.sqrt(d) * (
-            5.0 * m * _TINY64 + 2.0 * math.sqrt(_TINY64)
-        )
-        # ||rho|| is at most its computed norm times this
-        self.norm_slack = 1.0 + _gamma(m + 3, _U64)
+        largest_sum = columns.reshape(size, -1, d).sum(axis=2).max(axis=1)
+        # each cast is within u|a| + T of a (u = _U32, T = _TINY32), so ||A_l||_F
+        # <= (||copy_l||_F + sqrt(md) T) / (1 - u); an m-term float32 sum of
+        # squares is within gamma_m of its value plus 2m T (1 + gamma_m), the
+        # float64 sum of d within gamma_d(2^-53). With gamma_m <= 1/3, 1 + 4
+        # gamma_{m+d} covers (1 + gamma_m) / (1 - gamma_m) / (1 - u)^2, the
+        # float64 sum and this line's roundings
+        inflate = 1.0 + 4.0 * _gamma(m + d, _U32)
+        self.largest = np.sqrt((largest_sum + 2.0 * m * d * _TINY32) * inflate)
+        self.largest += math.sqrt(m * d) * _TINY32
+        # E = relative * largest * ||rho|| + absolute. Per column a_j, float32
+        # misses a_j' rho by at most gamma_{m+2} |a_j|'|rho| (the casts and the
+        # product), plus 2 sqrt(m) T ||a_j|| <= 4 sqrt(m) T ||a_j|| ||rho|| (a
+        # nonzero rho has ||rho|| >= 1/2), plus 5m T (A's cast against |rho_i|
+        # <= 1, the product's 2m underflows, its upcast). Every float64 rounding
+        # is below (2m + 3d + 12) 2^-53 per unit of ||A_l||_F ||rho||, under
+        # (d + 2) 2^-24 while gamma_{m+d+4} is finite (m + d + 4 < 2^22), and
+        # its underflow below sqrt(d) 2^-509, under one more m sqrt(d) T
+        self.relative = _gamma(m + d + 4, _U32) + 10.0 * math.sqrt(m) * _TINY32
+        self.absolute = 6.0 * m * math.sqrt(d) * _TINY32
 
     def picks(self, rho: np.ndarray, rho_norms: np.ndarray, e: np.ndarray, chosen: np.ndarray):
         """Each problem's argmax of the float32 scores of its unit-scale residual
@@ -318,18 +316,17 @@ class _Float32Screen:
             products = np.matmul(rho.astype(np.float32)[:, None, :], self.copy)
             products = products.reshape(size, -1, self.d).astype(np.float64)
             scores = np.sqrt(np.einsum("tld,tld->tl", products, products))
-            error = self.relative * self.norms * (rho_norms * self.norm_slack)[:, None]
-            error += self.absolute
             scores[problems[:, None], chosen - 1] = -np.inf
             top = np.argmax(scores, axis=1)
-            low = scores[problems, top] - error[problems, top]
-            high = scores + error
-            high[problems, top] = -np.inf
+            best = scores[problems, top]
+            scores[problems, top] = -np.inf
+            runner_up = scores.max(axis=1)
+            bound = self.relative * self.largest * rho_norms + self.absolute
             # the float64 pass refuses none, and a finite copy keeps its squares
             # of rho's products far from overflow
             in_range = np.ldexp(self.largest * rho_norms, e) <= _SCREEN_RANGE
             # false where anything is NaN
-            return top, in_range & (high.max(axis=1) < low)
+            return top, in_range & (runner_up + bound < best - bound)
 
 
 def _stacked_norms(vectors: np.ndarray) -> np.ndarray:

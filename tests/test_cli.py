@@ -445,6 +445,20 @@ def test_run_rejects_layout_that_is_a_list(instance_files, capsys):
     assert "must be a JSON object" in _one_line_error(capsys)
 
 
+def test_run_rejects_a_layout_with_an_unknown_key(instance_files, capsys):
+    layout = instance_files / "extra.json"
+    layout.write_text('{"m": 12, "M": 4, "d": 2, "D": 3}')
+    code = main([
+        "run",
+        "--matrix", str(instance_files / "A.csv"),
+        "--layout", str(layout),
+        "--obs", str(instance_files / "y.csv"),
+        "--max-iter", "2",
+    ])
+    assert code == 2
+    assert f"unknown layout sidecar {layout} keys: ['D']" in _one_line_error(capsys)
+
+
 def test_usage_errors_exit_2(capsys):
     assert main([]) == 2
     assert main(["frobnicate"]) == 2
@@ -594,6 +608,14 @@ _CLI_FLAGS = {
         "--trials": _flag(st.integers(1, 5), required=True, edges=_COUNT_EDGE_VALUES),
         "--seed": _flag(st.integers(0, 2**32)),
     },
+    "rip": {
+        "--order": _flag(st.integers(1, 5), required=True),
+        "--sample": _flag(st.integers(1, 50), edges=_COUNT_EDGE_VALUES),
+        "--seed": _flag(st.integers(0, 2**32)),
+        "--budget": _flag(st.integers(0, 10**6)),
+        # takes no value: present (True) or left out
+        "--exact": st.sampled_from((None, True)),
+    },
     "adversarial": {
         "--d": _flag(st.integers(1, 4), required=True),
         "--K": _flag(st.integers(1, 5), required=True),
@@ -636,16 +658,22 @@ def test_cli_exits_cleanly_on_any_flag_values(command, data, tmp_path, capsys):
     argv = [command]
     for flag, values in _CLI_FLAGS[command].items():
         value = data.draw(values, label=flag)
-        if value is not None:
+        if value is True:
+            argv.append(flag)
+        elif value is not None:
             argv += [flag, value]
     if command == "adversarial":
         argv += ["--out-dir", str(tmp_path / "adv")]
     if command == "run":
         argv += _run_files(tmp_path)
+    if command == "rip":
+        argv += _run_files(tmp_path)[:4]  # its matrix and layout
 
     code = main(argv)
     out, err = capsys.readouterr()
     assert code in (0, 2, 3), (argv, code, err)
+    if "--exact" in argv and "--sample" in argv:  # a usage error whatever the values
+        assert code == 2, (argv, err)
     if code == 0:
         assert err == "", argv
         if command != "figure1":  # figure1 writes CSV
@@ -726,3 +754,81 @@ def test_experiment_exits_cleanly_on_any_config_contents(data, tmp_path, capsys)
     else:
         lines = err.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: "), (config, err)
+
+
+# CSV fields and layout contents a user might write: edge and malformed ones
+_CSV_EDGE_FIELDS = ("abc", "", "nan", "inf", "-inf", "5e-324", "1e308", "-1e308", "1e400")
+_LAYOUT_EDGE_VALUES = (0, -1, -2.5, 2.5, True, False, "abc", "", None, [1], {"m": 1}, 10**30)
+_LAYOUT_EDGE_TEXTS = ("[12, 4, 2]", "3", '"m"', "null", "{", "", "[" * 200_000)
+
+
+def _csv_text(data, count, label) -> str:
+    """``count`` numbers, one per line: valid about half the time, else with
+    an edge field in place of one, one number short or over, or none."""
+    fields = [repr(v) for v in data.draw(
+        st.lists(st.floats(-10.0, 10.0), min_size=count, max_size=count), label=label
+    )]
+    kind = data.draw(st.integers(0, 5), label=f"{label} kind")
+    if kind == 2:
+        index = data.draw(st.integers(0, count - 1), label=f"{label} index")
+        fields[index] = data.draw(st.sampled_from(_CSV_EDGE_FIELDS), label=f"{label} edge")
+    elif kind == 3:
+        fields = fields[:-1]
+    elif kind == 4:
+        fields.append("1.0")
+    elif kind == 5:
+        fields = []
+    return "".join(field + "\n" for field in fields)
+
+
+def _layout_text(data, layout: dict):
+    """The layout sidecar of ``layout`` and whether it is malformed: valid
+    about half the time, else with an edge value, a key left out or one extra,
+    or a document that is no layout at all."""
+    kind = data.draw(st.integers(0, 5), label="layout kind")
+    key = data.draw(st.sampled_from(sorted(layout)), label="layout key")
+    if kind == 2:
+        layout[key] = data.draw(st.sampled_from(_LAYOUT_EDGE_VALUES), label="layout value")
+    elif kind == 3:
+        del layout[key]
+    elif kind == 4:
+        layout[data.draw(st.sampled_from(("D", "rows", "m ")), label="layout extra")] = 3
+    elif kind == 5:
+        return data.draw(st.sampled_from(_LAYOUT_EDGE_TEXTS), label="layout text"), True
+    return json.dumps(layout), kind >= 2
+
+
+@settings(
+    derandomize=True,
+    max_examples=200,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(data=st.data())
+def test_run_exits_cleanly_on_any_file_contents(data, tmp_path, capsys):
+    """Exit 0, 2 or 3; a refusal is one ``error:`` line, a success strict JSON."""
+    m, M, d = (data.draw(st.integers(1, high), label=name) for name, high in
+               (("m", 8), ("M", 4), ("d", 3)))
+    layout, malformed = _layout_text(data, {"m": m, "M": M, "d": d})
+    files = {
+        "--matrix": _csv_text(data, m * M * d, "matrix"),
+        "--layout": layout,
+        "--obs": _csv_text(data, m, "obs"),
+    }
+    argv = ["run", "--max-iter", str(data.draw(st.integers(1, 4), label="--max-iter"))]
+    for flag, text in files.items():
+        path = tmp_path / flag.lstrip("-")
+        path.write_text(text)
+        argv += [flag, str(path)]
+
+    code = main(argv)
+    out, err = capsys.readouterr()
+    assert code in (0, 2, 3), (files, code, err)
+    if malformed:
+        assert code == 2, (files, out, err)
+    if code == 0:
+        assert err == "", files
+        json.loads(out, parse_constant=_refuse_constant)
+    else:
+        lines = err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: "), (files, err)

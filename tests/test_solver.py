@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 import bomp.solver
 from bomp.core import BlockedMatrix, BlockLayout, BlockSignal, SensingProblem
 from bomp.errors import BompError, RankDeficientError
+from bomp.experiment import ExperimentConfig, generate_instance
 from bomp.solver import (
     BOTH,
     RANK_TOL,
@@ -689,7 +690,7 @@ def test_overflowing_scores_raise_instead_of_picking_by_index():
         with pytest.raises(BompError, match="overflow"):
             block_correlation_scores(A, y)
         screen = _Float32Screen(A.entries[None], 2)
-        assert np.isfinite(screen.norms).all() == copy_is_finite
+        assert np.isfinite(screen.largest).all() == copy_is_finite
         rho, e = _scaled_to_largest(y[None])
         _, decided = screen.picks(rho, _stacked_norms(rho), e, np.zeros((1, 0), int))
         assert not decided[0]
@@ -864,6 +865,25 @@ def test_the_screen_proves_clear_picks_and_leaves_near_ties():
     chosen = np.array([[i for i in range(1, M + 1) if i != 7]])
     top, decided = _Float32Screen(entries[None], d).picks(rho, _stacked_norms(rho), e, chosen)
     assert top[0] == 6 and decided[0]
+
+
+def test_the_screen_proves_nearly_every_pick_of_the_large_benchmark_instances(monkeypatch):
+    # a rigorous but loose bound would pass every other test and still leave
+    # the picks to the float64 pass; it decides 1 of these 192 picks
+    decided = []
+
+    def counting(entries, rho, e, d, chosen):
+        decided.append(len(rho))
+        return _float64_picks(entries, rho, e, d, chosen)
+
+    monkeypatch.setattr(bomp.solver, "_float64_picks", counting)
+    config = ExperimentConfig(m=1024, M=512, d=4, K=64, noise_norm=0.1, seed=0)
+    assert config.m * config.M * config.d >= _SCREEN_ENTRIES
+    stop = StoppingRule(FIXED_ITERATIONS, max_iterations=64)
+    for trial in range(3):
+        problem, _ = generate_instance(config, trial)
+        assert run_bomp(problem, stop).iterations_run == 64
+    assert sum(decided) <= 2
 
 
 def test_above_the_size_the_float32_copy_is_the_only_dictionary_sized_allocation():
