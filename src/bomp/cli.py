@@ -129,13 +129,7 @@ def _cmd_adversarial(args) -> int:
     )
     problem, truth = build_adversarial_instance(params)
     report = demonstrate_failure(params)
-
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    save_matrix(out_dir / "A.csv", problem.matrix, out_dir / "layout.json")
-    save_vector(out_dir / "y.csv", problem.observation)
-    save_vector(out_dir / "truth.csv", truth.values)
-
+    # before anything is written, so a refused bound leaves no files behind
     payload = {
         **json_fields(params),
         "t0_failure_threshold": necessary_bound(
@@ -144,6 +138,12 @@ def _cmd_adversarial(args) -> int:
         "true_support": list(params.true_support),
         **report.to_dict(),
     }
+
+    out_dir = Path(args.out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    save_matrix(out_dir / "A.csv", problem.matrix, out_dir / "layout.json")
+    save_vector(out_dir / "y.csv", problem.observation)
+    save_vector(out_dir / "truth.csv", truth.values)
     _emit(payload, out_dir / "report.json")
     return 0
 

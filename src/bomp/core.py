@@ -5,6 +5,11 @@ of uniform width d, and every m x n matrix as a concatenation of M column
 blocks of shape (m, d). Block indices are 1-based in all public interfaces.
 All types are immutable after construction; the operations are pure
 functions and safe to call concurrently.
+
+One power-of-two rule, ``_scaled_to_largest``, keeps every norm in range at
+both ends: the norms here square at unit scale and scale back, so a norm
+reads inf only past the largest double. The pursuit holds its residuals by
+the same rule, and its rank screen scales R by it.
 """
 
 from __future__ import annotations
@@ -19,8 +24,6 @@ import numpy as np
 DEFAULT_ZERO_TOL = 1e-10
 # entries tested per step of the finiteness check, which bounds its mask
 _FINITE_CHECK_ENTRIES = 1 << 16
-# the entries whose squares are normal doubles: 2^-511 squared is 2^-1022
-_UNDERFLOW_ROOT = 2.0**-511
 # The most doubles a count may ask one array for (512 PiB). Past about 8 EiB
 # NumPy refuses an array with a message that names no parameter; below this,
 # an allocation that fails is a MemoryError that gives its size.
@@ -211,46 +214,40 @@ class SensingProblem:
         object.__setattr__(self, "observation", y)
 
 
-def _norm_without_underflow(values: np.ndarray) -> np.ndarray:
-    """The Euclidean norm of each row of ``values``, or of ``values`` itself
-    when it is 1-D, by the operations of ``np.linalg.norm`` (``sqrt(dot(x, x))``
-    for one vector, ``sqrt(add.reduce(x * x))`` along rows) without its
-    argument handling, so with its bits wherever no square underflows.
-
-    When some nonzero entry is below 2**-511, whose square underflows (every
-    square of a block of 1e-170 does, and its norm would read 0), each row is
-    scaled by 2**-e first and its norm by 2**e after, e = min(0, exponent of
-    its largest entry). Both scalings are exact, so a row whose squares do
-    not underflow keeps its bits, and a row whose largest entry is at least
-    1/2 is not touched at all, so overflow is as unscaled."""
-
-    def norm(x):
-        return np.sqrt(x.dot(x) if x.ndim == 1 else np.add.reduce(x * x, axis=1))
-
-    if np.count_nonzero(values) == np.count_nonzero(np.abs(values) >= _UNDERFLOW_ROOT):
-        return norm(values)
-    e = np.minimum(np.frexp(np.abs(values).max(axis=-1, keepdims=True))[1], 0)
-    return np.ldexp(norm(np.ldexp(values, -e)), e[..., 0])
+def _scaled_to_largest(vectors: np.ndarray):
+    """``(vectors * 2^-e, e)``: each row scaled by the power of two that
+    brings its largest magnitude into [1/2, 1), with its exponents e. A zero
+    row stays as it is (e = 0). The scaling is exact unless it rounds an
+    entry into the subnormal range, which a scale up never does."""
+    exponents = np.frexp(np.abs(vectors).max(axis=1))[1]
+    return np.ldexp(vectors, -exponents[:, None]), exponents
 
 
 def block_norms(x: BlockSignal) -> np.ndarray:
-    """Per-block Euclidean norms: entry ``l`` is ||x[l]||_2."""
-    d = x.layout.block_width
-    return _norm_without_underflow(x.values.reshape(x.layout.num_blocks, d))
+    """Per-block Euclidean norms: entry ``l`` is ||x[l]||_2, taken at unit
+    scale (``_scaled_to_largest``), so a block of 1e-170 or 1e200 keeps its
+    norm and only one past the largest double reads inf. The operations are
+    ``np.linalg.norm``'s, with its bits wherever no unscaled square would
+    underflow or overflow."""
+    rho, e = _scaled_to_largest(x.values.reshape(x.layout.num_blocks, x.layout.block_width))
+    return np.ldexp(np.sqrt(np.add.reduce(rho * rho, axis=1)), e)
 
 
 def mixed_norm(x: BlockSignal, p) -> float:
     """Mixed l2/lp norm: the lp norm of the vector of per-block l2 norms.
 
     ``p`` must be 1, 2, or infinity, and not a bool. For p=2 this coincides
-    with the plain Euclidean norm of the flat vector.
+    with the plain Euclidean norm of the flat vector, taken from the block
+    norms at unit scale as :func:`block_norms` takes them, so it too reads
+    inf only past the largest double.
     """
     if isinstance(p, (bool, np.bool_)) or p not in (1, 2, math.inf):
         raise ValueError(f"unsupported mixed-norm order {p!r}; use 1, 2, or math.inf")
     w = block_norms(x)
-    if p == 1:
-        return float(np.sum(w))
-    return float(_norm_without_underflow(w) if p == 2 else np.max(w))
+    if p != 2:
+        return float(np.sum(w) if p == 1 else np.max(w))
+    (rho,), (e,) = _scaled_to_largest(w[None])
+    return float(np.ldexp(np.sqrt(rho.dot(rho)), e))
 
 
 def block_support(x: BlockSignal, zero_tol: float = DEFAULT_ZERO_TOL) -> tuple:

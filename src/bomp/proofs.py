@@ -121,13 +121,17 @@ class ProofInstance:
         return self.support_fit[0]
 
     @cached_property
+    def xi_norms(self) -> np.ndarray:
+        """The block norms of :attr:`xi`, which :attr:`alpha_21` and Lemma 1 read."""
+        return block_norms(self.xi)
+
+    @cached_property
     def alpha_21(self) -> float:
         """``||alpha||_{2,1}``: the block norms of ``xi`` summed over ``remaining``.
 
         Raises ZeroDivisionError when it is zero, since both margins divide by it.
         """
-        w = block_norms(self.xi)
-        alpha_21 = float(sum(w[i - 1] for i in self.remaining))
+        alpha_21 = float(sum(self.xi_norms[i - 1] for i in self.remaining))
         if alpha_21 == 0.0:
             raise ZeroDivisionError(
                 "projection coefficients vanish on the unchosen support blocks"
@@ -287,7 +291,7 @@ def lemma1_check(inst: ProofInstance) -> Lemma1Report:
     with np.errstate(over="ignore", invalid="ignore"):
         margin = float(np.linalg.norm(inst.noise)) / math.sqrt(1.0 - delta)
         return Lemma1Report(
-            lhs=float(block_norms(inst.xi)[on_support].min()),
+            lhs=float(inst.xi_norms[on_support].min()),
             rhs=float(block_norms(inst.truth)[on_support].min()) - margin,
             theta_norm=float(np.linalg.norm(inst.xi.values - inst.truth.values)),
             theta_bound=margin,

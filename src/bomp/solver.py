@@ -34,9 +34,11 @@ stops, and nothing reads it again.
 The rank check is deferred to that point. R has the singular values of the
 subdictionary, and adding columns never raises the smallest one nor lowers
 the largest (Cauchy interlacing), so an R far from ``RANK_TOL`` clears every
-prefix of the picks. A screen finds such an R without an SVD: R'R minus a
-shift of 1e-8 times its trace, an upper bound on its largest eigenvalue,
-has a Cholesky factor (see ``_GRAM_SCREEN``). The screen only clears. For
+prefix of the picks. A screen finds such an R without an SVD. It scales R
+exactly to a largest entry in [1/2, 1), by the rule that holds each residual
+at unit scale (``core._scaled_to_largest``), and clears it when R'R minus a
+shift of 1e-8 times its trace, an upper bound on its largest eigenvalue, has
+a Cholesky factor (see ``_GRAM_SCREEN``). The screen only clears. For
 any other R, ``project_least_squares``, the one-shot SVD route kept as the
 reference, runs on each prefix of the picks in turn: it raises for the
 shortest failing prefix, or, when every prefix passes, the pursuit returns.
@@ -93,21 +95,25 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import BlockedMatrix, BlockSignal, SensingProblem, _frozen_array, as_int, as_real
+from .core import BlockedMatrix, BlockSignal, SensingProblem, _frozen_array, _scaled_to_largest
+from .core import as_int, as_real
 from .errors import BompError, RankDeficientError
 from .io import json_fields
 
 RANK_TOL = 1e-10
-# The rank check's screen (_gram_screen_clears) clears R, scaled to S with
-# largest entry 1, when S'S - tau I has a Cholesky factor, tau = _GRAM_SCREEN
-# ||S||_F^2, and ||S||_F^2 = trace(S'S) >= sigma_max^2. With n columns and
-# u = 2^-53, forming S'S, the shift and a Cholesky factor that completes
-# (Higham, Accuracy and Stability, 2nd ed., 3.5 and 10.1) move S'S by at
-# most (2n+3) u ||S||_F^2 in 2-norm. So a cleared R has sigma_min/sigma_max
-# > sqrt(_GRAM_SCREEN - (2n+3) u): 1e-4, less 5e-5 relative at n = 4096, and
-# above RANK_TOL for any n below 4e7. Every R with a ratio above
-# sqrt(n _GRAM_SCREEN) = 1e-4 sqrt(n) clears, as ||S||_F^2 <= n sigma_max^2,
-# up to the same O(n u); in between it depends on the other singular values.
+# The rank check's screen (_gram_screen_clears) clears R, scaled exactly by a
+# power of two to S with largest entry in [1/2, 1), when S'S - tau I has a
+# Cholesky factor, tau = _GRAM_SCREEN ||S||_F^2, and ||S||_F^2 = trace(S'S) >=
+# sigma_max^2. S'S cannot overflow, and as ||S||_F >= 1/2, what the scaling or
+# S'S rounds below 2^-1022 lies far inside the bound that follows. With n
+# columns and u = 2^-53, forming S'S, the shift and a Cholesky factor that
+# completes (Higham, Accuracy and Stability, 2nd ed., 3.5 and 10.1) move S'S
+# by at most (2n+3) u ||S||_F^2 in 2-norm, which covers every rounding the
+# screen makes. So a cleared R has sigma_min/sigma_max > sqrt(_GRAM_SCREEN -
+# (2n+3) u): 1e-4, less 5e-5 relative at n = 4096, and above RANK_TOL for any
+# n below 4e7. Every R with a ratio above sqrt(n _GRAM_SCREEN) = 1e-4 sqrt(n)
+# clears, as ||S||_F^2 <= n sigma_max^2, up to the same O(n u); in between it
+# depends on the other singular values.
 _GRAM_SCREEN = 1e-8
 # Dictionaries of at least this many entries are scored through the float32
 # screen; smaller ones by the float64 pass alone. The copy and its norms cost
@@ -241,15 +247,6 @@ def _float64_picks(entries: np.ndarray, rho: np.ndarray, e: np.ndarray, d: int,
     return np.argmax(scores, axis=1), overflow
 
 
-def _scaled_to_largest(vectors: np.ndarray):
-    """``(vectors * 2^-e, e)``: each row scaled by the power of two that
-    brings its largest magnitude into [1/2, 1), with its exponents e. A zero
-    row stays as it is (e = 0). The scaling is exact unless it rounds an
-    entry into the subnormal range, which a scale up never does."""
-    exponents = np.frexp(np.abs(vectors).max(axis=1))[1]
-    return np.ldexp(vectors, -exponents[:, None]), exponents
-
-
 def _gamma(k: int, u: float) -> float:
     """k u / (1 - k u), which bounds the relative error of k roundings with unit
     roundoff u (Higham, Accuracy and Stability, 2nd ed., 3.1); inf unless k u
@@ -373,24 +370,16 @@ def _gram_screen_clears(R: np.ndarray) -> np.ndarray:
     """Whether each square thin-QR factor in ``R``, a stack (..., n, n) of the
     factors of subdictionaries, which have their singular values, is far
     enough from ``RANK_TOL`` to pass the rank check without an SVD (see
-    ``_GRAM_SCREEN``). A zero factor is never cleared. Each decision reads
-    only its own factor: one stacked Cholesky call, and when it raises, one
-    per factor."""
+    ``_GRAM_SCREEN``). A zero factor, whose Gram has no Cholesky factor, is
+    never cleared. Each decision reads only its own factor: one stacked
+    Cholesky call, and when it raises, one per factor."""
     shape, n = R.shape[:-2], R.shape[-1]
-    R = R.reshape(-1, n, n)
-    cleared = np.zeros(len(R), dtype=bool)
-    scale = np.abs(R).max(axis=(1, 2))
-    nonzero = np.flatnonzero(scale > 0.0)
-    # a largest entry of 1 keeps S'S from overflowing; the ratio is unchanged
-    S = R[nonzero]
-    S /= scale[nonzero, None, None]
+    S = _scaled_to_largest(R.reshape(-1, n * n))[0].reshape(-1, n, n)
     gram = S.transpose(0, 2, 1) @ S
     diagonal = gram.reshape(len(gram), n * n)[:, :: n + 1]
     diagonal -= _GRAM_SCREEN * diagonal.sum(axis=1, keepdims=True)
-    cleared[nonzero] = [
-        not isinstance(factor, Exception) for factor in _stacked_or_each(np.linalg.cholesky, gram)
-    ]
-    return cleared.reshape(shape)
+    factors = _stacked_or_each(np.linalg.cholesky, gram)
+    return np.array([not isinstance(f, Exception) for f in factors], dtype=bool).reshape(shape)
 
 
 def _stacked_or_each(call, *stacks) -> list:

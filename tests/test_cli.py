@@ -294,6 +294,15 @@ def test_adversarial_rejects_bad_delta(tmp_path, capsys):
     ])
     assert code == 3
     assert "not below" in capsys.readouterr().err
+    # with a t0 the instance builds, but the report's bound is refused before
+    # anything is written
+    code = main([
+        "adversarial", "--d", "1", "--K", "3", "--delta", "0.6",
+        "--epsilon", "1", "--t0", "1", "--out-dir", str(tmp_path / "x"),
+    ])
+    assert code == 3
+    assert "not below" in capsys.readouterr().err
+    assert not (tmp_path / "x").exists()
 
 
 def test_verify_proofs_json(capsys):
@@ -623,6 +632,13 @@ _CLI_FLAGS = {
         "--epsilon": _flag(_reals(10.0), required=True),
         "--t0": _flag(_reals(10.0)),
     },
+    # the overrides of a small config file (``_experiment_config``)
+    "experiment": {
+        "--trials": _flag(st.integers(1, 5), edges=_COUNT_EDGE_VALUES),
+        "--seed": _flag(st.integers(0, 2**32)),
+        "--noise-norm": _flag(_reals(10.0)),
+        "--min-block-norm": _flag(_reals(100.0)),
+    },
 }
 
 
@@ -639,6 +655,13 @@ def _run_files(tmp_path) -> list:
         "--layout", str(tmp_path / "A.json"),
         "--obs", str(tmp_path / "y.csv"),
     ]
+
+
+def _experiment_config(tmp_path) -> list:
+    """The ``--config`` flag of a three-trial experiment at (12, 6, 2, K=2)."""
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"m": 12, "M": 6, "d": 2, "K": 2, "trials": 3}))
+    return ["--config", str(path)]
 
 
 def _refuse_constant(name):
@@ -668,6 +691,8 @@ def test_cli_exits_cleanly_on_any_flag_values(command, data, tmp_path, capsys):
         argv += _run_files(tmp_path)
     if command == "rip":
         argv += _run_files(tmp_path)[:4]  # its matrix and layout
+    if command == "experiment":
+        argv += _experiment_config(tmp_path)
 
     code = main(argv)
     out, err = capsys.readouterr()

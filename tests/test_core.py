@@ -5,7 +5,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from bomp.core import (
@@ -286,6 +286,49 @@ def test_tiny_blocks_keep_their_norms():
     subnormal = BlockSignal(BlockLayout(2, 2), [5e-324, 0.0, 0.0, -5e-324])
     assert block_norms(subnormal).tolist() == [5e-324, 5e-324]
     assert block_support(subnormal, zero_tol=0.0) == (1, 2)
+    # unscaled, the square here overflows and the norms read inf, with a warning
+    huge = BlockSignal(BlockLayout(2, 2), [1e200, 0.0, 0.0, 0.0])
+    assert block_norms(huge).tolist() == [1e200, 0.0]
+    assert mixed_norm(huge, 1) == mixed_norm(huge, 2) == 1e200
+    assert block_support(huge) == (1,)
+
+
+def _normal_or_zero(values) -> bool:
+    """Whether every entry is 0 or a normal double, which a power of two then
+    scales exactly unless the product leaves that range."""
+    magnitudes = np.abs(values)
+    tiny, largest = np.finfo(float).tiny, np.finfo(float).max
+    return bool(np.all((magnitudes == 0.0) | ((magnitudes >= tiny) & (magnitudes <= largest))))
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(
+    M=st.integers(1, 8),
+    d=st.integers(1, 8),
+    k=st.integers(-1000, 1000),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_norms_scale_exactly_by_powers_of_two(M, d, k, seed):
+    # entries from 2^low to 2^(low + spread), low uniform over the double range,
+    # so the blocks' squares often leave it at one end; where 2^k scales the
+    # entries and their norms exactly, it must scale every norm exactly, with
+    # no warning
+    rng = np.random.default_rng(seed)
+    low, spread = rng.integers(-1100, 900), rng.integers(0, 120)
+    exponents = rng.integers(low, low + spread, endpoint=True, size=M * d)
+    values = np.ldexp(rng.normal(size=M * d), exponents) * (rng.random(M * d) < 0.7)
+    x = BlockSignal(BlockLayout(M, d), values)
+    # a norm past the largest double reads inf, with numpy's overflow warning
+    with np.errstate(over="ignore"):
+        scaled = np.ldexp(values, k)
+        norms, total = block_norms(x), mixed_norm(x, 2)
+        want, want_total = np.ldexp(norms, k), np.ldexp(total, k)
+    assume(np.array_equal(np.ldexp(scaled, -k), values))
+    assume(_normal_or_zero(norms) and _normal_or_zero(want))
+    x_scaled = BlockSignal(x.layout, scaled)
+    assert block_norms(x_scaled).tobytes() == want.tobytes()
+    if _normal_or_zero([total, want_total]):
+        assert mixed_norm(x_scaled, 2) == want_total
 
 
 @settings(derandomize=True, max_examples=200, deadline=None)
