@@ -257,7 +257,11 @@ def block_support(x: BlockSignal, zero_tol: float = DEFAULT_ZERO_TOL) -> tuple:
     round-off at double precision.
     """
     zero_tol = as_real(zero_tol, "zero_tol")
-    w = block_norms(x)
+    return _support_of_norms(block_norms(x), zero_tol)
+
+
+def _support_of_norms(w: np.ndarray, zero_tol: float = DEFAULT_ZERO_TOL) -> tuple:
+    """:func:`block_support` from the block norms ``w``, for a caller that keeps them."""
     return tuple(int(i) + 1 for i in np.nonzero(w > zero_tol)[0])
 
 

@@ -48,6 +48,7 @@ from .core import (
     BlockLayout,
     BlockSignal,
     SensingProblem,
+    _support_of_norms,
     as_int,
     as_real,
     block_norms,
@@ -97,8 +98,13 @@ class ProofInstance:
             raise ValueError(f"probe index {self.probe_index} lies in the support")
 
     @cached_property
+    def truth_norms(self) -> np.ndarray:
+        """The block norms of the truth, which :attr:`support` and Lemma 1 read."""
+        return block_norms(self.truth)
+
+    @cached_property
     def support(self) -> tuple:
-        return block_support(self.truth)
+        return _support_of_norms(self.truth_norms)
 
     @cached_property
     def remaining(self) -> tuple:
@@ -292,7 +298,7 @@ def lemma1_check(inst: ProofInstance) -> Lemma1Report:
         margin = float(np.linalg.norm(inst.noise)) / math.sqrt(1.0 - delta)
         return Lemma1Report(
             lhs=float(inst.xi_norms[on_support].min()),
-            rhs=float(block_norms(inst.truth)[on_support].min()) - margin,
+            rhs=float(inst.truth_norms[on_support].min()) - margin,
             theta_norm=float(np.linalg.norm(inst.xi.values - inst.truth.values)),
             theta_bound=margin,
         )

@@ -7,16 +7,20 @@ of same-shape problems at once: a (size, m, n) array of dictionaries, which
 it reads in place, and their observations. ``run_bomp`` calls it on a stack
 of one, a view of its dictionary, and ``run_experiment`` on the stack it
 draws its trials into. Per pick, one stacked product scores every residual
-against every block, blocks already chosen are masked out, and each problem
+against every block, the blocks already chosen are masked out by one
+boolean (size, M) mask, ``taken``, set once per pick, and each problem
 takes its argmax (the smallest index on ties); the picked blocks come out
 of a (size, m, M, d) view of the stack, which splitting the column axis
 gives for any strides, in one strided copy. Each problem keeps a thin QR
 factorization A_S = Q R of its chosen blocks, with Q stored as the rows of
 Qt = Q', and extends it by one block per pick: the block is orthogonalized
-against Q by classical block Gram-Schmidt and its remainder QR-factored, in
-one stacked call, into the next d rows of Qt and columns of R. One pass
-leaves in each column of the remainder a part along Q of about eps times
-the column's norm before the pass. When every column kept at least half of
+against Q by classical block Gram-Schmidt, ``c = Qt b`` and ``b -= Qt' c``
+(the product of a transposed view, which forms no transposed temporary),
+and its remainder QR-factored, in one stacked call, into the next d rows of
+Qt and columns of R. That call (``_qr``) runs LAPACK's two QR gufuncs on the
+gathered block itself: np.linalg.qr's operations and bits, less its copy of
+the input. One pass leaves in each column of the remainder a part along Q
+of about eps times the column's norm before the pass. When every column kept at least half of
 its squared norm, that part is at most about sqrt(2) eps relative to what
 is left, so the block loses at most about sqrt(2d) times the orthogonality
 that a second pass (CGS2) would leave, and the pass is skipped. A problem
@@ -28,8 +32,10 @@ Daniel, Gragg, Kaufman and Stewart (Math. Comp., 1976) with eta =
 problems that need it take it, so none depends on its batchmates. The
 residual update is then ``r -= q (q' r)``. A problem gets its outcome when
 its stopping rule fires, its estimate solved from ``R coef = Qt y``, or
-when its scores overflow; it rides along with the batch until the last one
-stops, and nothing reads it again.
+when its scores overflow (the rule is tested only at steps where it can
+fire: every step for a residual threshold, the budget's last for a count);
+it rides along with the batch until the last one stops, and nothing reads
+it again.
 
 The rank check is deferred to that point. R has the singular values of the
 subdictionary, and adding columns never raises the smallest one nor lowers
@@ -64,8 +70,9 @@ of y, 8 fixed picks stay right down to j = -535 (largest entry 3.5e-162),
 go wrong from j = -536, where the squares of the products underflow, and
 are refused from j = 511 (2.7e153), where they overflow.
 
-On a dictionary of ``_SCREEN_ENTRIES`` entries or more, a float32 screen
-makes the picks: it reads half the bytes per pick and never changes one.
+On a dictionary of ``_SCREEN_ENTRIES`` entries or more, in a solve with a
+budget of ``_SCREEN_PICKS`` picks or more, a float32 screen makes the picks:
+it reads half the bytes per pick and never changes one.
 Once per solve, ``_Float32Screen`` casts the stack to float32, which costs
 half the stack's bytes in memory, and bounds each problem's largest block
 Frobenius norm by L from that copy. Per pick, each rho is cast to float32
@@ -90,6 +97,7 @@ pass decided 1 of 192 picks.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -99,6 +107,14 @@ from .core import BlockedMatrix, BlockSignal, SensingProblem, _frozen_array, _sc
 from .core import as_int, as_real
 from .errors import BompError, RankDeficientError
 from .io import json_fields
+
+try:
+    # LAPACK's QR gufuncs, which np.linalg.qr wraps in a copy and a triu
+    import numpy.linalg._umath_linalg as _umath_linalg
+
+    _LAPACK_QR = (_umath_linalg.qr_r_raw, _umath_linalg.qr_reduced)
+except (ImportError, AttributeError):
+    _LAPACK_QR = None
 
 RANK_TOL = 1e-10
 # The rank check's screen (_gram_screen_clears) clears R, scaled exactly by a
@@ -115,15 +131,21 @@ RANK_TOL = 1e-10
 # clears, as ||S||_F^2 <= n sigma_max^2, up to the same O(n u); in between it
 # depends on the other singular values.
 _GRAM_SCREEN = 1e-8
-# Dictionaries of at least this many entries are scored through the float32
-# screen; smaller ones by the float64 pass alone. The copy and its norms cost
-# about what 10 to 15 picks save, so the gain grows with the picks per solve.
-# Screen on against off, median ratio of _pursue times over 50 interleaved
-# pairs (2-vCPU x86_64, numpy 2.4.6, OpenBLAS 0.3.31 on 2 threads), at 16
-# and 64 picks: 2^18 entries (512, 128, 4) 0.89 and 1.00; 2^19 (512, 256, 4)
-# 1.06 and 0.98; 2^20 (1024, 256, 4) 1.06 and 0.94; 2^21 (1024, 512, 4) 1.00
-# and 0.86; stacks of 8 at (128, 64, 4) with 8 picks, 1.02.
+# Solves on dictionaries of at least _SCREEN_ENTRIES entries, with a budget of
+# at least _SCREEN_PICKS picks, are scored through the float32 screen; others
+# by the float64 pass alone. The copy and its norms cost about what 20 to 24
+# picks save, so the gain grows with the picks per solve. Screen on against
+# off, median ratio of run_bomp times over 50 interleaved pairs, lowest and
+# highest of four such runs (2-vCPU x86_64, numpy 2.4.6, OpenBLAS 0.3.31 on
+# 2 threads), at 4, 8, 12, 16, 20, 24, 32 and 64 picks:
+#   2^19 (512, 256, 4)   1.39-1.50 1.13-1.20 1.04-1.10 0.99-1.06
+#                        0.96-1.01 0.97-1.02 0.95-1.00 0.93-0.98
+#   2^20 (1024, 256, 4)  1.37-1.50 1.14-1.24 1.06-1.13 1.01-1.10
+#                        0.98-1.04 0.95-1.02 0.93-0.99 0.93-1.04
+#   2^21 (1024, 512, 4)  1.51-1.71 1.19-1.26 1.07-1.12 1.05-1.13
+#                        1.00-1.05 0.98-1.00 0.93-0.96 0.86-0.89
 _SCREEN_ENTRIES = 1 << 20
+_SCREEN_PICKS = 24
 # A problem is refused when its first residual norm, or any of its selection
 # scores scaled back by 2^e, reaches this: its square is past the double range.
 _OVERFLOW = 2.0**512
@@ -236,13 +258,13 @@ def _overflows(scores: np.ndarray, e: np.ndarray) -> np.ndarray:
 
 
 def _float64_picks(entries: np.ndarray, rho: np.ndarray, e: np.ndarray, d: int,
-                   chosen: np.ndarray):
+                   taken: np.ndarray):
     """The float64 pass: each problem's argmax of the scores of its unit-scale
-    residual ``rho`` with the blocks ``chosen`` masked out, and whether it
-    overflows (``_overflows``)."""
+    residual ``rho`` with the blocks ``taken`` (a boolean (size, M) mask) masked
+    out, and whether it overflows (``_overflows``)."""
     scores = _stacked_scores(entries, rho, d)
     overflow = _overflows(scores, e)
-    scores[np.arange(len(scores))[:, None], chosen - 1] = -1.0
+    scores[taken] = -1.0
     # np.argmax returns the first maximum, which is the smallest block index
     return np.argmax(scores, axis=1), overflow
 
@@ -273,6 +295,7 @@ class _Float32Screen:
     def __init__(self, entries: np.ndarray, d: int):
         size, m, n = entries.shape
         self.d = d
+        self.problems = np.arange(size)
         # an entry past the float32 range turns to inf, which leaves every pick
         # of its problem to the float64 pass
         with np.errstate(over="ignore", invalid="ignore"):
@@ -299,21 +322,21 @@ class _Float32Screen:
         self.relative = _gamma(m + d + 4, _U32) + 10.0 * math.sqrt(m) * _TINY32
         self.absolute = 6.0 * m * math.sqrt(d) * _TINY32
 
-    def picks(self, rho: np.ndarray, rho_norms: np.ndarray, e: np.ndarray, chosen: np.ndarray):
+    def picks(self, rho: np.ndarray, rho_norms: np.ndarray, e: np.ndarray, taken: np.ndarray):
         """Each problem's argmax of the float32 scores of its unit-scale residual
-        ``rho`` (the residual is ``rho 2^e``) with the blocks ``chosen`` masked
-        out, and whether that pick is proved to be the float64 pass's.
+        ``rho`` (the residual is ``rho 2^e``) with the blocks ``taken`` (a boolean
+        (size, M) mask) masked out, and whether that pick is proved to be the
+        float64 pass's.
 
         ``rho_norms`` are the norms of ``rho`` as ``_stacked_norms`` gives them.
         Overflow and NaN are not warned about; they leave a pick unproved.
         """
-        size = len(rho)
-        problems = np.arange(size)
+        problems = self.problems
         with np.errstate(all="ignore"):
             products = np.matmul(rho.astype(np.float32)[:, None, :], self.copy)
-            products = products.reshape(size, -1, self.d).astype(np.float64)
+            products = products.reshape(len(rho), -1, self.d).astype(np.float64)
             scores = np.sqrt(np.einsum("tld,tld->tl", products, products))
-            scores[problems[:, None], chosen - 1] = -np.inf
+            scores[taken] = -np.inf
             top = np.argmax(scores, axis=1)
             best = scores[problems, top]
             scores[problems, top] = -np.inf
@@ -331,6 +354,34 @@ def _stacked_norms(vectors: np.ndarray) -> np.ndarray:
     norm does not depend on the vectors stacked with it. The pursuit's rows are
     at unit scale, where the squares neither overflow nor underflow."""
     return np.sqrt(np.matmul(vectors[:, None, :], vectors[:, :, None])[:, 0, 0])
+
+
+def _qr(a: np.ndarray):
+    """``np.linalg.qr(a)`` in reduced mode, bit for bit, on a float64 stack
+    (..., m, n), which it may overwrite; a LAPACK error raises LinAlgError, as
+    there. It runs LAPACK's two QR gufuncs on ``a`` itself, without
+    np.linalg.qr's copy, and masks R out of the factored ``a`` as ``np.triu``
+    does; where numpy lacks the gufuncs, it calls np.linalg.qr."""
+    if _LAPACK_QR is None:
+        return np.linalg.qr(a)
+    raw, reduced = _LAPACK_QR
+    with np.errstate(call=_raise_qr_error, invalid="call", over="ignore", divide="ignore",
+                     under="ignore"):
+        tau = raw(a, signature="d->d")
+        q = reduced(a, tau, signature="dd->d")
+    rows = min(a.shape[-2:])
+    return q, np.where(_upper_mask(rows, a.shape[-1]), a[..., :rows, :], 0.0)
+
+
+@functools.lru_cache(maxsize=16)
+def _upper_mask(rows: int, columns: int) -> np.ndarray:
+    mask = np.triu(np.ones((rows, columns), dtype=bool))
+    mask.setflags(write=False)
+    return mask
+
+
+def _raise_qr_error(err, flag):
+    raise np.linalg.LinAlgError("Incorrect argument found while performing QR factorization")
 
 
 def _overflow_error() -> BompError:
@@ -467,10 +518,11 @@ def _pursue(entries: np.ndarray, observations: np.ndarray, layout, stop: Stoppin
     """
     size, m, n_columns = entries.shape
     d = layout.block_width
-    screen = _Float32Screen(entries, d) if m * n_columns >= _SCREEN_ENTRIES else None
     # least squares needs at most rows/width blocks; never more than all of them
     capacity = min(layout.num_blocks, m // d)
     budget = capacity if stop.max_iterations is None else min(stop.max_iterations, capacity)
+    screened = m * n_columns >= _SCREEN_ENTRIES and budget >= _SCREEN_PICKS
+    screen = _Float32Screen(entries, d) if screened else None
 
     problems = np.arange(size)
     # each dictionary's columns split into its blocks: a view for any strides
@@ -494,21 +546,25 @@ def _pursue(entries: np.ndarray, observations: np.ndarray, layout, stop: Stoppin
 
     check_residual = stop.mode in (RESIDUAL_THRESHOLD, BOTH)
     check_count = stop.mode in (FIXED_ITERATIONS, BOTH)
+    # taken[t, l]: problem t has picked block l + 1
+    taken = np.zeros((size, layout.num_blocks), dtype=bool)
 
     for k in range(budget + 1):
-        converged = np.full(size, check_count and k == stop.max_iterations)
-        if check_residual:
-            converged |= norms[:, k] <= stop.epsilon
-        stopping = np.flatnonzero(active & (converged | (k == budget)))
-        if len(stopping):
-            statuses = [
-                STATUS_CONVERGED if c else STATUS_BUDGET_EXCEEDED for c in converged[stopping]
-            ]
-            finished = _finish(entries, observations, layout, stopping, chosen[stopping, :k],
-                               norms[stopping, : k + 1], Qt, R, statuses)
-            for t, outcome in zip(stopping, finished):
-                outcomes[t] = outcome
-            active[stopping] = False
+        # a count rule fires only at the budget, as max_iterations caps it
+        if check_residual or k == budget:
+            converged = np.full(size, check_count and k == stop.max_iterations)
+            if check_residual:
+                converged |= norms[:, k] <= stop.epsilon
+            stopping = np.flatnonzero(active & (converged | (k == budget)))
+            if len(stopping):
+                statuses = [
+                    STATUS_CONVERGED if c else STATUS_BUDGET_EXCEEDED for c in converged[stopping]
+                ]
+                finished = _finish(entries, observations, layout, stopping, chosen[stopping, :k],
+                                   norms[stopping, : k + 1], Qt, R, statuses)
+                for t, outcome in zip(stopping, finished):
+                    outcomes[t] = outcome
+                active[stopping] = False
         if not active.any():
             break
 
@@ -516,20 +572,24 @@ def _pursue(entries: np.ndarray, observations: np.ndarray, layout, stop: Stoppin
         # along, and may carry inf or NaN, which no other row reads
         with np.errstate(all="ignore"):
             if screen is None:
-                picks, overflow = _float64_picks(entries, rho, e, d, chosen[:, :k])
+                picks, overflow = _float64_picks(entries, rho, e, d, taken)
             else:
-                picks, decided = screen.picks(rho, rho_norms, e, chosen[:, :k])
-                overflow = np.zeros(size, dtype=bool)
-                for t in np.flatnonzero(active & ~decided):
-                    # the float64 pass on the problem's slice, as in the stack
-                    (picks[t],), (overflow[t],) = _float64_picks(
-                        entries[t : t + 1], rho[t : t + 1], e[t : t + 1], d, chosen[t : t + 1, :k]
-                    )
-            overflow &= active
-            for t in np.flatnonzero(overflow):
-                outcomes[t] = _overflow_error()
-            active &= ~overflow
+                picks, decided = screen.picks(rho, rho_norms, e, taken)
+                overflow = None
+                if not decided.all():
+                    overflow = np.zeros(size, dtype=bool)
+                    for t in np.flatnonzero(active & ~decided):
+                        # the float64 pass on the problem's slice, as in the stack
+                        (picks[t],), (overflow[t],) = _float64_picks(
+                            entries[t : t + 1], rho[t : t + 1], e[t : t + 1], d, taken[t : t + 1]
+                        )
+            if overflow is not None and overflow.any():
+                overflow &= active
+                for t in np.flatnonzero(overflow):
+                    outcomes[t] = _overflow_error()
+                active &= ~overflow
             chosen[:, k] = picks + 1
+            taken[problems, picks] = True
 
             n = k * d
             basis = Qt[:, :n]
@@ -539,15 +599,15 @@ def _pursue(entries: np.ndarray, observations: np.ndarray, layout, stop: Stoppin
             # problems where the first cancelled (see the module docstring)
             before = np.einsum("tmd,tmd->td", block, block)
             c1 = basis @ block
-            block -= (c1.transpose(0, 2, 1) @ basis).transpose(0, 2, 1)
+            block -= basis.transpose(0, 2, 1) @ c1
             after = np.einsum("tmd,tmd->td", block, block)
             cancelled = active & (2.0 * after < before).any(axis=1)
             if cancelled.any():
                 basis_rows = Qt[cancelled, :n]
                 c2 = basis_rows @ block[cancelled]
-                block[cancelled] -= (c2.transpose(0, 2, 1) @ basis_rows).transpose(0, 2, 1)
+                block[cancelled] -= basis_rows.transpose(0, 2, 1) @ c2
                 c1[cancelled] += c2
-            q, r_diag = np.linalg.qr(block)
+            q, r_diag = _qr(block)
             Qt[:, n : n + d] = q.transpose(0, 2, 1)
             R[:, :n, n : n + d] = c1
             R[:, n : n + d, n : n + d] = r_diag

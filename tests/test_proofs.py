@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import bomp.core
 import bomp.proofs
 from bomp.core import (
     BlockedMatrix,
@@ -406,3 +407,17 @@ def test_instance_derives_each_projection_once(monkeypatch):
     checks.clear()
     project_least_squares(inst.problem.matrix, inst.support, inst.problem.observation)
     assert checks == [inst.support]
+
+
+def test_instance_takes_the_truths_block_norms_once(monkeypatch):
+    drawn = random_proof_instance(np.random.default_rng(37))
+    # block_support reads the norms through bomp.core, the lemma through bomp.proofs
+    calls = [_count_calls(monkeypatch, "block_norms", owner, argument=0)
+             for owner in (bomp.core, bomp.proofs)]
+    inst = ProofInstance(drawn.problem, drawn.truth, drawn.partial_support, drawn.probe_index)
+    report = lemma1_check(inst)
+    assert report.holds
+    # the support and the lemma read one set of norms
+    assert [x is inst.truth for x in calls[0] + calls[1]].count(True) == 1
+    monkeypatch.undo()
+    assert inst.support == block_support(inst.truth)

@@ -1,6 +1,8 @@
 import contextlib
+import importlib.util
 import math
 import re
+import sys
 import tracemalloc
 
 import numpy as np
@@ -22,10 +24,12 @@ from bomp.solver import (
     StoppingRule,
     _GRAM_SCREEN,
     _SCREEN_ENTRIES,
+    _SCREEN_PICKS,
     _Float32Screen,
     _float64_picks,
     _gram_screen_clears,
     _pursue,
+    _qr,
     _rank_failure,
     _scaled_to_largest,
     _stacked_norms,
@@ -59,9 +63,11 @@ def _pursue_stack(problems, stop):
 
 @contextlib.contextmanager
 def _screen(on):
-    """The float32 screen forced on for every dictionary, or off for all."""
+    """The float32 screen forced on for every solve, whatever its dictionary
+    size and pick budget, or off for all."""
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(bomp.solver, "_SCREEN_ENTRIES", 0 if on else math.inf)
+        patch.setattr(bomp.solver, "_SCREEN_PICKS", 0 if on else math.inf)
         yield
 
 
@@ -692,7 +698,7 @@ def test_overflowing_scores_raise_instead_of_picking_by_index():
         screen = _Float32Screen(A.entries[None], 2)
         assert np.isfinite(screen.largest).all() == copy_is_finite
         rho, e = _scaled_to_largest(y[None])
-        _, decided = screen.picks(rho, _stacked_norms(rho), e, np.zeros((1, 0), int))
+        _, decided = screen.picks(rho, _stacked_norms(rho), e, np.zeros((1, 8), dtype=bool))
         assert not decided[0]
         with _screen(True), pytest.raises(BompError, match="overflow"):
             run_bomp(SensingProblem(matrix=A, observation=y), stop)
@@ -844,7 +850,7 @@ def test_the_screen_proves_clear_picks_and_leaves_near_ties():
     rng = np.random.default_rng(23)
     m, M, d = 64, 16, 2
     entries = rng.normal(size=(m, M * d)) / np.sqrt(m)
-    nothing = np.zeros((1, 0), dtype=int)
+    nothing = np.zeros((1, M), dtype=bool)
     r = entries[:, 2:4] @ np.array([1.0, -2.0])  # block 2 wins clearly
     rho, e = _scaled_to_largest(r[None])
     for copy in (
@@ -862,8 +868,8 @@ def test_the_screen_proves_clear_picks_and_leaves_near_ties():
         if decided[0]:
             assert top[0] == want[0] == 1
     # a masked block is never the pick, and a lone unmasked block is proved
-    chosen = np.array([[i for i in range(1, M + 1) if i != 7]])
-    top, decided = _Float32Screen(entries[None], d).picks(rho, _stacked_norms(rho), e, chosen)
+    taken = np.arange(1, M + 1)[None] != 7
+    top, decided = _Float32Screen(entries[None], d).picks(rho, _stacked_norms(rho), e, taken)
     assert top[0] == 6 and decided[0]
 
 
@@ -872,13 +878,13 @@ def test_the_screen_proves_nearly_every_pick_of_the_large_benchmark_instances(mo
     # the picks to the float64 pass; it decides 1 of these 192 picks
     decided = []
 
-    def counting(entries, rho, e, d, chosen):
+    def counting(entries, rho, e, d, taken):
         decided.append(len(rho))
-        return _float64_picks(entries, rho, e, d, chosen)
+        return _float64_picks(entries, rho, e, d, taken)
 
     monkeypatch.setattr(bomp.solver, "_float64_picks", counting)
     config = ExperimentConfig(m=1024, M=512, d=4, K=64, noise_norm=0.1, seed=0)
-    assert config.m * config.M * config.d >= _SCREEN_ENTRIES
+    assert config.m * config.M * config.d >= _SCREEN_ENTRIES and config.K >= _SCREEN_PICKS
     stop = StoppingRule(FIXED_ITERATIONS, max_iterations=64)
     for trial in range(3):
         problem, _ = generate_instance(config, trial)
@@ -888,10 +894,10 @@ def test_the_screen_proves_nearly_every_pick_of_the_large_benchmark_instances(mo
 
 def test_above_the_size_the_float32_copy_is_the_only_dictionary_sized_allocation():
     rng = np.random.default_rng(24)
-    m, M, d = 1024, 256, 4
-    assert m * M * d >= _SCREEN_ENTRIES
+    m, M, d, K = 1024, 256, 4, 32
+    assert m * M * d >= _SCREEN_ENTRIES and K > _SCREEN_PICKS
     problem, _ = _random_problem(rng, m=m, M=M, d=d, support=(3, 40, 77, 101), noise=0.2)
-    stop = StoppingRule(FIXED_ITERATIONS, max_iterations=8)
+    stop = StoppingRule(FIXED_ITERATIONS, max_iterations=K)
     run_bomp(problem, stop)  # modules numpy imports on first use
     tracemalloc.start()
     try:
@@ -900,6 +906,59 @@ def test_above_the_size_the_float32_copy_is_the_only_dictionary_sized_allocation
     finally:
         tracemalloc.stop()
     # the float32 copy is half the dictionary; a float64 copy alone is all of it
-    assert peak < 0.75 * problem.matrix.entries.nbytes
+    assert 0.5 * problem.matrix.entries.nbytes < peak < 0.75 * problem.matrix.entries.nbytes
     with _screen(False):
         assert run_bomp(problem, stop).chosen_indices == trace.chosen_indices
+
+
+def test_a_short_solve_on_a_large_dictionary_builds_no_float32_screen(monkeypatch):
+    built = []
+
+    class Counting(_Float32Screen):
+        def __init__(self, entries, d):
+            built.append(entries.shape)
+            super().__init__(entries, d)
+
+    monkeypatch.setattr(bomp.solver, "_Float32Screen", Counting)
+    rng = np.random.default_rng(25)
+    m, M, d, K = 1024, 256, 4, 4
+    assert m * M * d >= _SCREEN_ENTRIES and K < _SCREEN_PICKS
+    problem, _ = _random_problem(rng, m=m, M=M, d=d, support=(3, 40, 77, 101), noise=0.2)
+    stop = StoppingRule(FIXED_ITERATIONS, max_iterations=K)
+    plain = run_bomp(problem, stop)
+    assert built == []
+    with _screen(True):
+        screened = run_bomp(problem, stop)
+    assert built == [(1, m, M * d)]
+    _assert_same_outcome(plain, screened)
+
+
+def _solver_without_lapack_gufuncs(monkeypatch):
+    """A second copy of bomp.solver, imported where numpy's LAPACK gufunc
+    module cannot be, so its QR takes the np.linalg.qr fallback."""
+    monkeypatch.setitem(sys.modules, "numpy.linalg._umath_linalg", None)
+    name = "bomp._solver_without_lapack_gufuncs"
+    spec = importlib.util.spec_from_file_location(name, bomp.solver.__file__)
+    module = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, name, module)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_the_kernels_qr_is_numpys_bit_for_bit_through_both_imports(monkeypatch):
+    rng = np.random.default_rng(26)
+    m = 12
+    stack = np.empty((3, m, 3))
+    stack[0] = rng.normal(size=(m, 3))
+    stack[1] = 0.0  # a zero block
+    stack[2] = np.outer(rng.normal(size=m), rng.normal(size=3))  # a rank-1 block
+    width_one = rng.normal(size=(2, m, 1))
+    fallback = _solver_without_lapack_gufuncs(monkeypatch)
+    assert bomp.solver._LAPACK_QR is not None and fallback._LAPACK_QR is None
+    for qr in (_qr, fallback._qr):
+        for a in (stack, width_one):
+            want = np.linalg.qr(a)
+            got = qr(a.copy())  # the kernel's QR may overwrite its input
+            for g, w in zip(got, want):
+                assert g.shape == w.shape and g.dtype == w.dtype
+                assert g.tobytes() == w.tobytes()
