@@ -4,7 +4,10 @@ Every vector of length ``n = M*d`` is viewed as a concatenation of M blocks
 of uniform width d, and every m x n matrix as a concatenation of M column
 blocks of shape (m, d). Block indices are 1-based in all public interfaces.
 All types are immutable after construction; the operations are pure
-functions and safe to call concurrently.
+functions and safe to call concurrently. They keep no state between calls,
+and a draw touches only the Generator and the array its caller passes: the
+experiments draw on several threads at once, each trial's Generator and
+slice of the stack private to its share, so no two threads share a stream.
 
 One power-of-two rule, ``_scaled_to_largest``, keeps every norm in range at
 both ends: the norms here square at unit scale and scale back, so a norm

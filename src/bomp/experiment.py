@@ -9,11 +9,17 @@ dictionary exists twice. The fixed costs are paid per chunk where the
 outputs allow it: the kernel finishes together every trial that stops at a
 step, and a chunk's recovered flags come from one pass over its stacked
 truths. Each trial still draws from its own stream, but its K directions
-come from one call. Aggregation is a plain fold in trial-index order.
+come from one call. On dictionaries of ``_SPLIT_ENTRIES`` entries or more, a
+chunk's draws are split into contiguous shares, one per CPU the process may
+run on: the calling thread draws the first and a pool, which lives for one
+batch, the others. Each trial's generator and slice of the stack belong to
+one share, so no output bit depends on the CPU count, the share count or
+the chunk size. Aggregation is a plain fold in trial-index order.
 """
 
 from __future__ import annotations
 
+import os
 from dataclasses import MISSING, dataclass, field, fields
 
 import numpy as np
@@ -32,14 +38,36 @@ from .solver import FIXED_ITERATIONS, StoppingRule, _pursue, _stacked_norms
 
 # bytes of the one stack of dictionaries a batch draws into and pursues:
 # 16 trials at m=128, n=256. Per-call overhead, not flops, bounds the pursuit
-# there, so larger stacks are faster: 300 such trials took a median of
-# minimum op times of 283 ms in 16-trial stacks against 320 ms in the 8-trial
-# stacks of 2^21 bytes, lower in 7 of 8 alternating in-process rounds
-# (2-vCPU x86_64, numpy 2.4.6, 2 BLAS threads). The stack is the only copy
-# of each dictionary; mc_medium's peak RSS rose 3.0 MB (7.1%, BENCH_24.json)
-# with the stacked finish, about 2.7 MB of it for the larger stack, inside
-# its 0.1 bound. A 32-trial stack would add about 6 MB and break it.
+# there, so larger stacks are faster: with the draw split over two CPUs, 300
+# such trials took a median of minimum op times of 150 ms in 16-trial stacks
+# against 172 ms in the 8-trial stacks of 2^21 bytes, lower in 8 of 8
+# alternating pairs of processes (2-vCPU x86_64, numpy 2.4.6, 2 BLAS
+# threads; the serial draw had given 283 against 320 ms). The stack is the
+# only copy of each dictionary; mc_medium's peak RSS rose 3.0 MB (7.1%,
+# BENCH_24.json) with the stacked finish, about 2.7 MB of it for the larger
+# stack, inside its 0.1 bound. A 32-trial stack would add about 6 MB and
+# break it.
 _CHUNK_BYTES = 1 << 22
+# A chunk's draws are split into one contiguous share per CPU when each
+# trial's dictionary has at least this many entries; below it the calling
+# thread draws them all. standard_normal releases the interpreter lock while
+# it fills a dictionary, but a draw's other calls hold it, so on small
+# dictionaries the shares wait on each other. Minimum op time of
+# run_experiment, split on two CPUs against the serial draw, median of 4
+# alternating pairs of processes (same host), noise_norm 0.05, seed 0,
+# entries per trial in brackets:
+#   (24, 6, 2), K=2, 2000 trials      [288]  0.135 -> 0.207 s  +54%
+#   (32, 16, 2), K=2, 1000 trials    [1024]  0.086 -> 0.118 s  +38%
+#   (64, 32, 2), K=2, 600 trials     [4096]  0.068 -> 0.071 s   +4%
+#   (64, 32, 2), K=8, 600 trials     [4096]  0.094 -> 0.099 s   +5%
+#   (96, 32, 2), K=2, 600 trials     [6144]  0.098 -> 0.085 s  -14%
+#   (128, 32, 2), K=2, 600 trials    [8192]  0.111 -> 0.085 s  -24%
+#   (64, 64, 2), K=4, 600 trials     [8192]  0.118 -> 0.091 s  -22%
+#   (64, 64, 4), K=4, 300 trials    [16384]  0.102 -> 0.072 s  -30%
+#   (128, 64, 4), K=8, 300 trials   [32768]  0.205 -> 0.154 s  -25%
+# The cross-over lies between 2^12 and 6144 entries; the gate sits at the
+# first power of two past it.
+_SPLIT_ENTRIES = 1 << 13
 
 
 def _keys(cls) -> tuple[set, set]:
@@ -200,41 +228,82 @@ class ExperimentResult:
         return {**json_fields(self), "records": [record.to_dict() for record in self.records]}
 
 
+def _cpu_count() -> int:
+    """The number of CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # a platform without affinity masks
+        return os.cpu_count() or 1
+
+
+def _draw_share(cfg: ExperimentConfig, trials: range, entries: np.ndarray) -> list:
+    """The draws of ``trials`` in order, each into its slice of ``entries``."""
+    return [_draw_trial(cfg, k, out) for k, out in zip(trials, entries)]
+
+
+def _draw_chunk(cfg, trials, entries, shares, pool) -> list:
+    """The draws of ``trials`` into ``entries``, in up to ``shares``
+    contiguous shares: the first on this thread, the others on ``pool``.
+    Results are read in share order, so the lowest failing trial raises."""
+    shares = min(shares, len(trials))
+    cuts = [len(trials) * i // shares for i in range(shares + 1)]
+    helpers = [
+        pool.submit(_draw_share, cfg, trials[a:b], entries[a:b])
+        for a, b in zip(cuts[1:], cuts[2:])
+    ]
+    draws = _draw_share(cfg, trials[: cuts[1]], entries[: cuts[1]])
+    for helper in helpers:
+        draws += helper.result()
+    return draws
+
+
 def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     """Run the batch; recovered means the chosen index set equals the support.
 
     One stack of ``_CHUNK_BYTES`` of dictionaries is allocated per batch and
     reused for every chunk of trials: each trial draws its instance straight
     into its slice, and the pursuit kernel reads the filled stack in place.
-    A chunk's supports are read off its stacked truths in one pass.
-    Per-trial solver failures land in the record's error field instead of
-    aborting the batch.
+    At ``_SPLIT_ENTRIES`` entries per dictionary or more, the draws of a
+    chunk are split into one contiguous share per CPU in the process's
+    affinity mask, at most one per trial; the calling thread draws the first
+    share and a thread pool that ends with the call draws the rest. Below
+    it no thread is started. A chunk's supports are read off its stacked
+    truths in one pass. Per-trial solver failures land in the record's error
+    field instead of aborting the batch; a draw that overflows raises the
+    ValueError of the lowest such trial, whatever the shares.
     """
+    # imported here, so a process that runs no batch does not load it and
+    # the logging module it imports: about 8 ms and half a MB of peak RSS
+    from concurrent.futures import ThreadPoolExecutor
+
     n = cfg.layout.ambient_dim
     chunk = min(cfg.trials, max(1, _CHUNK_BYTES // (8 * cfg.m * n)))
+    shares = min(chunk, _cpu_count()) if cfg.m * n >= _SPLIT_ENTRIES else 1
     stack = np.empty((chunk, cfg.m, n))
     records = []
-    for start in range(0, cfg.trials, chunk):
-        trials = range(start, min(start + chunk, cfg.trials))
-        entries = stack[: len(trials)]
-        draws = [_draw_trial(cfg, k, out) for k, out in zip(trials, entries)]
-        observations = np.stack([observation for observation, _ in draws])
-        # the checks a BlockedMatrix and a SensingProblem make, once per chunk
-        _check_finite(entries.reshape(-1, n), "matrix")
-        _check_finite(observations, "observation")
-        outcomes = _pursue(entries, observations, cfg.layout, cfg.stopping)
-        # off-support entries are exact zeros, so any nonzero block was drawn
-        truths = np.stack([truth.values for _, truth in draws]).reshape(-1, cfg.M, cfg.d)
-        support = (truths != 0.0).any(axis=2)
-        chosen = np.zeros_like(support)
-        for t, outcome in enumerate(outcomes):
-            if not isinstance(outcome, Exception):
-                chosen[t, np.array(outcome.chosen_indices, dtype=int) - 1] = True
-        recovered = (chosen == support).all(axis=1)
-        records += [
-            TrialRecord(k, False, 0, error=f"{type(outcome).__name__}: {outcome}")
-            if isinstance(outcome, Exception)
-            else TrialRecord(k, bool(ok), outcome.iterations_run)
-            for k, outcome, ok in zip(trials, outcomes, recovered)
-        ]
+    # the pool starts a thread only when a share is submitted to it
+    with ThreadPoolExecutor(max(1, shares - 1)) as pool:
+        for start in range(0, cfg.trials, chunk):
+            trials = range(start, min(start + chunk, cfg.trials))
+            entries = stack[: len(trials)]
+            draws = _draw_chunk(cfg, trials, entries, shares, pool)
+            observations = np.stack([observation for observation, _ in draws])
+            # the checks a BlockedMatrix and a SensingProblem make, once per chunk
+            _check_finite(entries.reshape(-1, n), "matrix")
+            _check_finite(observations, "observation")
+            outcomes = _pursue(entries, observations, cfg.layout, cfg.stopping)
+            # off-support entries are exact zeros, so any nonzero block was drawn
+            truths = np.stack([truth.values for _, truth in draws]).reshape(-1, cfg.M, cfg.d)
+            support = (truths != 0.0).any(axis=2)
+            chosen = np.zeros_like(support)
+            for t, outcome in enumerate(outcomes):
+                if not isinstance(outcome, Exception):
+                    chosen[t, np.array(outcome.chosen_indices, dtype=int) - 1] = True
+            recovered = (chosen == support).all(axis=1)
+            records += [
+                TrialRecord(k, False, 0, error=f"{type(outcome).__name__}: {outcome}")
+                if isinstance(outcome, Exception)
+                else TrialRecord(k, bool(ok), outcome.iterations_run)
+                for k, outcome, ok in zip(trials, outcomes, recovered)
+            ]
     return ExperimentResult(records=tuple(records))

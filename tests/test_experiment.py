@@ -1,5 +1,8 @@
+import concurrent.futures
 import dataclasses
 import json
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -192,28 +195,61 @@ def test_a_zero_direction_is_redrawn_as_the_per_block_loop_redraws_it(zero_rows)
     assert got_stream.used == want_stream.used == (count + len(zero_rows)) * d
 
 
+def _force_shares(monkeypatch, shares):
+    """Split every chunk into ``shares`` draws, whatever the dictionary size
+    and the host's CPU count."""
+    monkeypatch.setattr(bomp.experiment, "_SPLIT_ENTRIES", 0)
+    monkeypatch.setattr(bomp.experiment, "_cpu_count", lambda: shares)
+
+
+@pytest.fixture
+def short_switch_interval():
+    """Switch threads every microsecond, so shares interleave finely."""
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        yield
+    finally:
+        sys.setswitchinterval(interval)
+
+
 @pytest.mark.parametrize(
     "stopping",
     [None, StoppingRule(RESIDUAL_THRESHOLD, epsilon=0.9, max_iterations=4)],
     ids=["fixed_iterations", "residual_threshold"],
 )
-def test_result_is_identical_for_any_chunk_size(monkeypatch, stopping):
+def test_result_is_identical_for_any_chunk_size(monkeypatch, short_switch_interval, stopping):
     cfg = _small_cfg(noise_norm=0.4, trials=24, stopping=stopping)
     dictionary_bytes = 8 * cfg.m * cfg.layout.ambient_dim
-    # the default's chunk holds 16 trials at (128, 64, 4) and every trial here
-    results = [run_experiment(cfg)]
+    # the default's chunk holds 16 trials at (128, 64, 4) and every trial here,
+    # in one share: these dictionaries are below the split's gate
+    reference = run_experiment(cfg)
+    drawn, threads = bomp.experiment._draw_trial, set()
+
+    def watched(cfg, k, out):
+        threads.add(threading.get_ident())
+        return drawn(cfg, k, out)
+
+    monkeypatch.setattr(bomp.experiment, "_draw_trial", watched)
+    # a 7-trial chunk splits 3 + 4 and 2 + 2 + 3; 24 shares give one per trial
     for chunk in (1, 7, 16, cfg.trials):
         monkeypatch.setattr(bomp.experiment, "_CHUNK_BYTES", chunk * dictionary_bytes)
-        results.append(run_experiment(cfg))
-    assert all(result == results[0] for result in results)
+        for shares in (1, 2, 3, cfg.trials):
+            _force_shares(monkeypatch, shares)
+            threads.clear()
+            assert run_experiment(cfg) == reference, (chunk, shares)
+            # helpers are reused once idle, so only split or not is certain
+            assert (len(threads) > 1) == (min(chunk, shares) > 1), (chunk, shares)
     if stopping is not None:
         # trials leave the batch at different steps
-        assert len({r.iterations for r in results[0].records}) > 1
+        assert len({r.iterations for r in reference.records}) > 1
 
 
-def test_a_batch_holds_one_stack_of_dictionaries():
+def test_a_batch_holds_one_stack_of_dictionaries(monkeypatch):
     # chunks of 16, 16 and 8 trials; a stack allocated while the last one is
-    # still referenced would hold two at once
+    # still referenced would hold two at once. Three shares draw each chunk,
+    # and tracemalloc sees the allocations of every thread.
+    monkeypatch.setattr(bomp.experiment, "_cpu_count", lambda: 3)
     cfg = ExperimentConfig(m=128, M=64, d=4, K=8, noise_norm=0.1, trials=40)
     run_experiment(dataclasses.replace(cfg, trials=1))  # modules numpy imports on first use
     tracemalloc.start()
@@ -266,6 +302,7 @@ def test_rank_failure_mid_batch_leaves_its_neighbours_alone(monkeypatch):
 
 @pytest.mark.parametrize("what", ["matrix", "observation"])
 def test_a_non_finite_draw_is_refused(monkeypatch, what):
+    _force_shares(monkeypatch, 2)  # trial 5 is drawn in the helper's share, 4 to 7
     drawn = bomp.experiment._draw_trial
 
     def poisoned(cfg, k, out):
@@ -277,6 +314,43 @@ def test_a_non_finite_draw_is_refused(monkeypatch, what):
     monkeypatch.setattr(bomp.experiment, "_draw_trial", poisoned)
     with pytest.raises(ValueError, match=f"^{what} contains non-finite entries$"):
         run_experiment(_small_cfg())
+
+
+@pytest.mark.parametrize(
+    "shares, failing, lowest",
+    # shares of 8 trials: 0-3 and 4-7 for two, 0-1, 2-4 and 5-7 for three
+    [(1, range(5, 8), 5), (2, range(5, 8), 5), (3, (4, 7), 4), (3, (6, 2), 2)],
+)
+def test_an_overflowing_draw_raises_for_the_lowest_failing_trial(
+    monkeypatch, shares, failing, lowest
+):
+    drawn = bomp.experiment._draw_trial
+
+    def huge(cfg, k, out):
+        # a floor that overflows in the real draw, under its own errstate
+        if k in failing:
+            cfg = dataclasses.replace(cfg, min_block_norm=np.finfo(float).max)
+        return drawn(cfg, k, out)
+
+    _force_shares(monkeypatch, shares)
+    monkeypatch.setattr(bomp.experiment, "_draw_trial", huge)
+    with pytest.raises(ValueError, match=f"overflow double precision in trial {lowest}$"):
+        run_experiment(_small_cfg())
+
+
+def test_no_thread_is_started_below_the_split_gate(monkeypatch):
+    def refused(self, *args, **kwargs):
+        raise AssertionError("a share was submitted to the pool")
+
+    monkeypatch.setattr(bomp.experiment, "_cpu_count", lambda: 4)
+    monkeypatch.setattr(concurrent.futures.ThreadPoolExecutor, "submit", refused)
+    cfg = _small_cfg(trials=16)
+    assert cfg.m * cfg.layout.ambient_dim < bomp.experiment._SPLIT_ENTRIES
+    assert all(r.error is None for r in run_experiment(cfg).records)
+    # at the gate the same batch is split
+    monkeypatch.setattr(bomp.experiment, "_SPLIT_ENTRIES", cfg.m * cfg.layout.ambient_dim)
+    with pytest.raises(AssertionError, match="submitted to the pool"):
+        run_experiment(cfg)
 
 
 def test_overflowing_trials_are_recorded_as_errors():
