@@ -49,11 +49,11 @@ any other R, ``project_least_squares``, the one-shot SVD route kept as the
 reference, runs on each prefix of the picks in turn: it raises for the
 shortest failing prefix, or, when every prefix passes, the pursuit returns.
 So the pursuit refuses exactly what the reference refuses. All problems
-whose rule fires at one step are finished together: one stacked screen and
-one stacked solve. LAPACK runs on each matrix of a stack as on that matrix
-alone, so a stacked result is bit for bit the one a problem gets alone; when
-one singular matrix makes a stacked call raise, each problem's own call
-decides (``_stacked_or_each``).
+whose rule fires at one step are finished together: one stacked screen, and
+one stacked solve of the cleared factors, which cannot raise, as LU pivots
+on the nonzero diagonal of each; an uncleared factor is solved inside its
+replay. LAPACK runs on each matrix of a stack as on that matrix alone, so a
+stacked result is bit for bit the one a problem gets alone.
 
 Each residual is held at unit scale, as rho 2^e with the largest entry of
 rho in [1/2, 1): the update ``r -= q (q' r)`` runs on rho, which is then
@@ -86,10 +86,11 @@ the float64 pass's products and norms, the screen's norms, the slack on the
 computed ||rho|| and the test's roundings fit in the d + 2 float32
 roundings from gamma_{m+2} to gamma_{m+d+4}. The top unmasked block t, of
 score s_t, is the pick when the runner-up score plus E stays below s_t - E:
-t is then also the float64 pass's unique argmax. Otherwise the float64 pass
-decides on that problem's slice of the stack, as it does below the size. It
-also decides when L ||rho|| times 2^e reaches ``_SCREEN_RANGE`` = 2^400
-(the pass then may refuse the problem), or when anything is not finite. So
+t is then also the float64 pass's unique argmax. A pick is also left
+unproved when L ||rho|| times 2^e reaches ``_SCREEN_RANGE`` = 2^400 (the
+pass then may refuse the problem), or when anything is not finite. One
+unproved live pick sends the whole step to the float64 pass, as below the
+size: it gives every proved pick again, and refuses no problem in range. So
 every near-tie, exact tie, overflow and masked pick comes out as the float64
 pass gives it. On the three seed-0 ``pursuit_large`` instances the float64
 pass decided 1 of 192 picks.
@@ -423,32 +424,22 @@ def _gram_screen_clears(R: np.ndarray) -> np.ndarray:
     enough from ``RANK_TOL`` to pass the rank check without an SVD (see
     ``_GRAM_SCREEN``). A zero factor, whose Gram has no Cholesky factor, is
     never cleared. Each decision reads only its own factor: one stacked
-    Cholesky call, and when it raises, one per factor."""
+    Cholesky call, and only when it raises, one call per factor."""
     shape, n = R.shape[:-2], R.shape[-1]
     S = _scaled_to_largest(R.reshape(-1, n * n))[0].reshape(-1, n, n)
     gram = S.transpose(0, 2, 1) @ S
     diagonal = gram.reshape(len(gram), n * n)[:, :: n + 1]
     diagonal -= _GRAM_SCREEN * diagonal.sum(axis=1, keepdims=True)
-    factors = _stacked_or_each(np.linalg.cholesky, gram)
-    return np.array([not isinstance(f, Exception) for f in factors], dtype=bool).reshape(shape)
-
-
-def _stacked_or_each(call, *stacks) -> list:
-    """``call(*stacks)``, a stacked LAPACK call, as one result per problem.
-    One singular problem makes the stacked call raise LinAlgError; then
-    ``call`` runs on each problem's stack of one instead, and a problem that
-    raises gets its own LinAlgError as its result."""
+    cleared = np.ones(len(gram), dtype=bool)
     try:
-        return list(call(*stacks))
+        np.linalg.cholesky(gram)
     except np.linalg.LinAlgError:
-        results = []
-        for t in range(len(stacks[0])):
+        for t, matrix in enumerate(gram):
             try:
-                (result,) = call(*(stack[t : t + 1] for stack in stacks))
-            except np.linalg.LinAlgError as exc:
-                result = exc
-            results.append(result)
-        return results
+                np.linalg.cholesky(matrix)
+            except np.linalg.LinAlgError:
+                cleared[t] = False
+    return cleared.reshape(shape)
 
 
 def project_least_squares(A: BlockedMatrix, support, y: np.ndarray):
@@ -571,19 +562,12 @@ def _pursue(entries: np.ndarray, observations: np.ndarray, layout, stop: Stoppin
         # every problem takes every step; one whose outcome is set rides
         # along, and may carry inf or NaN, which no other row reads
         with np.errstate(all="ignore"):
-            if screen is None:
-                picks, overflow = _float64_picks(entries, rho, e, d, taken)
-            else:
+            if screen is not None:
                 picks, decided = screen.picks(rho, rho_norms, e, taken)
-                overflow = None
-                if not decided.all():
-                    overflow = np.zeros(size, dtype=bool)
-                    for t in np.flatnonzero(active & ~decided):
-                        # the float64 pass on the problem's slice, as in the stack
-                        (picks[t],), (overflow[t],) = _float64_picks(
-                            entries[t : t + 1], rho[t : t + 1], e[t : t + 1], d, taken[t : t + 1]
-                        )
-            if overflow is not None and overflow.any():
+            if screen is None or not decided[active].all():
+                # a proved pick is this pass's own argmax, and in range the
+                # pass refuses no problem, so it may decide the whole stack
+                picks, overflow = _float64_picks(entries, rho, e, d, taken)
                 overflow &= active
                 for t in np.flatnonzero(overflow):
                     outcomes[t] = _overflow_error()
@@ -626,9 +610,11 @@ def _finish(entries, observations, layout, stack, picks, norms, Qt, R, statuses)
     their QR factors ``Qt`` and ``R``, stacks over all problems.
 
     The rank check runs here, once: the Gram screen clears the final R, or
-    the reference replays the prefixes of the picks and decides. The screen
-    and the solve ``R coef = Qt y`` are stacked calls, and each problem's
-    result is the one it gets alone.
+    the reference replays the prefixes of the picks and decides. The cleared
+    factors are solved, ``R coef = Qt y``, in one stacked call that cannot
+    raise; an uncleared one is solved alone once its replay passes. LAPACK
+    runs on each matrix of a stack as on that matrix alone, so each
+    problem's result is the one it gets alone.
     """
     n = picks.shape[1] * layout.block_width
     outcomes: list = [None] * len(stack)
@@ -636,25 +622,24 @@ def _finish(entries, observations, layout, stack, picks, norms, Qt, R, statuses)
     # the one problem of run_bomp is
     rows = slice(stack[0], stack[-1] + 1) if stack[-1] - stack[0] < len(stack) else stack
     factors = R[rows, :n, :n]
-    if n:
-        for i in np.flatnonzero(~_gram_screen_clears(factors)):
-            # the reference decides, raising for the shortest failing prefix; only
-            # this rare path builds the problem's matrix, a copy of its slice
-            A = BlockedMatrix(layout, entries[stack[i]])
-            try:
-                for j in range(1, picks.shape[1] + 1):
-                    project_least_squares(A, picks[i, :j], observations[stack[i]])
-            except (BompError, np.linalg.LinAlgError) as exc:
-                outcomes[i] = exc
-    # each slot goes from None to the coefficients or a LinAlgError, then to
-    # the trace or the estimate's error
-    solvable = [i for i, outcome in enumerate(outcomes) if outcome is None]
-    projected = np.matmul(Qt[rows, :n], observations[rows, :, None])[solvable]
-    for i, coef in zip(solvable, _stacked_or_each(np.linalg.solve, factors[solvable], projected)):
-        outcomes[i] = coef
-    solved = [i for i, outcome in enumerate(outcomes) if isinstance(outcome, np.ndarray)]
-    coef = np.array([outcomes[i][:, 0] for i in solved]).reshape(len(solved), n)
-    for i, estimate in zip(solved, _estimates(layout, picks[solved], coef)):
+    projected = np.matmul(Qt[rows, :n], observations[rows, :, None])
+    cleared = _gram_screen_clears(factors) if n else np.ones(len(stack), dtype=bool)
+    # a cleared R is upper triangular, exactly zero below its diagonal and
+    # nowhere zero on it, so LU pivots on R_jj and meets no zero pivot
+    coef = np.empty((len(stack), n))
+    coef[cleared] = np.linalg.solve(factors[cleared], projected[cleared])[:, :, 0]
+    for i in np.flatnonzero(~cleared):
+        # the reference decides, raising for the shortest failing prefix; only
+        # this rare path builds the problem's matrix, a copy of its slice
+        A = BlockedMatrix(layout, entries[stack[i]])
+        try:
+            for j in range(1, picks.shape[1] + 1):
+                project_least_squares(A, picks[i, :j], observations[stack[i]])
+            coef[i] = np.linalg.solve(factors[i], projected[i])[:, 0]
+        except (BompError, np.linalg.LinAlgError) as exc:
+            outcomes[i] = exc
+    solved = [i for i, outcome in enumerate(outcomes) if outcome is None]
+    for i, estimate in zip(solved, _estimates(layout, picks[solved], coef[solved])):
         outcomes[i] = estimate if isinstance(estimate, BompError) else RecoveryTrace(
             chosen_indices=tuple(picks[i].tolist()),
             residual_norms=tuple(norms[i].tolist()),

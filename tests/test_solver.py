@@ -566,6 +566,9 @@ def test_the_gram_screen_never_clears_what_the_svd_of_r_refuses(n, ratio, magnit
     if cleared:
         indices = list(range(1, n + 1))
         assert _rank_failure(indices, np.linalg.svd(R, compute_uv=False)) is None
+        # the kernel solves its cleared factors in one stacked call, with no
+        # retry: LU on such an R meets no zero pivot, so the solve cannot raise
+        assert np.isfinite(np.linalg.solve(R, rng.normal(size=(n, 1)))).all()
     # the derived band (see _GRAM_SCREEN): never cleared below sqrt(_GRAM_SCREEN)
     # in singular-value ratio, always cleared above sqrt(n _GRAM_SCREEN)
     if sigma[-1] < 0.99 * math.sqrt(_GRAM_SCREEN) * sigma[0]:
@@ -890,6 +893,40 @@ def test_the_screen_proves_nearly_every_pick_of_the_large_benchmark_instances(mo
         problem, _ = generate_instance(config, trial)
         assert run_bomp(problem, stop).iterations_run == 64
     assert sum(decided) <= 2
+
+
+def test_an_unproved_pick_sends_the_whole_stack_to_the_float64_pass_once(monkeypatch):
+    # in two of three problems block 5 repeats block 2 and y lies on block 2:
+    # their first picks tie exactly, which the screen cannot prove
+    m, M, d = 20, 6, 2
+    layout = BlockLayout(M, d)
+    rng = np.random.default_rng(31)
+    problems = []
+    for repeated in (True, False, True):
+        entries = rng.normal(size=(m, M * d)) / np.sqrt(m)
+        if repeated:
+            entries[:, 8:10] = entries[:, 2:4]
+            y = entries[:, 2:4] @ np.array([2.0, -1.5])
+        else:
+            y = entries @ rng.normal(size=M * d)
+        problems.append(SensingProblem(matrix=BlockedMatrix(layout, entries), observation=y))
+    steps = 3
+    stop = StoppingRule(FIXED_ITERATIONS, max_iterations=steps)
+    stacks = []
+
+    def counting(entries, rho, e, d, taken):
+        stacks.append(len(rho))
+        return _float64_picks(entries, rho, e, d, taken)
+
+    monkeypatch.setattr(bomp.solver, "_float64_picks", counting)
+    with _screen(True):
+        screened = _pursue_stack(problems, stop)
+    assert 1 <= len(stacks) <= steps
+    assert stacks == [3] * len(stacks)
+    with _screen(False):
+        plain = _pursue_stack(problems, stop)
+    for got, want in zip(screened, plain):
+        _assert_same_outcome(got, want)
 
 
 def test_above_the_size_the_float32_copy_is_the_only_dictionary_sized_allocation():
