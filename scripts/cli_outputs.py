@@ -11,14 +11,17 @@ and writes what the command prints, or the file it writes, next to them:
 ``run``, ``trace``, ``both``, ``tiny``, ``huge``, ``experiment``, ``threshold``,
 ``proofs``, ``rip_exact`` and ``rip_sample``, plus ``large``, the trace of 64
 fixed picks on the seed-0 instance at (1024, 512, 4), which the float32
-screen scores. No output names a path, so the directories of two runs, under
-two BLAS thread counts or from two checkouts, match byte for byte when the
-outputs do.
+screen scores, and ``draws``, the sha256 of the dictionary, observation and
+truth bytes of trials 0 to 3 of the experiment config and of one proof-sweep
+instance, so a draw whose bits move shows even where no recovery does. No
+output names a path, so the directories of two runs, under two BLAS thread
+counts or from two checkouts, match byte for byte when the outputs do.
 """
 
 from __future__ import annotations
 
 import contextlib
+import hashlib
 import io
 import json
 import sys
@@ -29,6 +32,7 @@ import numpy as np
 from bomp import BlockedMatrix, BlockLayout, ExperimentConfig, StoppingRule
 from bomp import generate_instance, run_bomp
 from bomp.cli import main as bomp_main
+from bomp.core import gaussian_instance
 from bomp.io import save_matrix, save_vector
 
 
@@ -85,6 +89,22 @@ def write_outputs(out: Path) -> None:
     problem, _ = generate_instance(large, 0)
     trace = run_bomp(problem, StoppingRule("fixed_iterations", max_iterations=64))
     (out / "large.json").write_text(json.dumps(trace.to_dict()))
+
+    config = ExperimentConfig.load(out / "experiment_config.json")
+    draws = {f"trial {k}": digests(*generate_instance(config, k)) for k in range(4)}
+    proof_draw = gaussian_instance(np.random.default_rng(0), BlockLayout(6, 2), 60, 3, 0.25)
+    draws["proof sweep"] = digests(*proof_draw)
+    (out / "draws.json").write_text(json.dumps(draws, indent=1))
+
+
+def digests(problem, truth) -> dict:
+    """The sha256 of an instance's dictionary, observation and truth bytes."""
+    arrays = {
+        "entries": problem.matrix.entries,
+        "observation": problem.observation,
+        "truth": truth.values,
+    }
+    return {name: hashlib.sha256(arr.tobytes()).hexdigest() for name, arr in arrays.items()}
 
 
 def main(argv: list[str]) -> int:

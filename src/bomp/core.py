@@ -5,9 +5,9 @@ of uniform width d, and every m x n matrix as a concatenation of M column
 blocks of shape (m, d). Block indices are 1-based in all public interfaces.
 All types are immutable after construction; the operations are pure
 functions and safe to call concurrently. They keep no state between calls,
-and a draw touches only the Generator and the array its caller passes: the
+and a draw touches only the Generator and the arrays its caller passes: the
 experiments draw on several threads at once, each trial's Generator and
-slice of the stack private to its share, so no two threads share a stream.
+slices of the stacks private to its share, so no two threads share a stream.
 
 One power-of-two rule, ``_scaled_to_largest``, keeps every norm in range at
 both ends: the norms here square at unit scale and scale back, so a norm
@@ -290,43 +290,53 @@ def gaussian_instance(
     standard normal entries, in ascending index order; and, only when
     ``epsilon > 0``, noise rescaled to norm exactly ``epsilon``. The problem
     keeps no record of ``epsilon``; the noise is ``observation - A @ truth``.
-    This allocates the dictionary and wraps :func:`_draw_gaussian`.
+    This is :func:`_draw_gaussian` on a stack of one (:func:`_instance`).
     """
 
     def normal_blocks(rng, count):
         return rng.normal(size=(count, layout.block_width))
 
-    entries = np.empty((rows, layout.ambient_dim))
-    y, truth = _draw_gaussian(rng, layout, entries, sparsity, normal_blocks, epsilon)
-    entries.setflags(write=False)  # so the matrix adopts it without a copy
-    return SensingProblem(matrix=BlockedMatrix(layout, entries), observation=y), truth
+    return _instance(
+        layout, rows, lambda out: _draw_gaussian(rng, layout, out, sparsity, normal_blocks, epsilon)
+    )
 
 
-def _draw_gaussian(rng, layout, out, sparsity, draw_blocks, epsilon):
+def _instance(layout: BlockLayout, rows: int, draw):
+    """``draw(out)`` on a stack of one: ``out`` is a fresh (dictionary,
+    observation, truth) triple of (rows, n), (rows,) and (n,) arrays, which
+    are then made read-only, so the matrix, problem and signal adopt them
+    without a copy and make their finiteness checks; returns (problem, truth)."""
+    n = layout.ambient_dim
+    entries, observation, truth = out = (np.empty((rows, n)), np.empty(rows), np.empty(n))
+    draw(out)
+    for arr in out:
+        arr.setflags(write=False)
+    return SensingProblem(BlockedMatrix(layout, entries), observation), BlockSignal(layout, truth)
+
+
+def _draw_gaussian(rng, layout, out, sparsity, draw_blocks, epsilon) -> None:
     """The draw shared by the proof sweeps' :func:`gaussian_instance` and the
     experiments' :func:`bomp.experiment.generate_instance`, which differ only in
     ``draw_blocks(rng, sparsity)``, a (sparsity, width) array of the supported
-    blocks in ascending index order; writes the dictionary into ``out``, a
-    C-contiguous (rows, ``layout.ambient_dim``) float64 array, and returns
-    (observation, truth). The blocks go into the truth's one array through
+    blocks in ascending index order. Writes the dictionary, observation and
+    truth into ``out``, C-contiguous (rows, n), (rows,) and (n,) float64 arrays
+    (n = ``layout.ambient_dim``). The blocks go into the truth through
     ``layout.columns``, whose indices come from ``rng.choice`` and need no check.
 
     ``rng.standard_normal(out=...)`` gives the values of ``rng.normal(size=...)``
     and leaves the generator in the same state. Nothing is checked here: the
     caller applies the finiteness checks of :class:`BlockedMatrix` and
-    :class:`SensingProblem`, as :func:`gaussian_instance` does by building them.
+    :class:`SensingProblem`.
     """
-    rows = out.shape[0]
-    rng.standard_normal(out=out)
-    out /= math.sqrt(rows)  # in place: no second dictionary-sized temporary
+    entries, observation, truth = out
+    rows = entries.shape[0]
+    rng.standard_normal(out=entries)
+    entries /= math.sqrt(rows)  # in place: no second dictionary-sized temporary
     support = np.sort(rng.choice(layout.num_blocks, size=sparsity, replace=False)) + 1
-    values = np.zeros(layout.ambient_dim)
-    values[layout.columns(support)] = draw_blocks(rng, sparsity)
-    values.setflags(write=False)  # so the signal adopts it without a copy
-    truth = BlockSignal(layout, values)
+    truth[:] = 0.0
+    truth[layout.columns(support)] = draw_blocks(rng, sparsity)
     noise = np.zeros(rows)
     if epsilon > 0.0:
         raw = rng.normal(size=rows)
         noise = raw * (epsilon / np.linalg.norm(raw))
-    y = out @ truth.values + noise
-    return y, truth
+    observation[:] = entries @ truth + noise

@@ -3,18 +3,19 @@
 Instances are generated from a counter-based stream keyed by
 ``(seed, trial_index)``, and the pursuit's outcome for a trial does not
 depend on the trials batched with it, so a result is a pure function of the
-config. A batch draws each chunk of trials straight into one stack of
-dictionaries, which the pursuit kernel reads in place, so no trial's
-dictionary exists twice. The fixed costs are paid per chunk where the
-outputs allow it: the kernel finishes together every trial that stops at a
-step, and a chunk's recovered flags come from one pass over its stacked
-truths. Each trial still draws from its own stream, but its K directions
-come from one call. On dictionaries of ``_SPLIT_ENTRIES`` entries or more, a
-chunk's draws are split into contiguous shares, one per CPU the process may
-run on: the calling thread draws the first and a pool, which lives for one
-batch, the others. Each trial's generator and slice of the stack belong to
-one share, so no output bit depends on the CPU count, the share count or
-the chunk size. Aggregation is a plain fold in trial-index order.
+config. A batch draws each chunk of trials straight into stacks of
+dictionaries, observations and truths, by the draw ``generate_instance``
+makes on a stack of one, and the pursuit kernel reads them in place. The
+fixed costs are paid per chunk where the outputs allow it: the kernel
+finishes together every trial that stops at a step, and a chunk's recovered
+flags come from one pass over its truths. Each trial still draws from its
+own stream, but its K directions come from one call. On dictionaries of
+``_SPLIT_ENTRIES`` entries or more, a chunk's draws are split into
+contiguous shares, one per CPU the process may run on: the calling thread
+draws the first and a pool, which lives for one batch, the others. Each
+trial's generator and slices belong to one share, which checks them as it
+draws, so no output bit depends on the CPU count, the share count or the
+chunk size. Aggregation is a plain fold in trial-index order.
 """
 
 from __future__ import annotations
@@ -25,11 +26,11 @@ from dataclasses import MISSING, dataclass, field, fields
 import numpy as np
 
 from .core import (
-    BlockedMatrix,
+    MAX_ARRAY_DOUBLES,
     BlockLayout,
-    SensingProblem,
     _check_finite,
     _draw_gaussian,
+    _instance,
     as_int,
     as_real,
 )
@@ -42,11 +43,12 @@ from .solver import FIXED_ITERATIONS, StoppingRule, _pursue, _stacked_norms
 # such trials took a median of minimum op times of 150 ms in 16-trial stacks
 # against 172 ms in the 8-trial stacks of 2^21 bytes, lower in 8 of 8
 # alternating pairs of processes (2-vCPU x86_64, numpy 2.4.6, 2 BLAS
-# threads; the serial draw had given 283 against 320 ms). The stack is the
-# only copy of each dictionary; mc_medium's peak RSS rose 3.0 MB (7.1%,
-# BENCH_24.json) with the stacked finish, about 2.7 MB of it for the larger
-# stack, inside its 0.1 bound. A 32-trial stack would add about 6 MB and
-# break it.
+# threads; the serial draw had given 283 against 320 ms). The stacks are the
+# only copy of each instance; the observation and truth stacks add m + n
+# doubles per trial, 1.2% of the dictionary stack at (128, 64, 4).
+# mc_medium's peak RSS rose 3.0 MB (7.1%, BENCH_24.json) with the stacked
+# finish, about 2.7 MB of it for the larger stack, inside its 0.1 bound. A
+# 32-trial stack would add about 6 MB and break it.
 _CHUNK_BYTES = 1 << 22
 # A chunk's draws are split into one contiguous share per CPU when each
 # trial's dictionary has at least this many entries; below it the calling
@@ -107,6 +109,12 @@ class ExperimentConfig:
             raise ValueError(
                 f"K*d={self.K * self.d} exceeds m={self.m}; least squares on the "
                 "support would be underdetermined"
+            )
+        size = self.m * self.M * self.d
+        if size > MAX_ARRAY_DOUBLES:
+            raise ValueError(
+                f"the dictionary size m*M*d must be at most {MAX_ARRAY_DOUBLES} (2**56), "
+                f"got a {size.bit_length()}-bit integer"
             )
         if self.stopping is None:
             object.__setattr__(
@@ -172,17 +180,13 @@ def generate_instance(cfg: ExperimentConfig, trial_index: int):
     (seed, trial_index). Raises ValueError naming min_block_norm and
     noise_norm when the draw overflows double precision.
     """
-    entries = np.empty((cfg.m, cfg.layout.ambient_dim))
-    observation, truth = _draw_trial(cfg, trial_index, entries)
-    entries.setflags(write=False)  # so the matrix adopts it without a copy
-    problem = SensingProblem(matrix=BlockedMatrix(cfg.layout, entries), observation=observation)
-    return problem, truth
+    return _instance(cfg.layout, cfg.m, lambda out: _draw_trial(cfg, trial_index, out))
 
 
-def _draw_trial(cfg: ExperimentConfig, trial_index: int, out: np.ndarray):
-    """The draw of :func:`generate_instance`, with the dictionary written in
-    place into ``out``, a C-contiguous (m, M*d) array; returns
-    (observation, truth), unchecked for finiteness."""
+def _draw_trial(cfg: ExperimentConfig, trial_index: int, out) -> None:
+    """The draw of :func:`generate_instance`, written into ``out``, the
+    (dictionary, observation, truth) triple :func:`_draw_gaussian` fills,
+    unchecked for finiteness."""
     trial_index = as_int(trial_index, "trial_index", minimum=0)
 
     def floored_blocks(rng, count):
@@ -194,7 +198,7 @@ def _draw_trial(cfg: ExperimentConfig, trial_index: int, out: np.ndarray):
     # the block norms and the noise are the only draws that can overflow
     try:
         with np.errstate(over="raise"):
-            return _draw_gaussian(rng, cfg.layout, out, cfg.K, floored_blocks, cfg.noise_norm)
+            _draw_gaussian(rng, cfg.layout, out, cfg.K, floored_blocks, cfg.noise_norm)
     except FloatingPointError:
         raise ValueError(
             f"min_block_norm {cfg.min_block_norm:g} and noise_norm {cfg.noise_norm:g} "
@@ -236,41 +240,45 @@ def _cpu_count() -> int:
         return os.cpu_count() or 1
 
 
-def _draw_share(cfg: ExperimentConfig, trials: range, entries: np.ndarray) -> list:
-    """The draws of ``trials`` in order, each into its slice of ``entries``."""
-    return [_draw_trial(cfg, k, out) for k, out in zip(trials, entries)]
+def _draw_share(cfg: ExperimentConfig, trials: range, stacks) -> None:
+    """The draws of ``trials`` in order, each into its slices of the
+    (dictionaries, observations, truths) ``stacks`` and checked as soon as
+    it is drawn, as a BlockedMatrix and a SensingProblem check theirs."""
+    for k, *out in zip(trials, *stacks):
+        _draw_trial(cfg, k, out)
+        _check_finite(out[0], "matrix")
+        _check_finite(out[1], "observation")
 
 
-def _draw_chunk(cfg, trials, entries, shares, pool) -> list:
-    """The draws of ``trials`` into ``entries``, in up to ``shares``
+def _draw_chunk(cfg, trials, stacks, shares, pool) -> None:
+    """The draws of ``trials`` into ``stacks``, in up to ``shares``
     contiguous shares: the first on this thread, the others on ``pool``.
-    Results are read in share order, so the lowest failing trial raises."""
+    Shares are read in order, so the lowest failing trial raises."""
     shares = min(shares, len(trials))
     cuts = [len(trials) * i // shares for i in range(shares + 1)]
     helpers = [
-        pool.submit(_draw_share, cfg, trials[a:b], entries[a:b])
+        pool.submit(_draw_share, cfg, trials[a:b], [stack[a:b] for stack in stacks])
         for a, b in zip(cuts[1:], cuts[2:])
     ]
-    draws = _draw_share(cfg, trials[: cuts[1]], entries[: cuts[1]])
+    _draw_share(cfg, trials[: cuts[1]], [stack[: cuts[1]] for stack in stacks])
     for helper in helpers:
-        draws += helper.result()
-    return draws
+        helper.result()
 
 
 def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     """Run the batch; recovered means the chosen index set equals the support.
 
-    One stack of ``_CHUNK_BYTES`` of dictionaries is allocated per batch and
-    reused for every chunk of trials: each trial draws its instance straight
-    into its slice, and the pursuit kernel reads the filled stack in place.
-    At ``_SPLIT_ENTRIES`` entries per dictionary or more, the draws of a
-    chunk are split into one contiguous share per CPU in the process's
-    affinity mask, at most one per trial; the calling thread draws the first
-    share and a thread pool that ends with the call draws the rest. Below
-    it no thread is started. A chunk's supports are read off its stacked
-    truths in one pass. Per-trial solver failures land in the record's error
-    field instead of aborting the batch; a draw that overflows raises the
-    ValueError of the lowest such trial, whatever the shares.
+    ``_CHUNK_BYTES`` of dictionaries, and the observations and truths of as
+    many trials, are allocated once per batch and reused for every chunk:
+    each trial draws its instance straight into its slices, and the pursuit
+    kernel reads the filled stacks in place. At ``_SPLIT_ENTRIES`` entries
+    per dictionary or more, a chunk's draws are split into one contiguous
+    share per CPU in the process's affinity mask, at most one per trial; the
+    calling thread draws the first share and a thread pool that ends with
+    the call draws the rest. Below it no thread is started. A chunk's
+    supports are read off its truths in one pass. Per-trial solver failures
+    land in the record's error field; a draw that overflows or is not
+    finite raises the ValueError of the lowest such trial, whatever the shares.
     """
     # imported here, so a process that runs no batch does not load it and
     # the logging module it imports: about 8 ms and half a MB of peak RSS
@@ -279,22 +287,17 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     n = cfg.layout.ambient_dim
     chunk = min(cfg.trials, max(1, _CHUNK_BYTES // (8 * cfg.m * n)))
     shares = min(chunk, _cpu_count()) if cfg.m * n >= _SPLIT_ENTRIES else 1
-    stack = np.empty((chunk, cfg.m, n))
+    stacks = (np.empty((chunk, cfg.m, n)), np.empty((chunk, cfg.m)), np.empty((chunk, n)))
     records = []
     # the pool starts a thread only when a share is submitted to it
     with ThreadPoolExecutor(max(1, shares - 1)) as pool:
         for start in range(0, cfg.trials, chunk):
             trials = range(start, min(start + chunk, cfg.trials))
-            entries = stack[: len(trials)]
-            draws = _draw_chunk(cfg, trials, entries, shares, pool)
-            observations = np.stack([observation for observation, _ in draws])
-            # the checks a BlockedMatrix and a SensingProblem make, once per chunk
-            _check_finite(entries.reshape(-1, n), "matrix")
-            _check_finite(observations, "observation")
+            entries, observations, truths = (stack[: len(trials)] for stack in stacks)
+            _draw_chunk(cfg, trials, (entries, observations, truths), shares, pool)
             outcomes = _pursue(entries, observations, cfg.layout, cfg.stopping)
             # off-support entries are exact zeros, so any nonzero block was drawn
-            truths = np.stack([truth.values for _, truth in draws]).reshape(-1, cfg.M, cfg.d)
-            support = (truths != 0.0).any(axis=2)
+            support = (truths.reshape(-1, cfg.M, cfg.d) != 0.0).any(axis=2)
             chosen = np.zeros_like(support)
             for t, outcome in enumerate(outcomes):
                 if not isinstance(outcome, Exception):

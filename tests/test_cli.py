@@ -231,11 +231,14 @@ def test_a_count_too_large_for_an_array_is_refused_by_name(tmp_path, capsys):
     huge = str(10**400)
     adversarial = ["adversarial", "--K", "2", "--delta", "0.1", "--epsilon", "1",
                    "--out-dir", str(tmp_path / "adv")]
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps({"m": 2**40, "M": 2**30, "d": 1, "K": 1, "trials": 1}))
     for argv, message in (
         (["figure1", "--points", huge], "points must be at most 72057594037927936 (2**56)"),
         (["figure1", "--points", str(2**56 + 1)], "points must be at most"),
         (adversarial + ["--d", huge], "the dictionary side d*(K+1) must be at most 268435456"),
         (adversarial + ["--d", str(10**9)], "the dictionary side d*(K+1) must be at most"),
+        (["experiment", "--config", str(config)], "the dictionary size m*M*d must be at most"),
     ):
         assert main(argv) == 2, argv
         assert message in _one_line_error(capsys), argv

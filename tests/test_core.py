@@ -197,21 +197,21 @@ def test_drawing_into_a_slice_is_the_allocating_draw(m, M, d, data, seed, epsilo
     rng = np.random.default_rng(seed)
     problem, truth = gaussian_instance(rng, layout, m, K, epsilon)
 
-    # every entry the draw must write starts as NaN
-    stack = np.full((chunk, m, layout.ambient_dim), np.nan)
+    # every entry of the three stacks starts as NaN
+    n = layout.ambient_dim
+    stacks = [np.full((chunk, *shape), np.nan) for shape in ((m, n), (m,), (n,))]
     in_place = np.random.default_rng(seed)
 
     def draw_blocks(rng, count):
         return rng.normal(size=(count, d))
 
-    y, drawn = _draw_gaussian(in_place, layout, stack[t], K, draw_blocks, epsilon)
+    _draw_gaussian(in_place, layout, [stack[t] for stack in stacks], K, draw_blocks, epsilon)
 
-    assert stack[t].tobytes() == problem.matrix.entries.tobytes()
-    assert y.tobytes() == problem.observation.tobytes()
-    assert drawn.values.tobytes() == truth.values.tobytes()
+    for stack, drawn in zip(stacks, (problem.matrix.entries, problem.observation, truth.values)):
+        assert stack[t].tobytes() == drawn.tobytes()
+        # the neighbouring slices are left alone
+        assert np.isnan(np.delete(stack, t, axis=0)).all()
     assert in_place.bit_generator.state == rng.bit_generator.state
-    # the neighbouring slices are left alone
-    assert np.isnan(np.delete(stack, t, axis=0)).all()
 
 
 def test_adopting_a_frozen_matrix_allocates_no_entry_sized_mask():

@@ -44,6 +44,10 @@ def test_config_validation():
         _small_cfg(noise_norm=-1.0)
     with pytest.raises(ValueError):
         _small_cfg(min_block_norm=0.0)
+    # a dictionary no array can hold is refused by its parameters, not by NumPy
+    with pytest.raises(ValueError, match=r"^the dictionary size m\*M\*d must be at most"):
+        _small_cfg(m=2**40, M=2**30, d=1, K=1)
+    _small_cfg(m=2**28, M=2**28, d=1, K=1)  # 2**56 doubles: allowed, though never allocated
     # wrong types from a JSON config are ValueErrors, not TypeErrors
     for bad in (
         {"trials": 2.5},
@@ -228,7 +232,7 @@ def test_result_is_identical_for_any_chunk_size(monkeypatch, short_switch_interv
 
     def watched(cfg, k, out):
         threads.add(threading.get_ident())
-        return drawn(cfg, k, out)
+        drawn(cfg, k, out)
 
     monkeypatch.setattr(bomp.experiment, "_draw_trial", watched)
     # a 7-trial chunk splits 3 + 4 and 2 + 2 + 3; 24 shares give one per trial
@@ -243,6 +247,38 @@ def test_result_is_identical_for_any_chunk_size(monkeypatch, short_switch_interv
     if stopping is not None:
         # trials leave the batch at different steps
         assert len({r.iterations for r in reference.records}) > 1
+
+
+@pytest.mark.parametrize("shares", [1, 2, 3])
+@pytest.mark.parametrize("chunk", [1, 7, 16])
+def test_the_batch_stacks_are_the_single_instances(monkeypatch, chunk, shares):
+    # the stacks the kernel pursues, and the truths the supports are read
+    # off, hold byte for byte what generate_instance draws for each trial
+    cfg = _small_cfg(noise_norm=0.4, trials=24)
+    monkeypatch.setattr(
+        bomp.experiment, "_CHUNK_BYTES", chunk * 8 * cfg.m * cfg.layout.ambient_dim
+    )
+    _force_shares(monkeypatch, shares)
+    draw_chunk, pursue = bomp.experiment._draw_chunk, bomp.experiment._pursue
+    truths, pursued = [], []
+
+    def drawn(cfg, trials, stacks, shares, pool):
+        draw_chunk(cfg, trials, stacks, shares, pool)
+        truths.append(stacks[2].copy())
+
+    def copied(entries, observations, layout, stop):
+        pursued.append((entries.copy(), observations.copy()))
+        return pursue(entries, observations, layout, stop)
+
+    monkeypatch.setattr(bomp.experiment, "_draw_chunk", drawn)
+    monkeypatch.setattr(bomp.experiment, "_pursue", copied)
+    run_experiment(cfg)
+    stacks = [np.concatenate(parts) for parts in (*zip(*pursued), truths)]
+    assert [len(stack) for stack in stacks] == [cfg.trials] * 3
+    for k in range(cfg.trials):
+        problem, truth = generate_instance(cfg, k)
+        single = (problem.matrix.entries, problem.observation, truth.values)
+        assert [stack[k].tobytes() for stack in stacks] == [a.tobytes() for a in single], k
 
 
 def test_a_batch_holds_one_stack_of_dictionaries(monkeypatch):
@@ -264,10 +300,11 @@ def test_a_batch_holds_one_stack_of_dictionaries(monkeypatch):
 
 def _inject(instance, out):
     """Stand-in for a trial's draw: writes the ``(problem, truth)`` pair's
-    dictionary into the trial's slice of the stack, as the draw does."""
+    dictionary, observation and truth into the trial's slices of the three
+    stacks, as the draw does."""
     problem, truth = instance
-    out[...] = problem.matrix.entries
-    return problem.observation, truth
+    for slot, drawn in zip(out, (problem.matrix.entries, problem.observation, truth.values)):
+        slot[...] = drawn
 
 
 def test_rank_failure_mid_batch_leaves_its_neighbours_alone(monkeypatch):
@@ -300,19 +337,35 @@ def test_rank_failure_mid_batch_leaves_its_neighbours_alone(monkeypatch):
     assert [mixed.records[k] for k in neighbours] == [clean.records[k] for k in neighbours]
 
 
-@pytest.mark.parametrize("what", ["matrix", "observation"])
-def test_a_non_finite_draw_is_refused(monkeypatch, what):
-    _force_shares(monkeypatch, 2)  # trial 5 is drawn in the helper's share, 4 to 7
+_NON_FINITE = "contains non-finite entries"
+
+
+@pytest.mark.parametrize(
+    "faults, message",
+    [
+        pytest.param({5: "matrix"}, f"matrix {_NON_FINITE}", id="matrix"),
+        pytest.param({5: "observation"}, f"observation {_NON_FINITE}", id="observation"),
+        # the lowest failing trial raises, whichever way each trial fails
+        pytest.param({2: "matrix", 5: "overflow"}, f"matrix {_NON_FINITE}", id="matrix-overflow"),
+        pytest.param(
+            {1: "overflow", 3: "observation"}, "overflow double precision in trial 1",
+            id="overflow-observation",
+        ),
+    ],
+)
+def test_a_non_finite_draw_is_refused(monkeypatch, faults, message):
+    _force_shares(monkeypatch, 2)  # shares of trials 0 to 3 (this thread) and 4 to 7
     drawn = bomp.experiment._draw_trial
 
     def poisoned(cfg, k, out):
-        observation, truth = drawn(cfg, k, out)
-        if k == 5:
-            (out if what == "matrix" else observation)[-1] = np.nan
-        return observation, truth
+        if faults.get(k) == "overflow":  # a floor that overflows in the real draw
+            cfg = dataclasses.replace(cfg, min_block_norm=np.finfo(float).max)
+        drawn(cfg, k, out)
+        if faults.get(k) in ("matrix", "observation"):
+            out[("matrix", "observation").index(faults[k])][-1] = np.nan
 
     monkeypatch.setattr(bomp.experiment, "_draw_trial", poisoned)
-    with pytest.raises(ValueError, match=f"^{what} contains non-finite entries$"):
+    with pytest.raises(ValueError, match=f"{message}$"):
         run_experiment(_small_cfg())
 
 
@@ -330,7 +383,7 @@ def test_an_overflowing_draw_raises_for_the_lowest_failing_trial(
         # a floor that overflows in the real draw, under its own errstate
         if k in failing:
             cfg = dataclasses.replace(cfg, min_block_norm=np.finfo(float).max)
-        return drawn(cfg, k, out)
+        drawn(cfg, k, out)
 
     _force_shares(monkeypatch, shares)
     monkeypatch.setattr(bomp.experiment, "_draw_trial", huge)
