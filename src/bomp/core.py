@@ -296,32 +296,28 @@ def gaussian_instance(
     def normal_blocks(rng, count):
         return rng.normal(size=(count, layout.block_width))
 
-    return _instance(
-        layout, rows, lambda out: _draw_gaussian(rng, layout, out, sparsity, normal_blocks, epsilon)
-    )
+    return _instance(layout, rows, _draw_gaussian, rng, layout, sparsity, normal_blocks, epsilon)
 
 
-def _instance(layout: BlockLayout, rows: int, draw):
-    """``draw(out)`` on a stack of one: ``out`` is a fresh (dictionary,
-    observation, truth) triple of (rows, n), (rows,) and (n,) arrays, which
-    are then made read-only, so the matrix, problem and signal adopt them
-    without a copy and make their finiteness checks; returns (problem, truth)."""
+def _instance(layout: BlockLayout, rows: int, draw, *args):
+    """(problem, truth) of ``draw(*args, out)`` on a fresh (rows, n), (rows,), (n,)
+    ``out``, made read-only after it so the wrappers adopt it uncopied and check it."""
     n = layout.ambient_dim
     entries, observation, truth = out = (np.empty((rows, n)), np.empty(rows), np.empty(n))
-    draw(out)
+    draw(*args, out)
     for arr in out:
         arr.setflags(write=False)
     return SensingProblem(BlockedMatrix(layout, entries), observation), BlockSignal(layout, truth)
 
 
-def _draw_gaussian(rng, layout, out, sparsity, draw_blocks, epsilon) -> None:
+def _draw_gaussian(rng, layout, sparsity, draw_blocks, epsilon, out) -> None:
     """The draw shared by the proof sweeps' :func:`gaussian_instance` and the
     experiments' :func:`bomp.experiment.generate_instance`, which differ only in
     ``draw_blocks(rng, sparsity)``, a (sparsity, width) array of the supported
-    blocks in ascending index order. Writes the dictionary, observation and
-    truth into ``out``, C-contiguous (rows, n), (rows,) and (n,) float64 arrays
-    (n = ``layout.ambient_dim``). The blocks go into the truth through
-    ``layout.columns``, whose indices come from ``rng.choice`` and need no check.
+    blocks in ascending index order. Writes ``out``, a C-contiguous float64
+    (dictionary, observation, truth) triple shaped as in :func:`_instance`; the
+    blocks go into the truth through ``layout.columns``, whose indices come
+    from ``rng.choice`` and need no check.
 
     ``rng.standard_normal(out=...)`` gives the values of ``rng.normal(size=...)``
     and leaves the generator in the same state. Nothing is checked here: the

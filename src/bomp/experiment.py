@@ -4,18 +4,17 @@ Instances are generated from a counter-based stream keyed by
 ``(seed, trial_index)``, and the pursuit's outcome for a trial does not
 depend on the trials batched with it, so a result is a pure function of the
 config. A batch draws each chunk of trials straight into stacks of
-dictionaries, observations and truths, by the draw ``generate_instance``
-makes on a stack of one, and the pursuit kernel reads them in place. The
-fixed costs are paid per chunk where the outputs allow it: the kernel
-finishes together every trial that stops at a step, and a chunk's recovered
-flags come from one pass over its truths. Each trial still draws from its
-own stream, but its K directions come from one call. On dictionaries of
-``_SPLIT_ENTRIES`` entries or more, a chunk's draws are split into
-contiguous shares, one per CPU the process may run on: the calling thread
-draws the first and a pool, which lives for one batch, the others. Each
-trial's generator and slices belong to one share, which checks them as it
-draws, so no output bit depends on the CPU count, the share count or the
-chunk size. Aggregation is a plain fold in trial-index order.
+dictionaries, observations and truths, as ``generate_instance`` draws one,
+and the pursuit kernel reads them in place. The fixed costs are paid per
+chunk where the outputs allow it: the kernel finishes together every trial
+that stops at a step, and a chunk's recovered flags come from one pass over
+its truths. Each trial still draws from its own stream, but its K directions
+come from one call. On dictionaries of ``_SPLIT_ENTRIES`` entries or more, a
+chunk's draws are split into contiguous shares, one per CPU the process may
+run on: the calling thread draws the first and a pool, which lives for one
+batch, the others. Each trial's generator and slices belong to one share,
+which checks them, so no output bit depends on the CPU count, the share
+count or the chunk size. Aggregation is a plain fold in trial-index order.
 """
 
 from __future__ import annotations
@@ -37,18 +36,17 @@ from .core import (
 from .io import checked_keys, json_fields, load_json_object
 from .solver import FIXED_ITERATIONS, StoppingRule, _pursue, _stacked_norms
 
-# bytes of the one stack of dictionaries a batch draws into and pursues:
-# 16 trials at m=128, n=256. Per-call overhead, not flops, bounds the pursuit
+# bytes of the one stack of dictionaries a batch draws into and pursues: 16
+# trials at m=128, n=256. Per-call overhead, not flops, bounds the pursuit
 # there, so larger stacks are faster: with the draw split over two CPUs, 300
 # such trials took a median of minimum op times of 150 ms in 16-trial stacks
 # against 172 ms in the 8-trial stacks of 2^21 bytes, lower in 8 of 8
-# alternating pairs of processes (2-vCPU x86_64, numpy 2.4.6, 2 BLAS
-# threads; the serial draw had given 283 against 320 ms). The stacks are the
-# only copy of each instance; the observation and truth stacks add m + n
-# doubles per trial, 1.2% of the dictionary stack at (128, 64, 4).
-# mc_medium's peak RSS rose 3.0 MB (7.1%, BENCH_24.json) with the stacked
-# finish, about 2.7 MB of it for the larger stack, inside its 0.1 bound. A
-# 32-trial stack would add about 6 MB and break it.
+# alternating pairs of processes (2-vCPU x86_64, numpy 2.4.6, 2 BLAS threads;
+# the serial draw had given 283 against 320 ms). The stacks are the only copy
+# of each instance; observations and truths add m + n doubles a trial, 1.2%
+# more at (128, 64, 4). mc_medium's peak RSS rose 3.0 MB (7.1%, BENCH_24.json)
+# with the stacked finish, about 2.7 MB of it for the larger stack, inside its
+# 0.1 bound. A 32-trial stack would add about 6 MB and break it.
 _CHUNK_BYTES = 1 << 22
 # A chunk's draws are split into one contiguous share per CPU when each
 # trial's dictionary has at least this many entries; below it the calling
@@ -180,7 +178,7 @@ def generate_instance(cfg: ExperimentConfig, trial_index: int):
     (seed, trial_index). Raises ValueError naming min_block_norm and
     noise_norm when the draw overflows double precision.
     """
-    return _instance(cfg.layout, cfg.m, lambda out: _draw_trial(cfg, trial_index, out))
+    return _instance(cfg.layout, cfg.m, _draw_trial, cfg, trial_index)
 
 
 def _draw_trial(cfg: ExperimentConfig, trial_index: int, out) -> None:
@@ -198,7 +196,7 @@ def _draw_trial(cfg: ExperimentConfig, trial_index: int, out) -> None:
     # the block norms and the noise are the only draws that can overflow
     try:
         with np.errstate(over="raise"):
-            _draw_gaussian(rng, cfg.layout, out, cfg.K, floored_blocks, cfg.noise_norm)
+            _draw_gaussian(rng, cfg.layout, cfg.K, floored_blocks, cfg.noise_norm, out)
     except FloatingPointError:
         raise ValueError(
             f"min_block_norm {cfg.min_block_norm:g} and noise_norm {cfg.noise_norm:g} "
@@ -241,9 +239,8 @@ def _cpu_count() -> int:
 
 
 def _draw_share(cfg: ExperimentConfig, trials: range, stacks) -> None:
-    """The draws of ``trials`` in order, each into its slices of the
-    (dictionaries, observations, truths) ``stacks`` and checked as soon as
-    it is drawn, as a BlockedMatrix and a SensingProblem check theirs."""
+    """The draws of ``trials`` in order, each into its slices of ``stacks``
+    and checked as a BlockedMatrix and a SensingProblem check theirs."""
     for k, *out in zip(trials, *stacks):
         _draw_trial(cfg, k, out)
         _check_finite(out[0], "matrix")
@@ -251,9 +248,9 @@ def _draw_share(cfg: ExperimentConfig, trials: range, stacks) -> None:
 
 
 def _draw_chunk(cfg, trials, stacks, shares, pool) -> None:
-    """The draws of ``trials`` into ``stacks``, in up to ``shares``
-    contiguous shares: the first on this thread, the others on ``pool``.
-    Shares are read in order, so the lowest failing trial raises."""
+    """The draws of ``trials`` into the first slices of ``stacks``, in up to
+    ``shares`` contiguous shares: the first on this thread, the others on
+    ``pool``. Shares are read in order, so the lowest failing trial raises."""
     shares = min(shares, len(trials))
     cuts = [len(trials) * i // shares for i in range(shares + 1)]
     helpers = [
@@ -293,8 +290,8 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     with ThreadPoolExecutor(max(1, shares - 1)) as pool:
         for start in range(0, cfg.trials, chunk):
             trials = range(start, min(start + chunk, cfg.trials))
+            _draw_chunk(cfg, trials, stacks, shares, pool)
             entries, observations, truths = (stack[: len(trials)] for stack in stacks)
-            _draw_chunk(cfg, trials, (entries, observations, truths), shares, pool)
             outcomes = _pursue(entries, observations, cfg.layout, cfg.stopping)
             # off-support entries are exact zeros, so any nonzero block was drawn
             support = (truths.reshape(-1, cfg.M, cfg.d) != 0.0).any(axis=2)

@@ -205,7 +205,7 @@ def test_drawing_into_a_slice_is_the_allocating_draw(m, M, d, data, seed, epsilo
     def draw_blocks(rng, count):
         return rng.normal(size=(count, d))
 
-    _draw_gaussian(in_place, layout, [stack[t] for stack in stacks], K, draw_blocks, epsilon)
+    _draw_gaussian(in_place, layout, K, draw_blocks, epsilon, [stack[t] for stack in stacks])
 
     for stack, drawn in zip(stacks, (problem.matrix.entries, problem.observation, truth.values)):
         assert stack[t].tobytes() == drawn.tobytes()

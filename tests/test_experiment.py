@@ -1,6 +1,7 @@
 import concurrent.futures
 import dataclasses
 import json
+import re
 import sys
 import threading
 import tracemalloc
@@ -264,7 +265,7 @@ def test_the_batch_stacks_are_the_single_instances(monkeypatch, chunk, shares):
 
     def drawn(cfg, trials, stacks, shares, pool):
         draw_chunk(cfg, trials, stacks, shares, pool)
-        truths.append(stacks[2].copy())
+        truths.append(stacks[2][: len(trials)].copy())
 
     def copied(entries, observations, layout, stop):
         pursued.append((entries.copy(), observations.copy()))
@@ -343,12 +344,18 @@ _NON_FINITE = "contains non-finite entries"
 @pytest.mark.parametrize(
     "faults, message",
     [
-        pytest.param({5: "matrix"}, f"matrix {_NON_FINITE}", id="matrix"),
-        pytest.param({5: "observation"}, f"observation {_NON_FINITE}", id="observation"),
+        pytest.param({5: "matrix"}, f"^matrix {_NON_FINITE}$", id="matrix"),
+        pytest.param({5: "observation"}, f"^observation {_NON_FINITE}$", id="observation"),
         # the lowest failing trial raises, whichever way each trial fails
-        pytest.param({2: "matrix", 5: "overflow"}, f"matrix {_NON_FINITE}", id="matrix-overflow"),
+        pytest.param({2: "matrix", 5: "overflow"}, f"^matrix {_NON_FINITE}$", id="matrix-overflow"),
         pytest.param(
-            {1: "overflow", 3: "observation"}, "overflow double precision in trial 1",
+            {1: "overflow", 3: "observation"},
+            "^"
+            + re.escape(
+                f"min_block_norm {np.finfo(float).max:g} and noise_norm 0 "
+                "overflow double precision in trial 1"
+            )
+            + "$",
             id="overflow-observation",
         ),
     ],
@@ -365,7 +372,7 @@ def test_a_non_finite_draw_is_refused(monkeypatch, faults, message):
             out[("matrix", "observation").index(faults[k])][-1] = np.nan
 
     monkeypatch.setattr(bomp.experiment, "_draw_trial", poisoned)
-    with pytest.raises(ValueError, match=f"{message}$"):
+    with pytest.raises(ValueError, match=message):
         run_experiment(_small_cfg())
 
 
