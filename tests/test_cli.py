@@ -1,5 +1,8 @@
+import importlib.util
 import json
+import re
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -106,6 +109,34 @@ def test_run_rejects_an_overflowing_estimate(tmp_path, capsys):
     out = capsys.readouterr()
     assert out.out == ""
     assert out.err.splitlines() == ["error: the least-squares estimate overflows double precision"]
+
+
+def _system_files(directory, matrix: BlockedMatrix, y) -> list:
+    """The ``--matrix``, ``--layout`` and ``--obs`` flags of ``matrix`` and
+    ``y``, written under ``directory``."""
+    save_matrix(directory / "A.csv", matrix, directory / "A.json")
+    save_vector(directory / "y.csv", y)
+    return [
+        "--matrix", str(directory / "A.csv"),
+        "--layout", str(directory / "A.json"),
+        "--obs", str(directory / "y.csv"),
+    ]
+
+
+def test_run_reports_a_rank_deficient_pick_in_one_line(tmp_path, capsys):
+    # block 3 repeats the first column of block 1, and the first two picks take both
+    rng = np.random.default_rng(15)
+    entries = rng.normal(size=(10, 8))
+    entries[:, 4] = entries[:, 0]
+    y = entries @ np.array([3.0, 2.5, 0.0, 0.0, 2.0, 4.0, 0.0, 0.0]) + 0.1 * rng.normal(size=10)
+    files = _system_files(tmp_path, BlockedMatrix(BlockLayout(4, 2), entries), y)
+    assert main(["run", *files, "--max-iter", "4"]) == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    lines = out.err.splitlines()
+    assert len(lines) == 1, lines
+    # the smallest singular value the line prints is round-off: match the rest
+    assert lines[0].startswith("error: subdictionary on blocks [1, 3] is rank deficient"), lines
 
 
 def test_run_with_both_flags_stops_at_whichever_fires_first(instance_files, capsys):
@@ -281,6 +312,16 @@ def test_adversarial_writes_all_artifacts(tmp_path, capsys):
     assert report["t0"] < report["t0_failure_threshold"]
     assert json.loads((out_dir / "layout.json").read_text()) == {"m": 8, "M": 4, "d": 2}
 
+    # the pursuit on the written files takes the decoy first, as reported
+    assert main([
+        "run",
+        "--matrix", str(out_dir / "A.csv"),
+        "--layout", str(out_dir / "layout.json"),
+        "--obs", str(out_dir / "y.csv"),
+        "--max-iter", "3",
+    ]) == 0
+    assert _json_out(capsys)["chosen_indices"][0] == report["first_selected_index"]
+
 
 def test_adversarial_rejects_bad_delta(tmp_path, capsys):
     # delta outside (0,1) is a usage error
@@ -313,7 +354,8 @@ def test_verify_proofs_json(capsys):
     payload = _json_out(capsys)
     assert payload["trials"] == 10
     assert payload["identity_passes"] == 10
-    assert payload["lemma_failures"] == 0
+    for check in ("identity", "lemma", "theta"):
+        assert payload[f"{check}_failures"] == 0, check
     assert payload["worst_identity_residual"] < 1e-9
 
 
@@ -860,3 +902,59 @@ def test_run_exits_cleanly_on_any_file_contents(data, tmp_path, capsys):
     else:
         lines = err.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: "), (files, err)
+
+
+_RANK_ERROR = re.compile(
+    r"^error: subdictionary on blocks \[([0-9, ]+)\] is rank deficient "
+    r"\(singular values \S+ \.\. \S+\)$"
+)
+
+
+@settings(
+    derandomize=True,
+    max_examples=150,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(data=st.data())
+def test_run_refuses_any_repeated_direction_in_one_line(data, tmp_path, capsys):
+    """A column of block b is a power-of-two multiple of one of block a. With
+    m >= M d the M picks take every block, so the pursuit meets the pair."""
+    d, M, extra_rows = (data.draw(st.integers(low, high), label=name) for name, low, high in
+                        (("d", 1, 3), ("M", 2, 6), ("extra rows", 0, 4)))
+    m = M * d + extra_rows
+    a, b = data.draw(st.lists(st.integers(1, M), min_size=2, max_size=2, unique=True), label="a, b")
+    column_a, column_b = data.draw(st.tuples(st.integers(0, d - 1), st.integers(0, d - 1)),
+                                   label="columns")
+    power = data.draw(st.integers(-8, 8), label="power")
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    entries = rng.normal(size=(m, M * d))
+    entries[:, (b - 1) * d + column_b] = np.ldexp(entries[:, (a - 1) * d + column_a], power)
+    files = _system_files(tmp_path, BlockedMatrix(BlockLayout(M, d), entries), rng.normal(size=m))
+
+    code = main(["run", *files, "--max-iter", str(M)])
+    out, err = capsys.readouterr()
+    assert (code, out) == (2, ""), (code, out, err)
+    lines = err.splitlines()
+    assert len(lines) == 1, lines
+    match = _RANK_ERROR.match(lines[0])
+    assert match, lines
+    assert {a, b} <= {int(block) for block in match[1].split(",")}, (a, b, lines)
+
+
+CLI_OUTPUTS = Path(__file__).resolve().parents[1] / "scripts" / "cli_outputs.py"
+
+
+def test_the_listed_cli_outputs_pick_alike_at_every_scale(tmp_path):
+    # runs the whole script, so a local run also shows when the script breaks
+    spec = importlib.util.spec_from_file_location("cli_outputs", CLI_OUTPUTS)
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    assert script.main([str(tmp_path)]) == 0
+
+    def picks(name):
+        return json.loads((tmp_path / f"{name}.json").read_text())["chosen_indices"]
+
+    # the observation scaled by 2^-600 and by 2^400
+    assert picks("tiny") == picks("run")
+    assert picks("huge") == picks("run")
