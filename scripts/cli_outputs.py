@@ -4,12 +4,15 @@
 
 ``bomp`` must be importable (installed, or ``PYTHONPATH=src``). The script
 writes its inputs into OUTDIR first: a seed-0 Gaussian system at (m, M, d) =
-(128, 64, 4) with 8 supported blocks, its observation scaled by 2^-600 (every
-residual square underflows) and by 2^400 (the scores' squares reach about
-2^800), and two experiment configs. It then runs each command in this process
-and writes what the command prints, or the file it writes, next to them:
-``run``, ``trace``, ``both``, ``tiny``, ``huge``, ``experiment``, ``threshold``,
-``proofs``, ``rip_exact`` and ``rip_sample``, plus ``large``, the trace of 64
+(128, 64, 4) with 8 supported blocks, its observation scaled by 2^-600 (the
+unscaled squares of the residual underflow) and by 2^400, its dictionary
+scaled by 2^-600 and by 2^600 with the observation as drawn (the unscaled
+squares of the scores underflow and overflow), and two experiment configs.
+It then runs each command in this process and writes what the command
+prints, or the file it writes, next to them: ``run``, ``trace``, ``both``,
+``tiny``, ``huge``, ``tiny_dictionary``, ``huge_dictionary``,
+``experiment``, ``threshold``, ``proofs``, ``rip_exact`` and
+``rip_sample``, plus ``large``, the trace of 64
 fixed picks on the seed-0 instance at (1024, 512, 4), which the float32
 screen scores, and ``draws``, the sha256 of the dictionary, observation and
 truth bytes of trials 0 to 3 of the experiment config and of one proof-sweep
@@ -43,7 +46,9 @@ def write_inputs(out: Path) -> None:
     x = np.zeros(M * d)
     x[: 8 * d] = rng.normal(size=8 * d) + 2.0
     y = entries @ x + 0.1 * rng.normal(size=m) / np.sqrt(m)
-    save_matrix(out / "A.csv", BlockedMatrix(BlockLayout(M, d), entries), out / "layout.json")
+    for name, j in (("A", 0), ("A_tiny", -600), ("A_huge", 600)):
+        scaled = BlockedMatrix(BlockLayout(M, d), np.ldexp(entries, j))
+        save_matrix(out / f"{name}.csv", scaled, out / "layout.json")
     save_vector(out / "y.csv", y)
     save_vector(out / "y_tiny.csv", y * 2.0**-600)
     save_vector(out / "y_huge.csv", y * 2.0**400)
@@ -70,14 +75,18 @@ def run_cli(out: Path, name: str | None, *argv: str) -> None:
 
 
 def write_outputs(out: Path) -> None:
-    system = ["--matrix", str(out / "A.csv"), "--layout", str(out / "layout.json")]
-    for name, obs, stop in (
-        ("run", "y", ["--max-iter", "8", "--trace", str(out / "trace.json")]),
-        ("both", "y", ["--epsilon", "0.05", "--max-iter", "20"]),
-        ("tiny", "y_tiny", ["--max-iter", "8"]),
-        ("huge", "y_huge", ["--max-iter", "8"]),
+    layout = ["--layout", str(out / "layout.json")]
+    system = ["--matrix", str(out / "A.csv"), *layout]
+    for name, dictionary, obs, stop in (
+        ("run", "A", "y", ["--max-iter", "8", "--trace", str(out / "trace.json")]),
+        ("both", "A", "y", ["--epsilon", "0.05", "--max-iter", "20"]),
+        ("tiny", "A", "y_tiny", ["--max-iter", "8"]),
+        ("huge", "A", "y_huge", ["--max-iter", "8"]),
+        ("tiny_dictionary", "A_tiny", "y", ["--max-iter", "8"]),
+        ("huge_dictionary", "A_huge", "y", ["--max-iter", "8"]),
     ):
-        run_cli(out, name, "run", *system, "--obs", str(out / f"{obs}.csv"), *stop)
+        matrix = ["--matrix", str(out / f"{dictionary}.csv"), *layout]
+        run_cli(out, name, "run", *matrix, "--obs", str(out / f"{obs}.csv"), *stop)
     for name in ("experiment", "threshold"):
         config = ["--config", str(out / f"{name}_config.json")]
         run_cli(out, None, "experiment", *config, "--out", str(out / f"{name}.json"))

@@ -55,7 +55,7 @@ from .core import (
     block_support,
     gaussian_instance,
 )
-from .errors import BompError, DegenerateProbeError, InfeasibleError
+from .errors import DegenerateProbeError, InfeasibleError
 from .io import json_fields
 from .rip import exact_block_rip
 from .solver import block_correlation_scores, project_least_squares
@@ -65,6 +65,11 @@ MAX_ATTEMPTS = 200
 T_VALUES = (0.1, 1.0, 10.0)
 IDENTITY_REL_TOL = 1e-9
 _EPS = float(np.finfo(float).eps)
+# The largest squares the checks take, as dot products, grow as epsilon^2: the
+# direct route's ||r||^2 <= ||y||^2 and ||Pperp_T e||^2 <= epsilon^2, Lemma 1's
+# ||e||^2 = epsilon^2 and ||theta||^2 <= epsilon^2 / (1 - delta). At epsilon <=
+# 2^500, (||y|| / epsilon)^2 or 1 / (1 - delta) up to 2^24 keeps them finite.
+_MAX_EPSILON = 2.0**500
 
 
 @dataclass(frozen=True, eq=False)
@@ -317,7 +322,8 @@ def random_proof_instance(
     the whole instance, up to ``MAX_ATTEMPTS`` times, until the isometry
     constant qualifies and every needed subdictionary is well conditioned, so
     the perturbation bound applies with a true constant rather than an
-    estimate. Deterministic given the generator state.
+    estimate. Deterministic given the generator state. Refuses, before
+    drawing, an ``epsilon`` above ``_MAX_EPSILON`` = 2^500 with ValueError.
     """
     num_blocks = as_int(num_blocks, "num_blocks")
     block_width = as_int(block_width, "block_width")
@@ -325,38 +331,31 @@ def random_proof_instance(
     epsilon = as_real(epsilon, "epsilon")
     if sparsity >= num_blocks:
         raise ValueError("need sparsity < num_blocks to leave a probe block")
+    if epsilon > _MAX_EPSILON:
+        raise ValueError(f"epsilon {epsilon:g} overflows double precision")
     rows = 10 * (sparsity + 1) * block_width
     layout = BlockLayout(num_blocks, block_width)
 
-    # only epsilon overflows a draw, its fit or scores: numpy raises, the solver a plain BompError
-    try:
-        with np.errstate(over="raise"):
-            for _ in range(MAX_ATTEMPTS):
-                problem, truth = gaussian_instance(rng, layout, rows, sparsity, epsilon)
-                T = block_support(truth)
-                if len(T) != sparsity:
-                    continue
-                k = int(rng.integers(0, sparsity))
-                chosen = rng.choice(np.array(T), size=k, replace=False)
-                off = [i for i in layout.block_indices() if i not in T]
-                probe = int(off[rng.integers(0, len(off))])
-                inst = ProofInstance(
-                    problem=problem, truth=truth, partial_support=chosen, probe_index=probe
-                )
-                if inst.rip_delta >= 1.0:
-                    continue
-                # degenerate draws are measure zero; re-sample if one shows up anyway
-                try:
-                    inst.alpha_21
-                except ZeroDivisionError:
-                    continue
-                if inst.probe_score == 0.0:
-                    continue
-                return inst
-    except (FloatingPointError, BompError) as exc:
-        if type(exc) not in (FloatingPointError, BompError):
-            raise
-        raise ValueError(f"epsilon {epsilon:g} overflows double precision") from None
+    for _ in range(MAX_ATTEMPTS):
+        problem, truth = gaussian_instance(rng, layout, rows, sparsity, epsilon)
+        T = block_support(truth)
+        if len(T) != sparsity:
+            continue
+        k = int(rng.integers(0, sparsity))
+        chosen = rng.choice(np.array(T), size=k, replace=False)
+        off = [i for i in layout.block_indices() if i not in T]
+        probe = int(off[rng.integers(0, len(off))])
+        inst = ProofInstance(problem, truth, chosen, probe)
+        if inst.rip_delta >= 1.0:
+            continue
+        # degenerate draws are measure zero; re-sample if one shows up anyway
+        try:
+            inst.alpha_21
+        except ZeroDivisionError:
+            continue
+        if inst.probe_score == 0.0:
+            continue
+        return inst
     raise RuntimeError(f"no acceptable instance after {MAX_ATTEMPTS} attempts")
 
 

@@ -32,7 +32,7 @@ Daniel, Gragg, Kaufman and Stewart (Math. Comp., 1976) with eta =
 problems that need it take it, so none depends on its batchmates. The
 residual update is then ``r -= q (q' r)``. A problem gets its outcome when
 its stopping rule fires, its estimate solved from ``R coef = Qt y``, or
-when its scores overflow (the rule is tested only at steps where it can
+when a score is not finite (the rule is tested only at steps where it can
 fire: every step for a residual threshold, the budget's last for a count);
 it rides along with the batch until the last one stops, and nothing reads
 it again.
@@ -57,18 +57,24 @@ stacked result is bit for bit the one a problem gets alone.
 
 Each residual is held at unit scale, as rho 2^e with the largest entry of
 rho in [1/2, 1): the update ``r -= q (q' r)`` runs on rho, which is then
-rescaled by a power of two, the shift added to e. The picks read rho alone,
-and the residual norm is ``ldexp(||rho||, e)``. A pick does not change when
-r is scaled, and power-of-two scaling is exact, so the pursuit on ``2^k y``
+rescaled by a power of two, the shift added to e; the residual norm is
+``ldexp(||rho||, e)``. The picks read rho alone, and each problem's products
+``A_l' rho`` are scaled by the same rule (``core._scaled_to_largest``) before
+they are squared. A pick does not change when A or r is scaled, and
+power-of-two scaling is exact, so the pursuit on ``2^j A`` and ``2^k y``
 with epsilon ``2^k epsilon`` makes the same picks and stops with the same
-status, its residual norms and estimate exactly 2^k times as large,
-wherever ``2^k y`` is exact; at normal scale no bit changes. A problem is
-refused when its first residual norm, or any of its scores times 2^e,
-reaches ``_OVERFLOW``. The products ``A_l' rho`` still scale with A: on the
-seed-0 (128, 64, 4) Gaussian dictionary scaled by 2^j, whatever the scale
-of y, 8 fixed picks stay right down to j = -535 (largest entry 3.5e-162),
-go wrong from j = -536, where the squares of the products underflow, and
-are refused from j = 511 (2.7e153), where they overflow.
+status, its residual norms exactly 2^k and its estimate 2^(k-j) times as
+large, wherever those scalings are exact; at normal scale no bit changes.
+A problem is refused only when its first residual norm, a score or its
+estimate is not finite. On the seed-0 (128, 64, 4) Gaussian dictionary
+times 2^j, 8 fixed picks are the scale-1 picks for every j from -1021 to
+1023 (below, the estimate overflows), and the norms and estimate exact
+multiples from j = -1009 to 1020 but -535: there the squares of the
+Gram-Schmidt test ``2 * after < before``, the dictionary's own, turn
+subnormal and the norms move in the last bit. Far below or above, that test
+reads 0 or inf, so a nearly dependent pick may skip its second pass. The
+scale is per problem: a block whose products are 2^537 times below
+another's has squares that underflow.
 
 On a dictionary of ``_SCREEN_ENTRIES`` entries or more, in a solve with a
 budget of ``_SCREEN_PICKS`` picks or more, a float32 screen makes the picks:
@@ -78,22 +84,22 @@ half the stack's bytes in memory, and bounds each problem's largest block
 Frobenius norm by L from that copy. Per pick, each rho is cast to float32
 and scored by one float32 product, whose block norms are taken in float64.
 Each score is within one bound per problem, E = c L ||rho|| + tau, of the
-float64 pass's score of rho (Higham, Accuracy and Stability, 2nd ed., ch.
-3): c = gamma_{m+d+4}(2^-24) + 10 sqrt(m) 2^-126 covers the casts and the
-m-term float32 products in any order, with or without FMA, and tau their
-underflow. A float64 rounding is 2^29 times smaller than a float32 one, so
-the float64 pass's products and norms, the screen's norms, the slack on the
-computed ||rho|| and the test's roundings fit in the d + 2 float32
-roundings from gamma_{m+2} to gamma_{m+d+4}. The top unmasked block t, of
-score s_t, is the pick when the runner-up score plus E stays below s_t - E:
-t is then also the float64 pass's unique argmax. A pick is also left
-unproved when L ||rho|| times 2^e reaches ``_SCREEN_RANGE`` = 2^400 (the
-pass then may refuse the problem), or when anything is not finite. One
-unproved live pick sends the whole step to the float64 pass, as below the
-size: it gives every proved pick again, and refuses no problem in range. So
-every near-tie, exact tie, overflow and masked pick comes out as the float64
-pass gives it. On the three seed-0 ``pursuit_large`` instances the float64
-pass decided 1 of 192 picks.
+float64 pass's score of rho, scaled back (Higham, Accuracy and Stability,
+2nd ed., ch. 3): c = gamma_{m+d+4}(2^-24) + 10 sqrt(m) 2^-126 covers the
+casts and the m-term float32 products in any order, with or without FMA,
+and tau their underflow. A float64 rounding is 2^29 times smaller than a
+float32 one, so the float64 pass's products and norms, the screen's norms,
+the slack on the computed ||rho|| and the test's roundings fit in the d + 2
+float32 roundings from gamma_{m+2} to gamma_{m+d+4}. The top unmasked block
+t, of score s_t, is the pick when the runner-up score plus E stays below
+s_t - E: t is then also the float64 pass's unique argmax. A pick is also
+left unproved when anything is not finite, as L is past float32's range; a
+finite L keeps both passes' products far from overflow. One unproved live
+pick sends the whole step to the float64 pass, as below the size: it gives
+every proved pick again, and refuses no proved problem. So every near-tie,
+exact tie, overflow and masked pick comes out as the float64 pass gives it.
+On the three seed-0 ``pursuit_large`` instances the float64 pass decided 1
+of 192 picks; a dictionary below float32's normal range leaves it every one.
 """
 
 from __future__ import annotations
@@ -147,12 +153,6 @@ _GRAM_SCREEN = 1e-8
 #                        1.00-1.05 0.98-1.00 0.93-0.96 0.86-0.89
 _SCREEN_ENTRIES = 1 << 20
 _SCREEN_PICKS = 24
-# A problem is refused when its first residual norm, or any of its selection
-# scores scaled back by 2^e, reaches this: its square is past the double range.
-_OVERFLOW = 2.0**512
-# The screen decides only where its norm bounds keep every score times 2^e at
-# most this, far below _OVERFLOW, so the float64 pass refuses no such problem.
-_SCREEN_RANGE = 2.0**400
 
 RESIDUAL_THRESHOLD = "residual_threshold"
 FIXED_ITERATIONS = "fixed_iterations"
@@ -213,58 +213,61 @@ def select_block(A: BlockedMatrix, r: np.ndarray) -> int:
     """Index of the block maximizing ||A[l]' r||_2, smallest index on ties (np.argmax
     takes the first maximum): the per-residual reference of the pick, which no
     library path calls. It masks no block; the pursuit masks the blocks it chose.
-    Like the pursuit, it scores r at unit scale, so ``2^k r`` gives its pick."""
+    Like the pursuit, it takes the scores at unit scale, so ``2^j A`` and
+    ``2^k r`` give its pick, and refuses a score that is not finite."""
     return int(np.argmax(_unit_scores(A, r)[0])) + 1
 
 
 def block_correlation_scores(A: BlockedMatrix, r: np.ndarray) -> np.ndarray:
-    """All selection scores ||A[l]' r||_2 as a length-M vector, scored from r at
-    unit scale and scaled back, so a score underflows only in this last step.
+    """All selection scores ||A[l]' r||_2 as a length-M vector, taken at unit
+    scale and scaled back, so a score underflows or overflows only in this
+    last step: those of ``2^j A`` and ``2^k r`` are exactly 2^(j+k) times as
+    large wherever both are normal.
 
-    Raises :class:`BompError` when a score reaches ``_OVERFLOW`` or is NaN, as
-    the pursuit does: an argmax over overflowed scores would pick a block by
-    its index, not by correlation.
+    Raises :class:`BompError` as the pursuit does where a score is not finite,
+    and where one is inf once scaled back.
     """
     scores, e = _unit_scores(A, r)
-    return np.ldexp(scores, e)
+    with np.errstate(over="ignore"):
+        scores = np.ldexp(scores, e)
+    if np.isinf(scores).any():
+        raise _overflow_error()
+    return scores
 
 
 def _unit_scores(A: BlockedMatrix, r: np.ndarray):
-    """``(scores, e)``: the selection scores of ``r 2^-e``, the residual scaled to
-    a largest entry in [1/2, 1), with e; raises the pursuit's overflow error."""
+    """``(scores, e)``: the selection scores of r at unit scale, and the
+    exponent e that scales them back. Raises the pursuit's overflow error
+    where a score is not finite: an argmax would pick a block by its index."""
     r = _frozen_array(r, (A.rows,), "residual")
     rho, e = _scaled_to_largest(r[None])
-    scores = _stacked_scores(A.entries[None], rho, A.layout.block_width)
-    if _overflows(scores, e)[0]:
+    scores, shift = _stacked_scores(A.entries[None], rho, A.layout.block_width)
+    if not np.isfinite(scores).all():
         raise _overflow_error()
-    return scores[0], e[0]
+    return scores[0], e[0] + shift[0]
 
 
-def _stacked_scores(entries: np.ndarray, residuals: np.ndarray, d: int) -> np.ndarray:
-    """Selection scores of a stack of problems: entry [t, l] is ||A_t[l]' r_t||_2.
-
-    Overflow is not warned about; callers test the scores with ``_overflows``.
+def _stacked_scores(entries: np.ndarray, residuals: np.ndarray, d: int):
+    """``(scores, shift)``: the selection scores of a stack of problems at unit
+    scale. Entry [t, l] of ``scores`` is ||A_t[l]' r_t||_2 2^-shift[t]: each
+    problem's products are scaled by the power of two that brings the largest
+    into [1/2, 1) (``core._scaled_to_largest``) before they are squared, so no
+    square overflows, and only those of products 2^537 times below the largest
+    underflow. A score is inf or NaN only where a product is, unwarned.
     """
     with np.errstate(over="ignore", invalid="ignore"):
         products = np.matmul(entries.transpose(0, 2, 1), residuals[:, :, None])
+        products, shift = _scaled_to_largest(products[:, :, 0])
         products = products.reshape(len(residuals), -1, d)
-        return np.sqrt(np.einsum("tld,tld->tl", products, products))
+        return np.sqrt(np.einsum("tld,tld->tl", products, products)), shift
 
 
-def _overflows(scores: np.ndarray, e: np.ndarray) -> np.ndarray:
-    """Whether some score of each problem, scaled back by 2^e, reaches
-    ``_OVERFLOW`` or is NaN."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        return ~(np.ldexp(scores.max(axis=1), e) < _OVERFLOW)
-
-
-def _float64_picks(entries: np.ndarray, rho: np.ndarray, e: np.ndarray, d: int,
-                   taken: np.ndarray):
+def _float64_picks(entries: np.ndarray, rho: np.ndarray, d: int, taken: np.ndarray):
     """The float64 pass: each problem's argmax of the scores of its unit-scale
     residual ``rho`` with the blocks ``taken`` (a boolean (size, M) mask) masked
-    out, and whether it overflows (``_overflows``)."""
-    scores = _stacked_scores(entries, rho, d)
-    overflow = _overflows(scores, e)
+    out, and whether one of its scores is not finite."""
+    scores = _stacked_scores(entries, rho, d)[0]
+    overflow = ~(scores.max(axis=1) < math.inf)  # true where a score is NaN
     scores[taken] = -1.0
     # np.argmax returns the first maximum, which is the smallest block index
     return np.argmax(scores, axis=1), overflow
@@ -318,16 +321,16 @@ class _Float32Screen:
         # nonzero rho has ||rho|| >= 1/2), plus 5m T (A's cast against |rho_i|
         # <= 1, the product's 2m underflows, its upcast). Every float64 rounding
         # is below (2m + 3d + 12) 2^-53 per unit of ||A_l||_F ||rho||, under
-        # (d + 2) 2^-24 while gamma_{m+d+4} is finite (m + d + 4 < 2^22), and
-        # its underflow below sqrt(d) 2^-509, under one more m sqrt(d) T
+        # (d + 2) 2^-24 while gamma_{m+d+4} is finite (m + d + 4 < 2^22); the
+        # underflow of its squares, at unit scale, below sqrt(d) 2^-536 (1 + L
+        # ||rho||), under one more m sqrt(d) T and 2^-53 per unit of L ||rho||
         self.relative = _gamma(m + d + 4, _U32) + 10.0 * math.sqrt(m) * _TINY32
         self.absolute = 6.0 * m * math.sqrt(d) * _TINY32
 
-    def picks(self, rho: np.ndarray, rho_norms: np.ndarray, e: np.ndarray, taken: np.ndarray):
+    def picks(self, rho: np.ndarray, rho_norms: np.ndarray, taken: np.ndarray):
         """Each problem's argmax of the float32 scores of its unit-scale residual
-        ``rho`` (the residual is ``rho 2^e``) with the blocks ``taken`` (a boolean
-        (size, M) mask) masked out, and whether that pick is proved to be the
-        float64 pass's.
+        ``rho`` with the blocks ``taken`` (a boolean (size, M) mask) masked out,
+        and whether that pick is proved to be the float64 pass's.
 
         ``rho_norms`` are the norms of ``rho`` as ``_stacked_norms`` gives them.
         Overflow and NaN are not warned about; they leave a pick unproved.
@@ -343,11 +346,9 @@ class _Float32Screen:
             scores[problems, top] = -np.inf
             runner_up = scores.max(axis=1)
             bound = self.relative * self.largest * rho_norms + self.absolute
-            # the float64 pass refuses none, and a finite copy keeps its squares
-            # of rho's products far from overflow
-            in_range = np.ldexp(self.largest * rho_norms, e) <= _SCREEN_RANGE
-            # false where anything is NaN
-            return top, in_range & (runner_up + bound < best - bound)
+            # a finite L keeps both passes' products far from overflow, so the
+            # float64 pass refuses no problem proved here; false where any NaN
+            return top, runner_up + bound < best - bound
 
 
 def _stacked_norms(vectors: np.ndarray) -> np.ndarray:
@@ -531,7 +532,7 @@ def _pursue(entries: np.ndarray, observations: np.ndarray, layout, stop: Stoppin
         norms[:, 0] = np.ldexp(rho_norms, e)
     outcomes: list = [None] * size
     # projections only shrink the residual, so its first norm is the one to test
-    active = norms[:, 0] < _OVERFLOW
+    active = np.isfinite(norms[:, 0])
     for t in np.flatnonzero(~active):
         outcomes[t] = _overflow_error()
 
@@ -563,13 +564,12 @@ def _pursue(entries: np.ndarray, observations: np.ndarray, layout, stop: Stoppin
         # along, and may carry inf or NaN, which no other row reads
         with np.errstate(all="ignore"):
             if screen is not None:
-                picks, decided = screen.picks(rho, rho_norms, e, taken)
+                picks, decided = screen.picks(rho, rho_norms, taken)
             if screen is None or not decided[active].all():
-                # a proved pick is this pass's own argmax, and in range the
-                # pass refuses no problem, so it may decide the whole stack
-                picks, overflow = _float64_picks(entries, rho, e, d, taken)
-                overflow &= active
-                for t in np.flatnonzero(overflow):
+                # a proved pick is this pass's own argmax, and the pass refuses
+                # no problem the screen proves, so it may decide the whole stack
+                picks, overflow = _float64_picks(entries, rho, d, taken)
+                for t in np.flatnonzero(overflow & active):
                     outcomes[t] = _overflow_error()
                 active &= ~overflow
             chosen[:, k] = picks + 1

@@ -74,17 +74,24 @@ def test_run_requires_a_stopping_flag(instance_files, capsys):
 
 
 def test_run_rejects_overflowing_selection_scores(tmp_path, capsys):
+    # the scores are taken at unit scale, so an observation of 1e160 picks as
+    # at scale 1; one whose norm is past the double range is refused
     rng = np.random.default_rng(0)
     A = BlockedMatrix(BlockLayout(4, 2), rng.normal(size=(6, 8)))
     save_matrix(tmp_path / "A.csv", A, tmp_path / "A.json")
-    save_vector(tmp_path / "y.csv", A.block(2) @ np.array([1e160, 2e160]))
-    code = main([
+    argv = [
         "run",
         "--matrix", str(tmp_path / "A.csv"),
         "--layout", str(tmp_path / "A.json"),
         "--obs", str(tmp_path / "y.csv"),
         "--max-iter", "1",
-    ])
+    ]
+    for scale in (1.0, 1e160):
+        save_vector(tmp_path / "y.csv", A.block(2) @ np.array([scale, 2.0 * scale]))
+        assert main(argv) == 0
+        assert json.loads(capsys.readouterr().out)["chosen_indices"] == [4]
+    save_vector(tmp_path / "y.csv", np.full(6, 1e308))
+    code = main(argv)
     assert code == 2
     out = capsys.readouterr()
     assert out.out == ""
@@ -955,6 +962,7 @@ def test_the_listed_cli_outputs_pick_alike_at_every_scale(tmp_path):
     def picks(name):
         return json.loads((tmp_path / f"{name}.json").read_text())["chosen_indices"]
 
-    # the observation scaled by 2^-600 and by 2^400
-    assert picks("tiny") == picks("run")
-    assert picks("huge") == picks("run")
+    # the observation scaled by 2^-600 and by 2^400, and the dictionary by
+    # 2^-600 and by 2^600
+    for name in ("tiny", "huge", "tiny_dictionary", "huge_dictionary"):
+        assert picks(name) == picks("run"), name

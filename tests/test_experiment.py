@@ -414,11 +414,19 @@ def test_no_thread_is_started_below_the_split_gate(monkeypatch):
 
 
 def test_overflowing_trials_are_recorded_as_errors():
+    # the scores are taken at unit scale, so noise of 1e160 runs every pick
     result = run_experiment(ExperimentConfig(m=8, M=4, d=2, K=2, noise_norm=1e160, trials=3))
-    assert result.recovery_rate == 0.0
     for record in result.records:
-        assert record.iterations == 0
-        assert record.error.startswith("BompError: the residual norm or the block selection")
+        assert record.iterations == 2 and record.error is None
+    # at 1.7e308 the estimate of trial 0 overflows, about 2.0e308, and its
+    # record says so; trials 1 and 2 stay finite
+    result = run_experiment(ExperimentConfig(m=8, M=4, d=2, K=2, noise_norm=1.7e308, trials=3))
+    assert result.recovery_rate == 0.0
+    refused, *kept = result.records
+    assert refused.iterations == 0
+    assert refused.error == "BompError: the least-squares estimate overflows double precision"
+    for record in kept:
+        assert record.iterations == 2 and record.error is None
 
 
 def test_solver_errors_are_recorded_not_raised(monkeypatch):

@@ -272,11 +272,21 @@ def test_identity_and_lemma_hold_on_random_instances(seed, shape, epsilon):
 
 
 def test_overflowing_epsilon_is_refused_by_name():
-    # at seed 9, 1e155 overflows first in the selection scores of the probe's residual
-    for seed, epsilon in ((0, 1.7e308), (0, 1e155), (9, 1e155)):
+    # epsilon is refused above 2^500, before anything is drawn; at the bound
+    # every square the direct route and Lemma 1 take stays finite
+    bound = bomp.proofs._MAX_EPSILON
+    assert bound == 2.0**500
+    inst = random_proof_instance(np.random.default_rng(0), epsilon=bound)
+    assert math.isfinite(eta_direct(inst))
+    report = lemma1_check(inst)
+    assert math.isfinite(report.theta_norm) and math.isfinite(report.theta_bound)
+    for seed, epsilon in ((0, np.nextafter(bound, math.inf)), (0, 1.7e308), (0, 1e155), (9, 1e155)):
         message = f"^{re.escape(f'epsilon {epsilon:g} overflows double precision')}$"
+        rng = np.random.default_rng(seed)
+        state = rng.bit_generator.state
         with pytest.raises(ValueError, match=message):
-            random_proof_instance(np.random.default_rng(seed), epsilon=epsilon)
+            random_proof_instance(rng, epsilon=epsilon)
+        assert rng.bit_generator.state == state
 
 
 def test_lemma_refuses_an_overflowed_quantity():

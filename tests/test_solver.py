@@ -733,94 +733,163 @@ def test_the_erc_oracle_certifies_a_seeded_batch_and_recovers_it():
     _assert_recovers_each(certified)
 
 
-@settings(derandomize=True, max_examples=120, deadline=None)
+def _exact(values, j):
+    """Whether ``values`` scale by 2^j with no rounding, and back."""
+    with np.errstate(over="ignore"):
+        return np.array_equal(np.ldexp(np.ldexp(values, j), -j), values)
+
+
+@settings(derandomize=True, max_examples=160, deadline=None)
 @given(
     seed=st.integers(0, 2**32 - 1),
-    k=st.integers(-1000, 400),
+    j=st.integers(-500, 500),
+    k=st.integers(-1000, 500),
     mode=st.sampled_from([FIXED_ITERATIONS, RESIDUAL_THRESHOLD]),
     epsilon=st.sampled_from([0.0, 0.05 + 1e-10]),
     screen=st.booleans(),
 )
-def test_pursuit_is_invariant_under_power_of_two_scaling(seed, k, mode, epsilon, screen):
-    # scaling y and epsilon by 2^k scales every residual and estimate exactly,
-    # so the picks must not change, also where the squares underflow
+def test_pursuit_is_invariant_under_power_of_two_scaling(seed, j, k, mode, epsilon, screen):
+    # the residual and the products are squared at unit scale, so on 2^j A and
+    # 2^k y, with epsilon 2^k epsilon, the picks must not change, also where
+    # unscaled squares would underflow or overflow: the residuals scale by
+    # 2^k exactly, the estimate by 2^(k-j) and every score by 2^(j+k)
     rng = np.random.default_rng(seed)
     d = int(rng.integers(1, 4))
     support = tuple(int(i) for i in rng.choice(8, size=3, replace=False) + 1)
     problem, _ = _random_problem(rng, m=24, M=8, d=d, support=support, noise=0.05)
-    y = problem.observation
-    assume(np.array_equal(np.ldexp(y * 2.0**k, -k), y))  # only exact scalings
-    scale = 2.0**k
-    scaled = SensingProblem(matrix=problem.matrix, observation=y * scale)
+    A, y = problem.matrix, problem.observation
+    scaled = SensingProblem(
+        matrix=BlockedMatrix(A.layout, np.ldexp(A.entries, j)), observation=np.ldexp(y, k)
+    )
     budget = 4 if mode == FIXED_ITERATIONS else None
     with _screen(screen):
         want = run_bomp(problem, StoppingRule(mode, epsilon=epsilon, max_iterations=budget))
-        got = run_bomp(scaled, StoppingRule(mode, epsilon=epsilon * scale, max_iterations=budget))
+        # only scalings that round nothing
+        assume(_exact(A.entries, j) and _exact(y, k) and _exact(want.residual_norms, k))
+        assume(_exact(want.final_estimate.values, k - j))
+        got = run_bomp(
+            scaled, StoppingRule(mode, epsilon=math.ldexp(epsilon, k), max_iterations=budget)
+        )
     assert got.chosen_indices == want.chosen_indices
     assert got.status == want.status
-    assert got.residual_norms == tuple(norm * scale for norm in want.residual_norms)
-    np.testing.assert_array_equal(got.final_estimate.values, want.final_estimate.values * scale)
-    assert select_block(scaled.matrix, scaled.observation) == select_block(problem.matrix, y)
+    assert got.residual_norms == tuple(np.ldexp(want.residual_norms, k))
+    np.testing.assert_array_equal(
+        got.final_estimate.values, np.ldexp(want.final_estimate.values, k - j)
+    )
+    assert select_block(scaled.matrix, scaled.observation) == select_block(A, y)
+    scores = block_correlation_scores(A, y)
+    if _exact(scores, j + k):  # else a score is subnormal once scaled
+        np.testing.assert_array_equal(
+            block_correlation_scores(scaled.matrix, scaled.observation), np.ldexp(scores, j + k)
+        )
+
+
+def _ci_system():
+    """The seed-0 Gaussian system of ``scripts/cli_outputs.py``: (m, M, d) =
+    (128, 64, 4), 8 supported blocks, largest dictionary entry 0.40."""
+    rng = np.random.default_rng(0)
+    m, M, d = 128, 64, 4
+    entries = rng.normal(size=(m, M * d)) / np.sqrt(m)
+    x = np.zeros(M * d)
+    x[: 8 * d] = rng.normal(size=8 * d) + 2.0
+    y = entries @ x + 0.1 * rng.normal(size=m) / np.sqrt(m)
+    return BlockLayout(M, d), entries, y
+
+
+@pytest.mark.parametrize("j", [-1021, -600, -536, 510, 600, 1023])
+def test_the_ci_dictionary_picks_alike_at_its_scale_edges(j):
+    # unscaled, the squares of the products underflowed from -536 and the
+    # picks went wrong, and overflowed from 510 and the problem was refused.
+    # At -1021 and 1023 some bits move; at the other four the residual norms
+    # and the estimate are the scale-1 ones scaled
+    layout, entries, y = _ci_system()
+    stop = StoppingRule(FIXED_ITERATIONS, max_iterations=8)
+    want = run_bomp(SensingProblem(matrix=BlockedMatrix(layout, entries), observation=y), stop)
+    scaled = SensingProblem(matrix=BlockedMatrix(layout, np.ldexp(entries, j)), observation=y)
+    for screen in (False, True):
+        with _screen(screen):
+            got = run_bomp(scaled, stop)
+        assert got.chosen_indices == want.chosen_indices
+        assert got.status == want.status
+        if abs(j) < 1000:
+            assert got.residual_norms == want.residual_norms
+            np.testing.assert_array_equal(
+                got.final_estimate.values, np.ldexp(want.final_estimate.values, -j)
+            )
 
 
 def test_overflowing_scores_raise_instead_of_picking_by_index():
     for screen in (False, True):
         with _screen(screen):
             _overflowing_scores_raise()
-    # with the screen on: entries and an observation about 1e200, whose norm
-    # overflows before any pick; then the float64 scores overflow where the
-    # float32 copy is infinite (entries about 1e200) and where the scaled
-    # float32 scores are finite (entries about 1e10), and no block is picked
+    # with the screen on: a dictionary past float32's range has an infinite
+    # copy, which proves no pick, and the float64 pass picks as at scale 1,
+    # or refuses the problem where its products overflow; a finite copy bounds
+    # the products of both passes, so the screen proves a pick whatever y's scale
     rng = np.random.default_rng(1)
     stop = StoppingRule(FIXED_ITERATIONS, max_iterations=1)
-    for entry_scale, observation_scale, copy_is_finite in (
-        (1e200, 1e200, False),
-        (1e200, 1e100, False),
-        (1e10, 1e150, True),
+    layout = BlockLayout(8, 2)
+    entries = rng.normal(size=(16, 16))
+    y = rng.normal(size=16)
+    want = run_bomp(SensingProblem(matrix=BlockedMatrix(layout, entries), observation=y), stop)
+    nothing = np.zeros((1, 8), dtype=bool)
+    for A, obs, copy_is_finite in (
+        (BlockedMatrix(layout, 1e200 * entries), y, False),
+        (BlockedMatrix(layout, 1e10 * entries), 1e150 * y, True),
+        (BlockedMatrix(layout, np.full((16, 16), 1.7e308)), np.ones(16), False),
     ):
-        A = BlockedMatrix(BlockLayout(8, 2), entry_scale * rng.normal(size=(16, 16)))
-        y = observation_scale * rng.normal(size=16)
-        with pytest.raises(BompError, match="overflow"):
-            block_correlation_scores(A, y)
         screen = _Float32Screen(A.entries[None], 2)
         assert np.isfinite(screen.largest).all() == copy_is_finite
-        rho, e = _scaled_to_largest(y[None])
-        _, decided = screen.picks(rho, _stacked_norms(rho), e, np.zeros((1, 8), dtype=bool))
-        assert not decided[0]
-        with _screen(True), pytest.raises(BompError, match="overflow"):
-            run_bomp(SensingProblem(matrix=A, observation=y), stop)
+        rho, _ = _scaled_to_largest(obs[None])
+        _, decided = screen.picks(rho, _stacked_norms(rho), nothing)
+        assert decided[0] == copy_is_finite
+    with _screen(True):
+        for A, obs in ((1e200 * entries, y), (1e10 * entries, 1e150 * y)):
+            problem = SensingProblem(matrix=BlockedMatrix(layout, A), observation=obs)
+            assert run_bomp(problem, stop).chosen_indices == want.chosen_indices
+        vast = SensingProblem(matrix=BlockedMatrix(layout, np.full((16, 16), 1.7e308)),
+                              observation=np.ones(16))
+        with pytest.raises(BompError, match="overflow"):
+            run_bomp(vast, stop)
 
 
 def _overflowing_scores_raise():
     rng = np.random.default_rng(0)
     A = BlockedMatrix(BlockLayout(4, 2), rng.normal(size=(6, 8)))
-    y = A.block(2) @ np.array([1e160, 2e160])
     stop = StoppingRule(FIXED_ITERATIONS, max_iterations=1)
+    # the scores are taken at unit scale: an observation of 1e160 picks as at
+    # scale 1, and only products past the double range are refused
+    y = A.block(2) @ np.array([1e160, 2e160])
+    assert run_bomp(SensingProblem(matrix=A, observation=y), stop).chosen_indices == (4,)
+    overflowing = BlockedMatrix(BlockLayout(2, 2), np.full((4, 4), 1.7e308))
     with pytest.raises(BompError, match="overflow"):
-        block_correlation_scores(A, y)
+        block_correlation_scores(overflowing, np.ones(4))
     with pytest.raises(BompError, match="overflow"):
-        run_bomp(SensingProblem(matrix=A, observation=y), stop)
+        select_block(overflowing, np.ones(4))
+    with pytest.raises(BompError, match="overflow"):
+        run_bomp(SensingProblem(matrix=overflowing, observation=np.ones(4)), stop)
     # with fewer rows than a block is wide nothing is picked, but the
     # residual norm of a huge observation still overflows
-    narrow = BlockedMatrix(BlockLayout(1, 2), np.ones((1, 2)))
+    narrow = BlockedMatrix(BlockLayout(1, 3), np.ones((2, 3)))
     with pytest.raises(BompError, match="overflow"):
-        run_bomp(SensingProblem(matrix=narrow, observation=[1e200]), stop)
-    # a finite residual against huge columns: only the scores overflow, and
-    # only the trial they belong to fails
+        run_bomp(SensingProblem(matrix=narrow, observation=[1.7e308, 1.7e308]), stop)
+    # a finite residual against columns whose products overflow: only the
+    # trial they belong to fails
     fine = SensingProblem(matrix=A, observation=A.block(2) @ np.array([1.0, 2.0]))
-    huge = SensingProblem(matrix=BlockedMatrix(A.layout, 1e300 * A.entries), observation=y / 1e160)
+    huge = SensingProblem(matrix=BlockedMatrix(A.layout, np.full((6, 8), 1.7e308)),
+                          observation=np.ones(6))
     outcomes = _pursue_stack([fine, huge, fine], stop)
     assert isinstance(outcomes[1], BompError) and "overflow" in str(outcomes[1])
     alone = run_bomp(fine, stop).chosen_indices
     assert outcomes[0].chosen_indices == outcomes[2].chosen_indices == alone
     # overflowed trials keep stepping with live ones that stop at their own
     # steps, several picks later, and leave them as they run alone; the
-    # residual of the vast one turns to inf and NaN on the way
+    # residual of the huge one turns to inf and NaN on the way
     wide = BlockedMatrix(BlockLayout(8, 2), rng.normal(size=(16, 16)))
     short = SensingProblem(matrix=wide, observation=wide.block(3) @ np.array([1.0, -2.0]))
     long = SensingProblem(matrix=wide, observation=wide.entries @ rng.normal(size=16))
     huge = SensingProblem(
-        matrix=BlockedMatrix(wide.layout, 1e300 * wide.entries), observation=long.observation
+        matrix=BlockedMatrix(wide.layout, np.full((16, 16), 1.7e308)), observation=np.ones(16)
     )
     vast = SensingProblem(matrix=wide, observation=np.full(16, 1e308))
     for stop in (
@@ -939,7 +1008,7 @@ def test_the_screen_proves_clear_picks_and_leaves_near_ties():
     entries = rng.normal(size=(m, M * d)) / np.sqrt(m)
     nothing = np.zeros((1, M), dtype=bool)
     r = entries[:, 2:4] @ np.array([1.0, -2.0])  # block 2 wins clearly
-    rho, e = _scaled_to_largest(r[None])
+    rho, _ = _scaled_to_largest(r[None])
     for copy in (
         entries[:, 2:4],  # exact repeat: a tie, the smallest index wins
         entries[:, 2:4] * (1.0 + 1e-9 * rng.normal(size=(m, 2))),  # below float32
@@ -949,14 +1018,14 @@ def test_the_screen_proves_clear_picks_and_leaves_near_ties():
         if copy is not None:
             A[:, 20:22] = copy
         screen = _Float32Screen(A[None], d)
-        top, decided = screen.picks(rho, _stacked_norms(rho), e, nothing)
-        want, _ = _float64_picks(A[None], rho, e, d, nothing)
+        top, decided = screen.picks(rho, _stacked_norms(rho), nothing)
+        want, _ = _float64_picks(A[None], rho, d, nothing)
         assert decided[0] == (copy is None)
         if decided[0]:
             assert top[0] == want[0] == 1
     # a masked block is never the pick, and a lone unmasked block is proved
     taken = np.arange(1, M + 1)[None] != 7
-    top, decided = _Float32Screen(entries[None], d).picks(rho, _stacked_norms(rho), e, taken)
+    top, decided = _Float32Screen(entries[None], d).picks(rho, _stacked_norms(rho), taken)
     assert top[0] == 6 and decided[0]
 
 
@@ -965,9 +1034,9 @@ def test_the_screen_proves_nearly_every_pick_of_the_large_benchmark_instances(mo
     # the picks to the float64 pass; it decides 1 of these 192 picks
     decided = []
 
-    def counting(entries, rho, e, d, taken):
+    def counting(entries, rho, d, taken):
         decided.append(len(rho))
-        return _float64_picks(entries, rho, e, d, taken)
+        return _float64_picks(entries, rho, d, taken)
 
     monkeypatch.setattr(bomp.solver, "_float64_picks", counting)
     config = ExperimentConfig(m=1024, M=512, d=4, K=64, noise_norm=0.1, seed=0)
@@ -998,9 +1067,9 @@ def test_an_unproved_pick_sends_the_whole_stack_to_the_float64_pass_once(monkeyp
     stop = StoppingRule(FIXED_ITERATIONS, max_iterations=steps)
     stacks = []
 
-    def counting(entries, rho, e, d, taken):
+    def counting(entries, rho, d, taken):
         stacks.append(len(rho))
-        return _float64_picks(entries, rho, e, d, taken)
+        return _float64_picks(entries, rho, d, taken)
 
     monkeypatch.setattr(bomp.solver, "_float64_picks", counting)
     with _screen(True):
