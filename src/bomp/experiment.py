@@ -274,8 +274,9 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     calling thread draws the first share and a thread pool that ends with
     the call draws the rest. Below it no thread is started. A chunk's
     supports are read off its truths in one pass. Per-trial solver failures
-    land in the record's error field; a draw that overflows or is not
-    finite raises the ValueError of the lowest such trial, whatever the shares.
+    land in the record's error field, with the picks made before the refusal
+    as its iterations; a draw that overflows or is not finite raises the
+    ValueError of the lowest such trial, whatever the shares.
     """
     # imported here, so a process that runs no batch does not load it and
     # the logging module it imports: about 8 ms and half a MB of peak RSS
@@ -301,7 +302,9 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
                     chosen[t, np.array(outcome.chosen_indices, dtype=int) - 1] = True
             recovered = (chosen == support).all(axis=1)
             records += [
-                TrialRecord(k, False, 0, error=f"{type(outcome).__name__}: {outcome}")
+                TrialRecord(
+                    k, False, outcome.iterations_run, error=f"{type(outcome).__name__}: {outcome}"
+                )
                 if isinstance(outcome, Exception)
                 else TrialRecord(k, bool(ok), outcome.iterations_run)
                 for k, outcome, ok in zip(trials, outcomes, recovered)

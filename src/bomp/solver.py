@@ -58,23 +58,26 @@ stacked result is bit for bit the one a problem gets alone.
 Each residual is held at unit scale, as rho 2^e with the largest entry of
 rho in [1/2, 1): the update ``r -= q (q' r)`` runs on rho, which is then
 rescaled by a power of two, the shift added to e; the residual norm is
-``ldexp(||rho||, e)``. The picks read rho alone, and each problem's products
-``A_l' rho`` are scaled by the same rule (``core._scaled_to_largest``) before
-they are squared. A pick does not change when A or r is scaled, and
-power-of-two scaling is exact, so the pursuit on ``2^j A`` and ``2^k y``
-with epsilon ``2^k epsilon`` makes the same picks and stops with the same
-status, its residual norms exactly 2^k and its estimate 2^(k-j) times as
-large, wherever those scalings are exact; at normal scale no bit changes.
-A problem is refused only when its first residual norm, a score or its
-estimate is not finite. On the seed-0 (128, 64, 4) Gaussian dictionary
-times 2^j, 8 fixed picks are the scale-1 picks for every j from -1021 to
-1023 (below, the estimate overflows), and the norms and estimate exact
-multiples from j = -1009 to 1020 but -535: there the squares of the
-Gram-Schmidt test ``2 * after < before``, the dictionary's own, turn
-subnormal and the norms move in the last bit. Far below or above, that test
-reads 0 or inf, so a nearly dependent pick may skip its second pass. The
-scale is per problem: a block whose products are 2^537 times below
-another's has squares that underflow.
+``ldexp(||rho||, e)``. The picks read rho alone: the float64 pass
+(``_float64_scores``) zeroes the products ``A_l' rho`` of the blocks
+already taken, and scales each problem's products by the same rule
+(``core._scaled_to_largest``) before it squares them. A pick does not
+change when A or r is scaled, and power-of-two scaling is exact, so the
+pursuit on ``2^j A`` and ``2^k y`` with epsilon ``2^k epsilon`` makes the
+same picks and stops with the same status, its residual norms exactly 2^k
+and its estimate 2^(k-j) times as large, wherever those scalings are exact;
+at normal scale no bit changes. A problem is refused only when its first
+residual norm, a score in play or its estimate is not finite. On the seed-0
+(128, 64, 4) Gaussian dictionary times 2^j, 8 fixed picks are the scale-1
+picks for every j from -1021 to 1023 (below, the estimate overflows), and
+the norms and estimate exact multiples from j = -1009 to 1020 but -535:
+there the squares of the Gram-Schmidt test ``2 * after < before``, the
+dictionary's own, turn subnormal and the norms move in the last bit. Far
+below or above, that test reads 0 or inf, so a nearly dependent pick may
+skip its second pass. The scale is per problem and comes from the largest
+product of a block still in play, so a chosen block's round-off never sets
+it: only a block in play whose products are 2^537 times below another's has
+squares that underflow.
 
 On a dictionary of ``_SCREEN_ENTRIES`` entries or more, in a solve with a
 budget of ``_SCREEN_PICKS`` picks or more, a float32 screen makes the picks:
@@ -212,22 +215,22 @@ class RecoveryTrace:
 def select_block(A: BlockedMatrix, r: np.ndarray) -> int:
     """Index of the block maximizing ||A[l]' r||_2, smallest index on ties (np.argmax
     takes the first maximum): the per-residual reference of the pick, which no
-    library path calls. It masks no block; the pursuit masks the blocks it chose.
-    Like the pursuit, it takes the scores at unit scale, so ``2^j A`` and
-    ``2^k r`` give its pick, and refuses a score that is not finite."""
-    return int(np.argmax(_unit_scores(A, r)[0])) + 1
+    library path calls. It is the pursuit's float64 pass on a stack of one with
+    no block masked, so ``2^j A`` and ``2^k r`` give its pick, and it refuses a
+    score that is not finite."""
+    return int(np.argmax(_scores_of_one(A, r)[0])) + 1
 
 
 def block_correlation_scores(A: BlockedMatrix, r: np.ndarray) -> np.ndarray:
-    """All selection scores ||A[l]' r||_2 as a length-M vector, taken at unit
-    scale and scaled back, so a score underflows or overflows only in this
-    last step: those of ``2^j A`` and ``2^k r`` are exactly 2^(j+k) times as
-    large wherever both are normal.
+    """All selection scores ||A[l]' r||_2 as a length-M vector: the pursuit's
+    float64 pass on a stack of one with no block masked, scaled back, so a
+    score underflows or overflows only in this last step: those of ``2^j A``
+    and ``2^k r`` are exactly 2^(j+k) times as large wherever both are normal.
 
     Raises :class:`BompError` as the pursuit does where a score is not finite,
     and where one is inf once scaled back.
     """
-    scores, e = _unit_scores(A, r)
+    scores, e = _scores_of_one(A, r)
     with np.errstate(over="ignore"):
         scores = np.ldexp(scores, e)
     if np.isinf(scores).any():
@@ -235,42 +238,35 @@ def block_correlation_scores(A: BlockedMatrix, r: np.ndarray) -> np.ndarray:
     return scores
 
 
-def _unit_scores(A: BlockedMatrix, r: np.ndarray):
-    """``(scores, e)``: the selection scores of r at unit scale, and the
-    exponent e that scales them back. Raises the pursuit's overflow error
-    where a score is not finite: an argmax would pick a block by its index."""
+def _scores_of_one(A: BlockedMatrix, r: np.ndarray):
+    """``(scores, e)``: ``_float64_scores`` of r against A, a stack of one with
+    no block masked, and the exponent e that scales them back. Raises the
+    overflow error where a score is not finite: an argmax would pick by index."""
     r = _frozen_array(r, (A.rows,), "residual")
     rho, e = _scaled_to_largest(r[None])
-    scores, shift = _stacked_scores(A.entries[None], rho, A.layout.block_width)
+    nothing = np.zeros((1, A.layout.num_blocks), dtype=bool)
+    scores, shift = _float64_scores(A.entries[None], rho, A.layout.block_width, nothing)
     if not np.isfinite(scores).all():
         raise _overflow_error()
     return scores[0], e[0] + shift[0]
 
 
-def _stacked_scores(entries: np.ndarray, residuals: np.ndarray, d: int):
-    """``(scores, shift)``: the selection scores of a stack of problems at unit
-    scale. Entry [t, l] of ``scores`` is ||A_t[l]' r_t||_2 2^-shift[t]: each
-    problem's products are scaled by the power of two that brings the largest
-    into [1/2, 1) (``core._scaled_to_largest``) before they are squared, so no
-    square overflows, and only those of products 2^537 times below the largest
-    underflow. A score is inf or NaN only where a product is, unwarned.
-    """
+def _float64_scores(entries: np.ndarray, rho: np.ndarray, d: int, taken: np.ndarray):
+    """The float64 pass: ``(scores, shift)`` for a stack of unit-scale residuals
+    ``rho`` and the blocks ``taken`` (a boolean (size, M) mask). Entry [t, l] of
+    ``scores`` is ||A_t[l]' rho_t||_2 2^-shift[t], or -1 for a taken block: the
+    taken blocks' products are zeroed before each problem's are scaled to a
+    largest in [1/2, 1) (``core._scaled_to_largest``) and squared, so no square
+    overflows, and only those 2^537 times below the largest in play underflow.
+    A score is inf or NaN only where a product in play is, unwarned."""
     with np.errstate(over="ignore", invalid="ignore"):
-        products = np.matmul(entries.transpose(0, 2, 1), residuals[:, :, None])
-        products, shift = _scaled_to_largest(products[:, :, 0])
-        products = products.reshape(len(residuals), -1, d)
-        return np.sqrt(np.einsum("tld,tld->tl", products, products)), shift
-
-
-def _float64_picks(entries: np.ndarray, rho: np.ndarray, d: int, taken: np.ndarray):
-    """The float64 pass: each problem's argmax of the scores of its unit-scale
-    residual ``rho`` with the blocks ``taken`` (a boolean (size, M) mask) masked
-    out, and whether one of its scores is not finite."""
-    scores = _stacked_scores(entries, rho, d)[0]
-    overflow = ~(scores.max(axis=1) < math.inf)  # true where a score is NaN
+        products = np.matmul(entries.transpose(0, 2, 1), rho[:, :, None])[:, :, 0]
+        products.reshape(len(rho), -1, d)[taken] = 0.0  # through a view
+        products, shift = _scaled_to_largest(products)
+        products = products.reshape(len(rho), -1, d)
+        scores = np.sqrt(np.einsum("tld,tld->tl", products, products))
     scores[taken] = -1.0
-    # np.argmax returns the first maximum, which is the smallest block index
-    return np.argmax(scores, axis=1), overflow
+    return scores, shift
 
 
 def _gamma(k: int, u: float) -> float:
@@ -502,7 +498,8 @@ def _pursue(entries: np.ndarray, observations: np.ndarray, layout, stop: Stoppin
     both finite. Reads ``entries`` in place and never writes to either.
 
     Returns one outcome per problem, in order: the trace ``run_bomp`` gives
-    for that problem alone, or the exception it raises. The problems advance
+    for that problem alone, or the exception it raises, which carries the
+    picks made before the refusal as ``iterations_run``. The problems advance
     together, one pick per step, and each keeps its own stopping state, so
     no outcome depends on the others in the stack. The problems that stop at
     a step are finished by one ``_finish`` call; ``run_bomp`` runs the same
@@ -535,6 +532,7 @@ def _pursue(entries: np.ndarray, observations: np.ndarray, layout, stop: Stoppin
     active = np.isfinite(norms[:, 0])
     for t in np.flatnonzero(~active):
         outcomes[t] = _overflow_error()
+    picked = np.zeros(size, dtype=int)  # the picks each problem made while active
 
     check_residual = stop.mode in (RESIDUAL_THRESHOLD, BOTH)
     check_count = stop.mode in (FIXED_ITERATIONS, BOTH)
@@ -568,12 +566,15 @@ def _pursue(entries: np.ndarray, observations: np.ndarray, layout, stop: Stoppin
             if screen is None or not decided[active].all():
                 # a proved pick is this pass's own argmax, and the pass refuses
                 # no problem the screen proves, so it may decide the whole stack
-                picks, overflow = _float64_picks(entries, rho, d, taken)
+                scores = _float64_scores(entries, rho, d, taken)[0]
+                # a NaN score fails ``< inf`` too
+                picks, overflow = np.argmax(scores, axis=1), ~(scores.max(axis=1) < math.inf)
                 for t in np.flatnonzero(overflow & active):
                     outcomes[t] = _overflow_error()
                 active &= ~overflow
             chosen[:, k] = picks + 1
             taken[problems, picks] = True
+            picked += active
 
             n = k * d
             basis = Qt[:, :n]
@@ -601,6 +602,9 @@ def _pursue(entries: np.ndarray, observations: np.ndarray, layout, stop: Stoppin
             rho_norms = _stacked_norms(rho)
             norms[:, k + 1] = np.ldexp(rho_norms, e)
 
+    for t, outcome in enumerate(outcomes):
+        if isinstance(outcome, Exception):
+            outcome.iterations_run = int(picked[t])
     return outcomes
 
 

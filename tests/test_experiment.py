@@ -419,11 +419,12 @@ def test_overflowing_trials_are_recorded_as_errors():
     for record in result.records:
         assert record.iterations == 2 and record.error is None
     # at 1.7e308 the estimate of trial 0 overflows, about 2.0e308, and its
-    # record says so; trials 1 and 2 stay finite
+    # record says so, with the 2 picks made before the refusal; trials 1 and
+    # 2 stay finite
     result = run_experiment(ExperimentConfig(m=8, M=4, d=2, K=2, noise_norm=1.7e308, trials=3))
     assert result.recovery_rate == 0.0
     refused, *kept = result.records
-    assert refused.iterations == 0
+    assert refused.iterations == 2
     assert refused.error == "BompError: the least-squares estimate overflows double precision"
     for record in kept:
         assert record.iterations == 2 and record.error is None
@@ -431,7 +432,8 @@ def test_overflowing_trials_are_recorded_as_errors():
 
 def test_solver_errors_are_recorded_not_raised(monkeypatch):
     # two identical column blocks: the second pick makes the least squares
-    # rank deficient, which must land in the record, not abort the batch
+    # rank deficient, which must land in the record, with both picks, not
+    # abort the batch
     layout = BlockLayout(2, 1)
     A = BlockedMatrix(layout, np.array([[1.0, 1.0], [0.0, 0.0]]))
     instance = (
@@ -449,6 +451,7 @@ def test_solver_errors_are_recorded_not_raised(monkeypatch):
         assert not record.recovered
         assert record.error is not None
         assert "RankDeficientError" in record.error
+        assert record.iterations == 2
 
 
 def test_recovery_rate_is_monotone_in_block_magnitude():

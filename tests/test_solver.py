@@ -26,7 +26,7 @@ from bomp.solver import (
     _SCREEN_ENTRIES,
     _SCREEN_PICKS,
     _Float32Screen,
-    _float64_picks,
+    _float64_scores,
     _gram_screen_clears,
     _pursue,
     _qr,
@@ -140,17 +140,36 @@ def test_correlation_scores_match_definition():
     assert select_block(A, r) == 1 + int(np.argmax(expected))
 
 
+def _two_block_system():
+    """A seed-0 Gaussian dictionary at (m, M, d) = (24, 12, 2) and an
+    observation on its blocks 4 and 2, which picks block 4 first."""
+    rng = np.random.default_rng(0)
+    A = BlockedMatrix(BlockLayout(12, 2), rng.normal(size=(24, 24)) / np.sqrt(24))
+    return A, A.block(4) @ np.array([3.0, 4.0]) + A.block(2) @ np.array([1.0, 2.0])
+
+
 def test_the_reference_pick_scores_the_residual_at_unit_scale():
     # the squares of y * 2^-600 against this dictionary underflow, so scores of
     # the unscaled residual would all read 0 and pick block 1 by its index
-    rng = np.random.default_rng(0)
-    A = BlockedMatrix(BlockLayout(12, 2), rng.normal(size=(24, 24)) / np.sqrt(24))
-    y = A.block(4) @ np.array([3.0, 4.0]) + A.block(2) @ np.array([1.0, 2.0])
+    A, y = _two_block_system()
     stop = StoppingRule(FIXED_ITERATIONS, max_iterations=1)
     first = run_bomp(SensingProblem(matrix=A, observation=y), stop)
     assert select_block(A, y * 2.0**-600) == select_block(A, y) == first.chosen_indices[0] == 4
     scores = block_correlation_scores(A, y)
     assert np.array_equal(block_correlation_scores(A, y * 2.0**-600), scores * 2.0**-600)
+
+
+def test_scores_that_overflow_once_scaled_back_are_refused():
+    # at unit scale the scores of 2^600 A against 2^600 y are finite and pick
+    # as at scale 1; only their scaling back, by 2^1200, overflows
+    A, y = _two_block_system()
+    big, y = BlockedMatrix(A.layout, np.ldexp(A.entries, 600)), np.ldexp(y, 600)
+    message = "^the residual norm or the block selection scores overflow double precision$"
+    with pytest.raises(BompError, match=message):
+        block_correlation_scores(big, y)
+    assert select_block(big, y) == 4
+    stop = StoppingRule(FIXED_ITERATIONS, max_iterations=1)
+    assert run_bomp(SensingProblem(matrix=big, observation=y), stop).chosen_indices[0] == 4
 
 
 def test_projection_residual_is_orthogonal():
@@ -818,6 +837,48 @@ def test_the_ci_dictionary_picks_alike_at_its_scale_edges(j):
             )
 
 
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(
+    size=st.integers(1, 4),
+    d=st.integers(1, 3),
+    M=st.integers(1, 6),
+    m=st.integers(1, 12),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_masking_a_block_scores_as_removing_its_columns(size, d, M, m, seed):
+    # the taken blocks' products are zeroed before the scale is taken, so the
+    # blocks in play score, bit for bit, as where the taken columns are zero,
+    # however far the blocks' scales lie apart
+    rng = np.random.default_rng(seed)
+    scales = np.ldexp(1.0, rng.integers(-500, 501, size=(size, 1, M, 1)))
+    blocks = rng.normal(size=(size, m, M, d)) * scales
+    rho, _ = _scaled_to_largest(rng.normal(size=(size, m)))
+    taken = rng.random((size, M)) < 0.5
+    scores, shift = _float64_scores(blocks.reshape(size, m, M * d), rho, d, taken)
+    removed = np.where(taken[:, None, :, None], 0.0, blocks).reshape(size, m, M * d)
+    plain, plain_shift = _float64_scores(removed, rho, d, np.zeros_like(taken))
+    assert scores[~taken].tobytes() == plain[~taken].tobytes()
+    assert (scores[taken] == -1.0).all()
+    assert np.array_equal(shift, plain_shift)
+
+
+def test_a_chosen_blocks_round_off_does_not_set_the_scale():
+    # block 1 is 1e300 times the others; once it is chosen its products are
+    # round-off near 1e284, and were the scale taken over them, every other
+    # score would underflow to 0 and block 2 be picked by its index. Any pair
+    # with block 1 is rank deficient, so the error names the second pick
+    rng = np.random.default_rng(5)
+    entries = rng.normal(size=(12, 8)) / np.sqrt(12)
+    entries[:, :2] *= 1e300
+    x = np.zeros(8)
+    x[:2], x[4:6] = [1e-300, 2e-300], [1.0, -0.5]
+    problem = SensingProblem(matrix=BlockedMatrix(BlockLayout(4, 2), entries),
+                             observation=entries @ x)
+    for screen in (False, True):
+        with _screen(screen), pytest.raises(RankDeficientError, match=r"on blocks \[1, 3\] "):
+            run_bomp(problem, StoppingRule(FIXED_ITERATIONS, max_iterations=3))
+
+
 def test_overflowing_scores_raise_instead_of_picking_by_index():
     for screen in (False, True):
         with _screen(screen):
@@ -942,6 +1003,25 @@ def test_an_overflowing_estimate_is_refused_as_that_problems_outcome():
         assert outcome.final_estimate.values.tobytes() == alone.final_estimate.values.tobytes()
 
 
+def test_a_refused_problem_carries_the_picks_it_made():
+    # as iterations_run, which run_experiment records: 0 for a first residual
+    # norm past the double range, 1 where block 2's products, which cancel
+    # against y, overflow against the residual block 1 leaves, [0.2, 0.2,
+    # 0.2], and 3 for an estimate refused at the finish
+    A = np.array([[0.8, 1.7e308], [-1.2, 1.7e308], [0.4, 0.0]])
+    observations = np.array([[1.0, -1.0, 0.6], [1.7e308] * 3])
+    stop = StoppingRule(FIXED_ITERATIONS, max_iterations=2)
+    outcomes = _pursue(np.stack([A, A]), observations, BlockLayout(2, 1), stop)
+    assert [type(outcome) for outcome in outcomes] == [BompError, BompError]
+    assert [outcome.iterations_run for outcome in outcomes] == [1, 0]
+    late = SensingProblem(matrix=BlockedMatrix(BlockLayout(2, 1), A), observation=observations[0])
+    with pytest.raises(BompError, match="^the residual norm or the block selection scores"):
+        run_bomp(late, stop)
+    fine, tiny = _tiny_dictionary_problems()
+    outcomes = _pursue_stack([fine, tiny], StoppingRule(FIXED_ITERATIONS, max_iterations=3))
+    assert outcomes[1].iterations_run == outcomes[0].iterations_run == 3
+
+
 def _near_tie_problem(rng, kind, m, M, d, entry_exponent, observation_exponent):
     """A Gaussian problem whose dictionary invites a tie: a block ``repeat``ed
     exactly, ``scaled`` by a power of two, copied with a ``near`` relative
@@ -1019,7 +1099,7 @@ def test_the_screen_proves_clear_picks_and_leaves_near_ties():
             A[:, 20:22] = copy
         screen = _Float32Screen(A[None], d)
         top, decided = screen.picks(rho, _stacked_norms(rho), nothing)
-        want, _ = _float64_picks(A[None], rho, d, nothing)
+        want = np.argmax(_float64_scores(A[None], rho, d, nothing)[0], axis=1)
         assert decided[0] == (copy is None)
         if decided[0]:
             assert top[0] == want[0] == 1
@@ -1036,9 +1116,9 @@ def test_the_screen_proves_nearly_every_pick_of_the_large_benchmark_instances(mo
 
     def counting(entries, rho, d, taken):
         decided.append(len(rho))
-        return _float64_picks(entries, rho, d, taken)
+        return _float64_scores(entries, rho, d, taken)
 
-    monkeypatch.setattr(bomp.solver, "_float64_picks", counting)
+    monkeypatch.setattr(bomp.solver, "_float64_scores", counting)
     config = ExperimentConfig(m=1024, M=512, d=4, K=64, noise_norm=0.1, seed=0)
     assert config.m * config.M * config.d >= _SCREEN_ENTRIES and config.K >= _SCREEN_PICKS
     stop = StoppingRule(FIXED_ITERATIONS, max_iterations=64)
@@ -1069,9 +1149,9 @@ def test_an_unproved_pick_sends_the_whole_stack_to_the_float64_pass_once(monkeyp
 
     def counting(entries, rho, d, taken):
         stacks.append(len(rho))
-        return _float64_picks(entries, rho, d, taken)
+        return _float64_scores(entries, rho, d, taken)
 
-    monkeypatch.setattr(bomp.solver, "_float64_picks", counting)
+    monkeypatch.setattr(bomp.solver, "_float64_scores", counting)
     with _screen(True):
         screened = _pursue_stack(problems, stop)
     assert 1 <= len(stacks) <= steps
