@@ -62,7 +62,7 @@ from .proofs import (
     random_proof_instance,
     run_proof_verification,
 )
-from .rip import RipReport, enumeration_cost, exact_block_rip, rip_lower_bound_sampled
+from .rip import RipReport, enumeration_cost, exact_block_rip, rip_lower_bound_search
 from .solver import (
     RecoveryTrace,
     StoppingRule,
@@ -119,7 +119,7 @@ __all__ = [
     "necessary_bound",
     "project_least_squares",
     "random_proof_instance",
-    "rip_lower_bound_sampled",
+    "rip_lower_bound_search",
     "run_bomp",
     "run_experiment",
     "run_proof_verification",

@@ -35,7 +35,7 @@ from .errors import BompError, BudgetExceededError, InfeasibleError
 from .experiment import ExperimentConfig, run_experiment
 from .io import FLOAT_FMT, json_fields, load_matrix, load_vector, save_matrix, save_vector
 from .proofs import run_proof_verification
-from .rip import DEFAULT_BUDGET, exact_block_rip, rip_lower_bound_sampled
+from .rip import DEFAULT_BUDGET, exact_block_rip, rip_lower_bound_search
 from .solver import BOTH, FIXED_ITERATIONS, RESIDUAL_THRESHOLD, StoppingRule, run_bomp
 
 
@@ -64,14 +64,14 @@ def _cmd_run(args) -> int:
 
 def _cmd_rip(args) -> int:
     A = load_matrix(args.matrix, args.layout)
-    if args.sample is not None:
-        bound = rip_lower_bound_sampled(A, args.order, args.sample, args.seed)
+    if args.search is not None:
+        bound, witness = rip_lower_bound_search(A, args.order, args.search)
         _emit(
             {
                 "order": args.order,
                 "delta_lower_bound": bound,
-                "trials": args.sample,
-                "seed": args.seed,
+                "witness": list(witness),
+                "starts": args.search,
             }
         )
     else:
@@ -200,14 +200,15 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trace", help="also write the JSON trace to this file")
     p.set_defaults(handler=_cmd_run)
 
-    p = sub.add_parser("rip", help="block isometry constant, exact or sampled")
+    p = sub.add_parser("rip", help="block isometry constant, exact or a searched lower bound")
     p.add_argument("--matrix", required=True)
     p.add_argument("--layout", required=True)
     p.add_argument("--order", type=int, required=True, help="number of blocks per support")
     mode = p.add_mutually_exclusive_group()
     mode.add_argument("--exact", action="store_true", help="exhaustive enumeration (default)")
-    mode.add_argument("--sample", type=int, metavar="TRIALS", help="randomized lower bound instead")
-    p.add_argument("--seed", type=int, default=0, help="sampling seed")
+    mode.add_argument(
+        "--search", type=int, metavar="STARTS", help="swap-ascent lower bound from STARTS supports"
+    )
     p.add_argument("--budget", type=int, default=DEFAULT_BUDGET, help="flop ceiling for --exact")
     p.set_defaults(handler=_cmd_rip)
 

@@ -1,4 +1,4 @@
-"""Exact block restricted-isometry constants by exhaustive enumeration.
+"""Block restricted-isometry constants: exact by enumeration, or a lower bound by search.
 
 The order-K block-RIP constant is the smallest delta with
 ``(1-delta)||h||^2 <= ||A h||^2 <= (1+delta)||h||^2`` over all block
@@ -8,16 +8,18 @@ eigen-decomposing each Gram matrix gives the exact value. That is
 combinatorial on purpose: the constant is intractable in general, and the
 budget guard refuses requests that cannot finish.
 
-The exact and the sampled route differ only in the supports they hand to
-one scan: every support in lexicographic order, or seeded uniform draws.
-The scan forms the Gram matrix ``G = A'A`` once (at order 1 only its
-diagonal blocks). The sub-Gram of a support is then a gather from ``G``
-rather than a product of its columns. Supports are processed in chunks:
-each chunk gathers all its sub-Grams in one indexing operation and
-eigen-decomposes them in one batched call. A chunk holds as many supports
-as fit in ``_CHUNK_BYTES``, counting the support and column index arrays as
-well as the sub-Grams and their spectra, so memory beyond ``G`` stays
-bounded however many supports there are.
+Past the budget, a swap ascent bounds the constant from below. The exact
+route and the search differ only in the supports they hand to one scan:
+every support in lexicographic order, or the one-block swaps of the
+support an ascent stands on. The Gram matrix ``G = A'A`` (at order 1 only
+its diagonal blocks) is formed once per call and handed to every scan, so
+the sub-Gram of a support is a gather from ``G`` rather than a product of
+its columns. Supports are processed in chunks: each chunk gathers all its
+sub-Grams in one indexing operation and eigen-decomposes them in one
+batched call. A chunk holds as many supports as fit in ``_CHUNK_BYTES``,
+counting the support and column index arrays as well as the sub-Grams and
+their spectra, so memory beyond ``G`` stays bounded however many supports
+there are.
 """
 
 from __future__ import annotations
@@ -97,12 +99,11 @@ def _order(A: BlockedMatrix, K) -> int:
     return K
 
 
-def _scan(A: BlockedMatrix, K: int, supports) -> RipReport:
+def _scan(A: BlockedMatrix, K: int, G: np.ndarray, supports) -> RipReport:
     """The worst deviation from 1 over the Gram spectra of ``supports``, an
     iterator of K ascending 1-based block indices each, with the first
-    support attaining it and the eigenvalue extremes. Raises
-    :class:`BompError` when ``A'A`` overflows double precision."""
-    G = _gram(A, K)
+    support attaining it and the eigenvalue extremes. ``G`` is
+    ``_gram(A, K)``."""
     length = max(1, _CHUNK_BYTES // _support_bytes(K, A.layout.block_width))
     best_delta, best_support = -np.inf, ()
     lambda_min, lambda_max = np.inf, -np.inf
@@ -162,22 +163,46 @@ def exact_block_rip(
             f"enumerating C({A.layout.num_blocks},{K}) supports costs about "
             f"{cost:.2e} flops, budget is {budget:.2e}; raise the budget to force this"
         )
-    return _scan(A, K, combinations(A.layout.block_indices(), K))
+    return _scan(A, K, _gram(A, K), combinations(A.layout.block_indices(), K))
 
 
-def rip_lower_bound_sampled(
-    A: BlockedMatrix, K: int, trials: int, seed: int
-) -> float:
-    """Randomized lower bound on the order-K constant.
+def _swaps(support: tuple, M: int):
+    """Every support one block swap from ``support``, each sorted: remove
+    its blocks in support order, and for each add the blocks outside it
+    ascending."""
+    outside = [b for b in range(1, M + 1) if b not in support]
+    for i in range(len(support)):
+        rest = support[:i] + support[i + 1 :]
+        for b in outside:
+            yield tuple(sorted(rest + (b,)))
 
-    Takes the worst per-support deviation over ``trials`` uniformly sampled
-    size-K supports; never exceeds the exact value and is deterministic
-    given the seed. Intended for instances too large to enumerate. Raises
-    :class:`BompError` when ``A'A`` overflows double precision.
+
+def rip_lower_bound_search(A: BlockedMatrix, K: int, starts: int) -> tuple[float, tuple]:
+    """Lower bound on the order-K constant by swap ascent, with its witness.
+
+    Draws ``starts`` supports, each ``np.sort(rng.choice(M, K,
+    replace=False)) + 1`` from one ``default_rng(0)`` stream. From each, it
+    moves to the best strictly better one-block swap until no swap improves
+    the support. Returns the largest spectral deviation found and the first
+    support attaining it. The bound never exceeds the exact constant and
+    never falls as ``starts`` grows; it depends on nothing but ``A``, ``K``
+    and ``starts``. Raises :class:`BompError` when ``A'A`` overflows double
+    precision.
     """
     K = _order(A, K)
-    trials = as_int(trials, "trials")
-    rng = np.random.default_rng(as_int(seed, "seed", minimum=0))
+    starts = as_int(starts, "starts")
+    G = _gram(A, K)
     M = A.layout.num_blocks
-    draws = (np.sort(rng.choice(M, size=K, replace=False)) + 1 for _ in range(trials))
-    return _scan(A, K, draws).delta
+    rng = np.random.default_rng(0)
+    bound, witness = -np.inf, ()
+    for _ in range(starts):
+        support = tuple(int(b) for b in np.sort(rng.choice(M, size=K, replace=False)) + 1)
+        while True:
+            # the support scans first, so a swap replaces it only when strictly better
+            report = _scan(A, K, G, chain([support], _swaps(support, M)))
+            if report.arg_support == support:
+                break
+            support = report.arg_support
+        if report.delta > bound:
+            bound, witness = report.delta, support
+    return bound, witness

@@ -11,7 +11,8 @@ from hypothesis import strategies as st
 
 from bomp.cli import main
 from bomp.core import BlockedMatrix, BlockLayout, BlockSignal
-from bomp.io import save_matrix, save_vector
+from bomp.io import load_matrix, save_matrix, save_vector
+from bomp.rip import exact_block_rip
 
 
 @pytest.fixture
@@ -185,10 +186,12 @@ def test_rip_exact_and_sampled(instance_files, capsys):
     assert exact["rip_holds"] == (exact["delta"] < 1.0)
     assert len(exact["arg_support"]) == 2
 
-    assert main(args + ["--sample", "50", "--seed", "4"]) == 0
-    sampled = _json_out(capsys)
-    assert sampled["delta_lower_bound"] <= exact["delta"] + 1e-14
-    assert sampled["trials"] == 50
+    assert main(args + ["--search", "4"]) == 0
+    searched = _json_out(capsys)
+    assert searched["delta_lower_bound"] <= exact["delta"]
+    assert searched["starts"] == 4
+    witness = searched["witness"]
+    assert len(witness) == 2 and 1 <= witness[0] < witness[1] <= 4
 
 
 def test_rip_budget_exit_code(instance_files, capsys):
@@ -225,7 +228,7 @@ def test_rip_refuses_an_overflowing_gram(tmp_path, capsys):
         "--matrix", str(tmp_path / "A.csv"),
         "--layout", str(tmp_path / "A.json"),
     ]
-    for extra in (["--order", "1"], ["--order", "2"], ["--order", "2", "--sample", "5"]):
+    for extra in (["--order", "1"], ["--order", "2"], ["--order", "2", "--search", "2"]):
         assert main(base + extra) == 2, extra
         assert "Gram matrix" in _one_line_error(capsys)
 
@@ -436,15 +439,22 @@ def test_negative_seed_is_a_usage_error(instance_files, capsys):
     for argv in (
         ["experiment", "--config", str(cfg_path), "--seed", "-1"],
         ["verify-proofs", "--trials", "1", "--seed", "-1"],
-        [
-            "rip",
-            "--matrix", str(instance_files / "A.csv"),
-            "--layout", str(instance_files / "A.json"),
-            "--order", "2", "--sample", "5", "--seed", "-1",
-        ],
     ):
         assert main(argv) == 2, argv
         assert "seed" in _one_line_error(capsys)
+
+
+def test_rip_takes_no_sample_or_seed(instance_files, capsys):
+    # the sampled bound and its seed are gone; --search takes their place
+    base = [
+        "rip",
+        "--matrix", str(instance_files / "A.csv"),
+        "--layout", str(instance_files / "A.json"),
+        "--order", "2",
+    ]
+    for extra in (["--sample", "5"], ["--seed", "0"]):
+        assert main(base + extra) == 2, extra
+        assert "unrecognized arguments" in _one_line_error(capsys)
 
 
 def test_bounds_reject_infinite_epsilon(capsys):
@@ -671,8 +681,7 @@ _CLI_FLAGS = {
     },
     "rip": {
         "--order": _flag(st.integers(1, 5), required=True),
-        "--sample": _flag(st.integers(1, 50), edges=_COUNT_EDGE_VALUES),
-        "--seed": _flag(st.integers(0, 2**32)),
+        "--search": _flag(st.integers(1, 8), edges=_COUNT_EDGE_VALUES),
         "--budget": _flag(st.integers(0, 10**6)),
         # takes no value: present (True) or left out
         "--exact": st.sampled_from((None, True)),
@@ -749,7 +758,7 @@ def test_cli_exits_cleanly_on_any_flag_values(command, data, tmp_path, capsys):
     code = main(argv)
     out, err = capsys.readouterr()
     assert code in (0, 2, 3), (argv, code, err)
-    if "--exact" in argv and "--sample" in argv:  # a usage error whatever the values
+    if "--exact" in argv and "--search" in argv:  # a usage error whatever the values
         assert code == 2, (argv, err)
     if code == 0:
         assert err == "", argv
@@ -966,3 +975,9 @@ def test_the_listed_cli_outputs_pick_alike_at_every_scale(tmp_path):
     # 2^-600 and by 2^600
     for name in ("tiny", "huge", "tiny_dictionary", "huge_dictionary"):
         assert picks(name) == picks("run"), name
+
+    # the order-3 search from 4 starts reaches the exact constant, bit for bit
+    searched = json.loads((tmp_path / "rip_search.json").read_text())
+    exact = exact_block_rip(load_matrix(tmp_path / "A.csv", tmp_path / "layout.json"), 3)
+    assert searched["delta_lower_bound"] == exact.delta
+    assert searched["witness"] == list(exact.arg_support) == [31, 34, 46]

@@ -19,8 +19,9 @@ from bomp import (
     ExperimentConfig,
     StoppingRule,
     exact_block_rip,
+    generate_instance,
     random_proof_instance,
-    rip_lower_bound_sampled,
+    rip_lower_bound_search,
     run_proof_verification,
 )
 from bomp.bounds import open_delta_grid
@@ -74,9 +75,9 @@ CASES = [
     ("epsilon", _adversarial("epsilon"), REAL_REFUSED + (0.0, 5e-324)),
     ("t0", _adversarial("t0"), REAL_REFUSED + (0.0, -1.0)),
     ("order K", lambda v: exact_block_rip(_A, v), INT_REFUSED + (0, 5)),
-    ("order K", lambda v: rip_lower_bound_sampled(_A, v, 5, 0), INT_REFUSED + (0, 5)),
-    ("trials", lambda v: rip_lower_bound_sampled(_A, 2, v, 0), INT_REFUSED + (0,)),
-    ("seed", lambda v: rip_lower_bound_sampled(_A, 2, 5, v), INT_REFUSED + (-1,)),
+    ("order K", lambda v: rip_lower_bound_search(_A, v, 5), INT_REFUSED + (0, 5)),
+    ("starts", lambda v: rip_lower_bound_search(_A, 2, v), INT_REFUSED + (0,)),
+    ("trial_index", lambda v: generate_instance(ExperimentConfig(**_CFG), v), INT_REFUSED + (-1,)),
     ("trials", lambda v: run_proof_verification(v, 0), INT_REFUSED + (0,)),
     ("seed", lambda v: run_proof_verification(1, v), INT_REFUSED + (-1,)),
     *[

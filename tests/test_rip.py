@@ -15,7 +15,7 @@ from bomp.errors import BompError, BudgetExceededError
 from bomp.rip import (
     enumeration_cost,
     exact_block_rip,
-    rip_lower_bound_sampled,
+    rip_lower_bound_search,
 )
 
 
@@ -35,6 +35,8 @@ def _reference_deviations(A, K) -> dict:
 
 
 def _reference_sampled(A, K, trials, seed) -> float:
+    """The worst deviation over ``trials`` supports drawn as the search draws
+    its starts: a floor the search must reach."""
     rng = np.random.default_rng(seed)
     worst = 0.0
     for _ in range(trials):
@@ -42,6 +44,32 @@ def _reference_sampled(A, K, trials, seed) -> float:
         lo, hi = _reference_extremes(A, support)
         worst = max(worst, hi - 1.0, 1.0 - lo)
     return worst
+
+
+def _reference_search(A, K, starts) -> tuple:
+    """The witness of the swap ascent on per-support products: from each
+    start, move to the first best strictly better one-block swap until none
+    is; keep the first of the best ends. Needs K < M."""
+    deviations = _reference_deviations(A, K)
+    M = A.layout.num_blocks
+    rng = np.random.default_rng(0)
+    witness = None
+    for _ in range(starts):
+        support = tuple(sorted(int(b) + 1 for b in rng.choice(M, size=K, replace=False)))
+        while True:
+            swaps = [
+                tuple(sorted(set(support) - {a} | {b}))
+                for a in support
+                for b in range(1, M + 1)
+                if b not in support
+            ]
+            best = max(swaps, key=deviations.get)
+            if deviations[best] <= deviations[support]:
+                break
+            support = best
+        if witness is None or deviations[support] > deviations[witness]:
+            witness = support
+    return witness
 
 
 def _chunk_bytes(per_chunk, K, d):
@@ -101,9 +129,9 @@ def test_order_validation():
     with pytest.raises(ValueError):
         exact_block_rip(A, 4)
     with pytest.raises(ValueError):
-        rip_lower_bound_sampled(A, 4, trials=3, seed=0)
+        rip_lower_bound_search(A, 4, starts=3)
     with pytest.raises(ValueError):
-        rip_lower_bound_sampled(A, 1, trials=0, seed=0)
+        rip_lower_bound_search(A, 1, starts=0)
 
 
 def test_enumeration_cost_formula():
@@ -118,26 +146,6 @@ def test_budget_guard():
         exact_block_rip(A, 4, budget=10)
     # raising the budget unlocks the same computation
     assert exact_block_rip(A, 4, budget=10**9).delta > 0.0
-
-
-def test_sampled_bound_never_exceeds_exact():
-    rng = np.random.default_rng(22)
-    A = BlockedMatrix(BlockLayout(7, 2), rng.normal(size=(25, 14)) / np.sqrt(25))
-    exact = exact_block_rip(A, 3).delta
-    for seed in range(5):
-        sampled = rip_lower_bound_sampled(A, 3, trials=10, seed=seed)
-        assert 0.0 <= sampled <= exact + 1e-14
-    # enough samples on a small instance find the exact worst support
-    saturated = rip_lower_bound_sampled(A, 3, trials=400, seed=0)
-    assert saturated == pytest.approx(exact, rel=1e-12)
-
-
-def test_sampled_bound_is_deterministic():
-    rng = np.random.default_rng(23)
-    A = BlockedMatrix(BlockLayout(6, 1), rng.normal(size=(9, 6)))
-    a = rip_lower_bound_sampled(A, 2, trials=17, seed=99)
-    b = rip_lower_bound_sampled(A, 2, trials=17, seed=99)
-    assert a == b
 
 
 def test_report_serialization():
@@ -157,11 +165,9 @@ def test_chunking_does_not_change_the_report(per_chunk, monkeypatch):
     for A in (diagonal, gaussian):
         for K in range(1, A.layout.num_blocks + 1):
             want = exact_block_rip(A, K)
-            sampled = rip_lower_bound_sampled(A, K, trials=11, seed=3)
             d = A.layout.block_width
             monkeypatch.setattr(rip, "_CHUNK_BYTES", _chunk_bytes(per_chunk, K, d))
             assert exact_block_rip(A, K) == want
-            assert rip_lower_bound_sampled(A, K, trials=11, seed=3) == sampled
             monkeypatch.undo()
     # with one or two supports per chunk the tie (1, 3)/(2, 3) at 0.36 falls
     # in two chunks; the first support still wins
@@ -174,17 +180,15 @@ def test_chunking_does_not_change_the_report(per_chunk, monkeypatch):
     M=st.integers(1, 7),
     d=st.integers(1, 3),
     rows=st.integers(1, 12),
-    trials=st.integers(1, 40),
     per_chunk=st.sampled_from((1, 3, None)),
     seed=st.integers(0, 2**32 - 1),
 )
-def test_gathered_sub_grams_match_per_support_products(M, d, rows, trials, per_chunk, seed):
+def test_gathered_sub_grams_match_per_support_products(M, d, rows, per_chunk, seed):
     rng = np.random.default_rng(seed)
     K = int(rng.integers(1, M + 1))
     A = BlockedMatrix(BlockLayout(M, d), rng.normal(size=(rows, M * d)) / np.sqrt(rows))
     with mock.patch.object(rip, "_CHUNK_BYTES", _chunk_bytes(per_chunk, K, d)):
         report = exact_block_rip(A, K)
-        sampled = rip_lower_bound_sampled(A, K, trials, seed)
 
     deviations = _reference_deviations(A, K)
     extremes = [_reference_extremes(A, s) for s in deviations]
@@ -193,7 +197,57 @@ def test_gathered_sub_grams_match_per_support_products(M, d, rows, trials, per_c
     assert report.lambda_max == pytest.approx(max(hi for _, hi in extremes), abs=1e-12)
     # ulp-level near-ties may move the reported support, never off the maximum
     assert deviations[report.arg_support] == pytest.approx(report.delta, abs=1e-12)
-    assert sampled == pytest.approx(_reference_sampled(A, K, trials, seed), abs=1e-12)
+
+
+@settings(derandomize=True, max_examples=120, deadline=None)
+@given(
+    M=st.integers(1, 7),
+    d=st.integers(1, 3),
+    rows=st.integers(1, 12),
+    gap=st.integers(0, 6),
+    starts=st.integers(1, 4),
+    per_chunk=st.sampled_from((1, 3, None)),
+    orthonormal=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_search_is_a_reproducible_lower_bound(
+    M, d, rows, gap, starts, per_chunk, orthonormal, seed
+):
+    rng = np.random.default_rng(seed)
+    K = max(1, M - gap)  # gap 0, drawn most often, is the order K = M
+    if orthonormal:  # all M*d columns orthonormal
+        q, _ = np.linalg.qr(rng.normal(size=(M * d + 2, M * d)))
+        A = BlockedMatrix(BlockLayout(M, d), q)
+    else:
+        A = BlockedMatrix(BlockLayout(M, d), rng.normal(size=(rows, M * d)) / np.sqrt(rows))
+    bounds = [rip_lower_bound_search(A, K, s) for s in range(1, starts + 1)]
+    bound, witness = bounds[-1]
+
+    # the witness attains the bound: re-scanned alone, it gives the same bits
+    assert rip._scan(A, K, rip._gram(A, K), iter([witness])).delta == bound
+    exact = exact_block_rip(A, K).delta
+    assert bound <= exact
+    if K == M:
+        assert (bound, witness) == (exact, tuple(range(1, M + 1)))
+    if orthonormal:
+        assert bound == pytest.approx(0.0, abs=1e-14)
+    # more starts only add ascents from the same stream
+    assert all(a <= b for (a, _), (b, _) in zip(bounds, bounds[1:]))
+    with mock.patch.object(rip, "_CHUNK_BYTES", _chunk_bytes(per_chunk, K, d)):
+        assert rip_lower_bound_search(A, K, starts) == (bound, witness)
+    # each ascent climbs from a support the old sampler drew at seed 0
+    assert bound >= _reference_sampled(A, K, starts, 0) - 1e-12
+
+
+@pytest.mark.parametrize("seed", [25, 34, 36, 37])
+def test_search_follows_the_reference_ascent(seed):
+    # on these (8, 8, 1) dictionaries at order 3 a later start's ascent ends
+    # above the first one's, so the witness moves as the starts grow
+    rng = np.random.default_rng(seed)
+    A = BlockedMatrix(BlockLayout(8, 1), rng.normal(size=(8, 8)) / np.sqrt(8))
+    witnesses = [rip_lower_bound_search(A, 3, s)[1] for s in range(1, 5)]
+    assert witnesses == [_reference_search(A, 3, s) for s in range(1, 5)]
+    assert witnesses[0] != witnesses[-1]
 
 
 @pytest.mark.parametrize("K, gram_bytes", [(1, 600 * 8), (2, 600 * 600 * 8)])
@@ -226,4 +280,4 @@ def test_overflowing_gram_is_refused(K):
         with pytest.raises(BompError, match="Gram matrix"):
             exact_block_rip(A, K)
         with pytest.raises(BompError, match="Gram matrix"):
-            rip_lower_bound_sampled(A, K, trials=5, seed=0)
+            rip_lower_bound_search(A, K, starts=5)
