@@ -65,6 +65,8 @@ def _cmd_run(args) -> int:
 def _cmd_rip(args) -> int:
     A = load_matrix(args.matrix, args.layout)
     if args.search is not None:
+        if args.budget is not None:
+            raise ValueError("--budget bounds --exact only; --search enumerates nothing")
         bound, witness = rip_lower_bound_search(A, args.order, args.search)
         _emit(
             {
@@ -75,7 +77,8 @@ def _cmd_rip(args) -> int:
             }
         )
     else:
-        _emit(exact_block_rip(A, args.order, budget=args.budget).to_dict())
+        budget = DEFAULT_BUDGET if args.budget is None else args.budget
+        _emit(exact_block_rip(A, args.order, budget=budget).to_dict())
     return 0
 
 
@@ -209,7 +212,9 @@ def _build_parser() -> argparse.ArgumentParser:
     mode.add_argument(
         "--search", type=int, metavar="STARTS", help="swap-ascent lower bound from STARTS supports"
     )
-    p.add_argument("--budget", type=int, default=DEFAULT_BUDGET, help="flop ceiling for --exact")
+    p.add_argument(
+        "--budget", type=int, help=f"flop ceiling for --exact (default {DEFAULT_BUDGET:.0e})"
+    )
     p.set_defaults(handler=_cmd_rip)
 
     p = sub.add_parser("bounds", help="recovery thresholds at one (K, delta, epsilon)")

@@ -184,7 +184,9 @@ def rip_lower_bound_search(A: BlockedMatrix, K: int, starts: int) -> tuple[float
     replace=False)) + 1`` from one ``default_rng(0)`` stream. From each, it
     moves to the best strictly better one-block swap until no swap improves
     the support. Returns the largest spectral deviation found and the first
-    support attaining it. The bound never exceeds the exact constant and
+    support attaining it. An ascent that reaches a support an earlier one
+    stood on stops there: the rest of its path, and its local maximum, are
+    the earlier ascent's. The bound never exceeds the exact constant and
     never falls as ``starts`` grows; it depends on nothing but ``A``, ``K``
     and ``starts``. Raises :class:`BompError` when ``A'A`` overflows double
     precision.
@@ -195,14 +197,16 @@ def rip_lower_bound_search(A: BlockedMatrix, K: int, starts: int) -> tuple[float
     M = A.layout.num_blocks
     rng = np.random.default_rng(0)
     bound, witness = -np.inf, ()
+    visited = set()
     for _ in range(starts):
         support = tuple(int(b) for b in np.sort(rng.choice(M, size=K, replace=False)) + 1)
-        while True:
+        while support not in visited:
+            visited.add(support)
             # the support scans first, so a swap replaces it only when strictly better
             report = _scan(A, K, G, chain([support], _swaps(support, M)))
             if report.arg_support == support:
+                if report.delta > bound:
+                    bound, witness = report.delta, support
                 break
             support = report.arg_support
-        if report.delta > bound:
-            bound, witness = report.delta, support
     return bound, witness

@@ -218,6 +218,20 @@ def test_rip_refuses_a_negative_budget(instance_files, capsys):
     assert "budget must be a nonnegative integer" in _one_line_error(capsys)
 
 
+def test_rip_search_takes_no_budget(instance_files, capsys):
+    # the budget bounds the enumeration only, so a search refuses it
+    base = [
+        "rip",
+        "--matrix", str(instance_files / "A.csv"),
+        "--layout", str(instance_files / "A.json"),
+        "--order", "2",
+        "--search", "1",
+    ]
+    for budget in ("1", "-5", str(10**8)):
+        assert main(base + ["--budget", budget]) == 2, budget
+        assert "--budget bounds --exact only" in _one_line_error(capsys)
+
+
 def test_rip_refuses_an_overflowing_gram(tmp_path, capsys):
     rng = np.random.default_rng(26)
     entries = rng.normal(size=(20, 12))
@@ -758,7 +772,8 @@ def test_cli_exits_cleanly_on_any_flag_values(command, data, tmp_path, capsys):
     code = main(argv)
     out, err = capsys.readouterr()
     assert code in (0, 2, 3), (argv, code, err)
-    if "--exact" in argv and "--search" in argv:  # a usage error whatever the values
+    # usage errors whatever the values
+    if "--search" in argv and ("--exact" in argv or "--budget" in argv):
         assert code == 2, (argv, err)
     if code == 0:
         assert err == "", argv

@@ -242,12 +242,18 @@ def test_search_is_a_reproducible_lower_bound(
 @pytest.mark.parametrize("seed", [25, 34, 36, 37])
 def test_search_follows_the_reference_ascent(seed):
     # on these (8, 8, 1) dictionaries at order 3 a later start's ascent ends
-    # above the first one's, so the witness moves as the starts grow
+    # above the first one's, so the witness moves as the starts grow; by 16
+    # starts, on 56 supports, later ascents run into earlier ones' paths
     rng = np.random.default_rng(seed)
     A = BlockedMatrix(BlockLayout(8, 1), rng.normal(size=(8, 8)) / np.sqrt(8))
     witnesses = [rip_lower_bound_search(A, 3, s)[1] for s in range(1, 5)]
-    assert witnesses == [_reference_search(A, 3, s) for s in range(1, 5)]
-    assert witnesses[0] != witnesses[-1]
+    with mock.patch.object(rip, "_swaps", wraps=rip._swaps) as swaps:
+        witnesses.append(rip_lower_bound_search(A, 3, 16)[1])
+    assert witnesses == [_reference_search(A, 3, s) for s in (1, 2, 3, 4, 16)]
+    assert witnesses[0] != witnesses[3]
+    # and no support's neighbourhood is scanned twice
+    scanned = [call.args[0] for call in swaps.call_args_list]
+    assert len(scanned) == len(set(scanned))
 
 
 @pytest.mark.parametrize("K, gram_bytes", [(1, 600 * 8), (2, 600 * 600 * 8)])
