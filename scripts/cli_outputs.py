@@ -11,8 +11,8 @@ squares of the scores underflow and overflow), and two experiment configs.
 It then runs each command in this process and writes what the command
 prints, or the file it writes, next to them: ``run``, ``trace``, ``both``,
 ``tiny``, ``huge``, ``tiny_dictionary``, ``huge_dictionary``,
-``experiment``, ``threshold``, ``proofs``, ``rip_exact`` and
-``rip_search``, plus ``large``, the trace of 64
+``experiment``, ``threshold``, ``proofs``, ``rip_exact``, ``rip_order1``
+and ``rip_search``, plus ``large``, the trace of 64
 fixed picks on the seed-0 instance at (1024, 512, 4), which the float32
 screen scores, and ``draws``, the sha256 of the dictionary, observation and
 truth bytes of trials 0 to 3 of the experiment config and of one proof-sweep
@@ -91,7 +91,9 @@ def write_outputs(out: Path) -> None:
         config = ["--config", str(out / f"{name}_config.json")]
         run_cli(out, None, "experiment", *config, "--out", str(out / f"{name}.json"))
     run_cli(out, "proofs", "verify-proofs", "--trials", "100", "--seed", "0")
-    run_cli(out, "rip_exact", "rip", *system, "--order", "2", "--exact")
+    run_cli(out, "rip_exact", "rip", *system, "--order", "2")
+    # order 1 reads only the diagonal blocks of A'A, the other Gram route
+    run_cli(out, "rip_order1", "rip", *system, "--order", "1")
     run_cli(out, "rip_search", "rip", *system, "--order", "3", "--search", "4")
 
     large = ExperimentConfig(m=1024, M=512, d=4, K=64, noise_norm=0.1, seed=0)

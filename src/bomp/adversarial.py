@@ -68,12 +68,9 @@ class AdversarialParams:
         b = BoundInputs(K=self.K, delta=self.delta, epsilon=self.epsilon)
         for name in ("K", "delta", "epsilon"):
             object.__setattr__(self, name, getattr(b, name))
-        side = self.d * (self.K + 1)
-        if side * side > MAX_ARRAY_DOUBLES:
-            raise ValueError(
-                f"the dictionary side d*(K+1) must be at most {math.isqrt(MAX_ARRAY_DOUBLES)}, "
-                f"got a {side.bit_length()}-bit integer"
-            )
+        # the square dictionary must fit one array
+        limit = math.isqrt(MAX_ARRAY_DOUBLES)
+        as_int(self.d * (self.K + 1), "the dictionary side d*(K+1)", maximum=limit)
         t0 = DEFAULT_T0_SAFETY * necessary_bound(b) if self.t0 is None else self.t0
         object.__setattr__(self, "t0", as_real(t0, "t0", positive=True))
 

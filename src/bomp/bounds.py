@@ -148,14 +148,7 @@ def check_sufficient(
 def open_delta_grid(limit: float, points: int) -> np.ndarray:
     """Uniform grid of ``points`` values strictly inside (0, limit); ValueError
     unless 2 <= points <= ``MAX_ARRAY_DOUBLES``."""
-    points = as_int(points, "points")
-    if points < 2:
-        raise ValueError(f"points must be at least 2, got {points}")
-    if points > MAX_ARRAY_DOUBLES:
-        raise ValueError(
-            f"points must be at most {MAX_ARRAY_DOUBLES} (2**56), "
-            f"got a {points.bit_length()}-bit integer"
-        )
+    points = as_int(points, "points", minimum=2, maximum=MAX_ARRAY_DOUBLES)
     return limit * np.arange(1, points + 1) / (points + 1)
 
 

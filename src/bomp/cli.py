@@ -66,7 +66,7 @@ def _cmd_rip(args) -> int:
     A = load_matrix(args.matrix, args.layout)
     if args.search is not None:
         if args.budget is not None:
-            raise ValueError("--budget bounds --exact only; --search enumerates nothing")
+            raise ValueError("--budget bounds the exact scan only; --search enumerates nothing")
         bound, witness = rip_lower_bound_search(A, args.order, args.search)
         _emit(
             {
@@ -207,13 +207,11 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--matrix", required=True)
     p.add_argument("--layout", required=True)
     p.add_argument("--order", type=int, required=True, help="number of blocks per support")
-    mode = p.add_mutually_exclusive_group()
-    mode.add_argument("--exact", action="store_true", help="exhaustive enumeration (default)")
-    mode.add_argument(
+    p.add_argument(
         "--search", type=int, metavar="STARTS", help="swap-ascent lower bound from STARTS supports"
     )
     p.add_argument(
-        "--budget", type=int, help=f"flop ceiling for --exact (default {DEFAULT_BUDGET:.0e})"
+        "--budget", type=int, help=f"flop ceiling of the exact scan (default {DEFAULT_BUDGET:.0e})"
     )
     p.set_defaults(handler=_cmd_rip)
 

@@ -74,16 +74,30 @@ def _frozen_array(values, shape, what: str) -> np.ndarray:
     return arr
 
 
-def as_int(value, what: str, minimum: int = 1) -> int:
-    """``value`` as a plain int; ValueError unless it is an integer (not a
-    bool) of at least ``minimum``, which is 1 (positive) or 0 (nonnegative)."""
+def as_int(value, what: str, minimum: int = 1, maximum: int | None = None) -> int:
+    """``value`` as a plain int: the one range rule for an integer. ValueError,
+    naming ``what`` first, unless it is an integer (not a bool) of at least
+    ``minimum`` (1, positive, by default) and, when given, at most ``maximum``."""
     if isinstance(value, bool) or not isinstance(value, numbers.Integral):
         raise ValueError(f"{what} must be an integer, got {value!r}")
     value = int(value)
     if value < minimum:
-        kind = "positive" if minimum == 1 else "nonnegative"
-        raise ValueError(f"{what} must be a {kind} integer, got {value}")
+        kinds = {0: "a nonnegative integer", 1: "a positive integer"}
+        kind = kinds.get(minimum, f"at least {minimum}")
+        raise ValueError(f"{what} must be {kind}, got {value}")
+    if maximum is not None and value > maximum:
+        raise ValueError(f"{what} must be at most {_shown(maximum)}, got {_shown(value)}")
     return value
+
+
+def _shown(n: int) -> str:
+    """``n`` for a message: past 2^64 by its bit length, and a power of two
+    from 2^16 up also as ``2**k``."""
+    if n > 1 << 64:
+        return f"a {n.bit_length()}-bit integer"
+    if n >= 1 << 16 and n & (n - 1) == 0:
+        return f"{n} (2**{n.bit_length() - 1})"
+    return str(n)
 
 
 def as_real(value, what: str, positive: bool = False) -> float:
@@ -128,13 +142,9 @@ class BlockLayout:
         return (np.asarray(indices, dtype=int).reshape(-1, 1) - 1) * d + np.arange(d)
 
     def check_index(self, index) -> int:
-        """``index`` as a plain int: the one rule for a block index. ValueError
-        unless it is an integer (not a bool) in 1..num_blocks."""
-        if isinstance(index, bool) or not isinstance(index, numbers.Integral):
-            raise ValueError(f"block index must be an integer, got {index!r}")
-        if not 1 <= index <= self.num_blocks:
-            raise ValueError(f"block index {index} out of range 1..{self.num_blocks}")
-        return int(index)
+        """``index`` as a plain int: the one rule for a block index, an
+        integer (not a bool) in 1..num_blocks (:func:`as_int`)."""
+        return as_int(index, "block index", maximum=self.num_blocks)
 
     def check_support(self, indices) -> list:
         """``indices`` as an ascending list of plain ints: the one rule for a

@@ -81,8 +81,9 @@ class ExperimentConfig:
     """Batch description. JSON config files mirror these field names.
 
     Every trial draws its own Gaussian instance (see ``generate_instance``).
-    Counts are positive integers, ``seed`` and ``noise_norm`` nonnegative,
-    ``min_block_norm`` positive; ``stopping`` None means exactly K iterations.
+    Counts are positive integers, K at most M and m // d, ``seed`` and
+    ``noise_norm`` nonnegative, ``min_block_norm`` positive; ``stopping`` None
+    means exactly K iterations.
     """
 
     m: int
@@ -96,24 +97,15 @@ class ExperimentConfig:
     stopping: StoppingRule | None = None
 
     def __post_init__(self):
-        for name in ("m", "M", "d", "K", "trials"):
+        for name in ("m", "M", "d", "trials"):
             object.__setattr__(self, name, as_int(getattr(self, name), name))
+        # K blocks, and K*d <= m, so least squares on the support is determined
+        K = as_int(self.K, "K", maximum=min(self.M, self.m // self.d))
+        object.__setattr__(self, "K", K)
         object.__setattr__(self, "seed", as_int(self.seed, "seed", minimum=0))
         for name, positive in (("noise_norm", False), ("min_block_norm", True)):
             object.__setattr__(self, name, as_real(getattr(self, name), name, positive))
-        if self.K > self.M:
-            raise ValueError(f"K={self.K} exceeds the number of blocks M={self.M}")
-        if self.K * self.d > self.m:
-            raise ValueError(
-                f"K*d={self.K * self.d} exceeds m={self.m}; least squares on the "
-                "support would be underdetermined"
-            )
-        size = self.m * self.M * self.d
-        if size > MAX_ARRAY_DOUBLES:
-            raise ValueError(
-                f"the dictionary size m*M*d must be at most {MAX_ARRAY_DOUBLES} (2**56), "
-                f"got a {size.bit_length()}-bit integer"
-            )
+        as_int(self.m * self.M * self.d, "the dictionary size m*M*d", maximum=MAX_ARRAY_DOUBLES)
         if self.stopping is None:
             object.__setattr__(
                 self,

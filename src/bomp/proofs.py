@@ -327,10 +327,9 @@ def random_proof_instance(
     """
     num_blocks = as_int(num_blocks, "num_blocks")
     block_width = as_int(block_width, "block_width")
-    sparsity = as_int(sparsity, "sparsity")
+    # one block outside the support is left for the probe
+    sparsity = as_int(sparsity, "sparsity", maximum=num_blocks - 1)
     epsilon = as_real(epsilon, "epsilon")
-    if sparsity >= num_blocks:
-        raise ValueError("need sparsity < num_blocks to leave a probe block")
     if epsilon > _MAX_EPSILON:
         raise ValueError(f"epsilon {epsilon:g} overflows double precision")
     rows = 10 * (sparsity + 1) * block_width

@@ -90,15 +90,6 @@ def _support_bytes(K: int, d: int) -> int:
     return 8 * (n * n + 2 * n + 3 * K + 3)
 
 
-def _order(A: BlockedMatrix, K) -> int:
-    """``K`` as a support order of ``A``: an integer in 1..M."""
-    M = A.layout.num_blocks
-    K = as_int(K, "order K")
-    if K > M:
-        raise ValueError(f"order K must be in 1..{M}, got {K}")
-    return K
-
-
 def _scan(A: BlockedMatrix, K: int, G: np.ndarray, supports) -> RipReport:
     """The worst deviation from 1 over the Gram spectra of ``supports``, an
     iterator of K ascending 1-based block indices each, with the first
@@ -155,7 +146,7 @@ def exact_block_rip(
     explicitly to force the computation. Raises :class:`BompError` when
     ``A'A`` overflows double precision.
     """
-    K = _order(A, K)
+    K = as_int(K, "order K", maximum=A.layout.num_blocks)
     budget = as_int(budget, "budget", minimum=0)
     cost = enumeration_cost(A, K)
     if cost > budget:
@@ -191,7 +182,7 @@ def rip_lower_bound_search(A: BlockedMatrix, K: int, starts: int) -> tuple[float
     and ``starts``. Raises :class:`BompError` when ``A'A`` overflows double
     precision.
     """
-    K = _order(A, K)
+    K = as_int(K, "order K", maximum=A.layout.num_blocks)
     starts = as_int(starts, "starts")
     G = _gram(A, K)
     M = A.layout.num_blocks

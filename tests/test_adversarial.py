@@ -160,6 +160,34 @@ def test_failure_flips_above_the_threshold():
     assert above.first_selected_index in (2, 3, 4)
 
 
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(
+    d=st.integers(1, 4),
+    K=st.integers(1, 6),
+    # delta = frac / sqrt(K+1); past 1 - 1e-9 the score margins near the
+    # edge shrink toward the round-off of necessary_bound itself
+    frac=st.floats(1e-300, 1.0 - 1e-9),
+    epsilon=st.floats(1e-3, 1e3),
+    below=st.floats(0.001, 0.999),
+    above=st.floats(1.001, 10.0),
+)
+def test_property_the_first_pick_fails_exactly_below_the_necessary_bound(
+    d, K, frac, epsilon, below, above
+):
+    # t0 below the necessary bound: the decoy block 1 wins the first pick;
+    # above it, a supported block does
+    delta = frac * delta_limit(K)
+    threshold = necessary_bound(BoundInputs(K=K, delta=delta, epsilon=epsilon))
+
+    def first_pick(f):
+        p = AdversarialParams(d=d, K=K, delta=delta, epsilon=epsilon, t0=f * threshold)
+        return p, demonstrate_failure(p)
+
+    assert first_pick(below)[1].failed
+    p, report = first_pick(above)
+    assert report.first_selected_index in p.true_support
+
+
 def test_full_run_misses_the_support():
     p = AdversarialParams(d=2, K=3, delta=0.2, epsilon=1.0)
     problem, truth = build_adversarial_instance(p)

@@ -1,6 +1,10 @@
 import importlib.util
 import json
+import os
 import re
+import shlex
+import subprocess
+import sys
 import warnings
 from pathlib import Path
 
@@ -9,10 +13,12 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from bomp.cli import main
+from bomp.cli import _build_parser, main
 from bomp.core import BlockedMatrix, BlockLayout, BlockSignal
 from bomp.io import load_matrix, save_matrix, save_vector
 from bomp.rip import exact_block_rip
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 @pytest.fixture
@@ -229,7 +235,7 @@ def test_rip_search_takes_no_budget(instance_files, capsys):
     ]
     for budget in ("1", "-5", str(10**8)):
         assert main(base + ["--budget", budget]) == 2, budget
-        assert "--budget bounds --exact only" in _one_line_error(capsys)
+        assert "--budget bounds the exact scan only" in _one_line_error(capsys)
 
 
 def test_rip_refuses_an_overflowing_gram(tmp_path, capsys):
@@ -459,14 +465,15 @@ def test_negative_seed_is_a_usage_error(instance_files, capsys):
 
 
 def test_rip_takes_no_sample_or_seed(instance_files, capsys):
-    # the sampled bound and its seed are gone; --search takes their place
+    # the sampled bound and its seed are gone; --search takes their place.
+    # The exact scan runs unless --search is given, so it has no flag either
     base = [
         "rip",
         "--matrix", str(instance_files / "A.csv"),
         "--layout", str(instance_files / "A.json"),
         "--order", "2",
     ]
-    for extra in (["--sample", "5"], ["--seed", "0"]):
+    for extra in (["--sample", "5"], ["--seed", "0"], ["--exact"]):
         assert main(base + extra) == 2, extra
         assert "unrecognized arguments" in _one_line_error(capsys)
 
@@ -697,8 +704,6 @@ _CLI_FLAGS = {
         "--order": _flag(st.integers(1, 5), required=True),
         "--search": _flag(st.integers(1, 8), edges=_COUNT_EDGE_VALUES),
         "--budget": _flag(st.integers(0, 10**6)),
-        # takes no value: present (True) or left out
-        "--exact": st.sampled_from((None, True)),
     },
     "adversarial": {
         "--d": _flag(st.integers(1, 4), required=True),
@@ -756,9 +761,7 @@ def test_cli_exits_cleanly_on_any_flag_values(command, data, tmp_path, capsys):
     argv = [command]
     for flag, values in _CLI_FLAGS[command].items():
         value = data.draw(values, label=flag)
-        if value is True:
-            argv.append(flag)
-        elif value is not None:
+        if value is not None:
             argv += [flag, value]
     if command == "adversarial":
         argv += ["--out-dir", str(tmp_path / "adv")]
@@ -773,7 +776,7 @@ def test_cli_exits_cleanly_on_any_flag_values(command, data, tmp_path, capsys):
     out, err = capsys.readouterr()
     assert code in (0, 2, 3), (argv, code, err)
     # usage errors whatever the values
-    if "--search" in argv and ("--exact" in argv or "--budget" in argv):
+    if "--search" in argv and "--budget" in argv:
         assert code == 2, (argv, err)
     if code == 0:
         assert err == "", argv
@@ -973,7 +976,7 @@ def test_run_refuses_any_repeated_direction_in_one_line(data, tmp_path, capsys):
     assert {a, b} <= {int(block) for block in match[1].split(",")}, (a, b, lines)
 
 
-CLI_OUTPUTS = Path(__file__).resolve().parents[1] / "scripts" / "cli_outputs.py"
+CLI_OUTPUTS = ROOT / "scripts" / "cli_outputs.py"
 
 
 def test_the_listed_cli_outputs_pick_alike_at_every_scale(tmp_path):
@@ -996,3 +999,37 @@ def test_the_listed_cli_outputs_pick_alike_at_every_scale(tmp_path):
     exact = exact_block_rip(load_matrix(tmp_path / "A.csv", tmp_path / "layout.json"), 3)
     assert searched["delta_lower_bound"] == exact.delta
     assert searched["witness"] == list(exact.arg_support) == [31, 34, 46]
+
+
+def test_every_readme_command_parses():
+    # a flag the parser no longer takes cannot stay documented
+    readme = (ROOT / "README.md").read_text()
+    lines = [line for line in readme.splitlines() if line.startswith("bomp ")]
+    parser = _build_parser()
+    commands = set()
+    for line in lines:
+        argv = shlex.split(line)[1:]
+        try:
+            commands.add(parser.parse_args(argv).command)
+        except SystemExit:
+            pytest.fail(f"README command does not parse: {line}")
+    assert commands == set(_CLI_FLAGS)
+
+
+def test_the_module_runs_as_the_bomp_executable():
+    def bomp(*argv):
+        return subprocess.run(
+            [sys.executable, "-m", "bomp.cli", *argv],
+            env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+
+    refused = bomp("bounds", "--K", "0", "--delta", "0.1")
+    assert refused.returncode == 2
+    lines = refused.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: K must be"), refused.stderr
+    done = bomp("bounds", "--K", "2", "--delta", "0.1")
+    assert (done.returncode, done.stderr) == (0, "")
+    assert json.loads(done.stdout)["K"] == 2

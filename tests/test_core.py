@@ -14,6 +14,7 @@ from bomp.core import (
     BlockSignal,
     SensingProblem,
     _draw_gaussian,
+    as_int,
     block_norms,
     block_support,
     extract_blocks,
@@ -54,6 +55,27 @@ def test_layout_index_range_is_one_based():
         layout.block_slice(0)
     with pytest.raises(ValueError):
         layout.block_slice(4)
+
+
+def test_an_integer_refusal_names_the_parameter_and_the_range_end():
+    for value, minimum, maximum, message in (
+        (1, 2, None, "points must be at least 2, got 1"),
+        (0, 0, 4, None),
+        (-1, 0, 4, "points must be a nonnegative integer, got -1"),
+        (5, 1, 4, "points must be at most 4, got 5"),
+        # a power of two from 2^16 up is also written as one
+        (2**16 + 1, 1, 2**16, "points must be at most 65536 (2**16), got 65537"),
+        (2**64, 1, 2**56, "points must be at most 72057594037927936 (2**56), "
+                          "got 18446744073709551616 (2**64)"),
+        # past 2^64, by bit length
+        (2**64 + 1, 1, 2**56, "points must be at most 72057594037927936 (2**56), "
+                              "got a 65-bit integer"),
+    ):
+        if message is None:
+            assert as_int(value, "points", minimum, maximum) == value
+            continue
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            as_int(value, "points", minimum, maximum)
 
 
 _BLOCK_INDEX_ENTRY_POINTS = {
@@ -112,7 +134,7 @@ def test_every_block_index_is_an_integer(entry, index):
         call(A, index)
     # a NumPy integer is an integer, and range errors keep their message
     call(A, np.int64(4 if entry == "probe_index" else 1))
-    with pytest.raises(ValueError, match="block index 5 out of range 1..4"):
+    with pytest.raises(ValueError, match="block index must be at most 4, got 5"):
         call(A, 5)
 
 

@@ -1,6 +1,7 @@
 import concurrent.futures
 import dataclasses
 import json
+import os
 import re
 import sys
 import threading
@@ -205,6 +206,17 @@ def _force_shares(monkeypatch, shares):
     and the host's CPU count."""
     monkeypatch.setattr(bomp.experiment, "_SPLIT_ENTRIES", 0)
     monkeypatch.setattr(bomp.experiment, "_cpu_count", lambda: shares)
+
+
+def test_the_cpu_count_without_affinity_masks(monkeypatch):
+    # a platform with no sched_getaffinity counts every CPU, and the batch
+    # split by that count is the same
+    cfg = _small_cfg(noise_norm=0.4, trials=24)
+    monkeypatch.setattr(bomp.experiment, "_SPLIT_ENTRIES", 0)
+    reference = run_experiment(cfg)
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    assert bomp.experiment._cpu_count() == (os.cpu_count() or 1)
+    assert run_experiment(cfg) == reference
 
 
 @pytest.fixture

@@ -1,10 +1,11 @@
 """One rule for every numeric parameter: integers are not bools, floats or
-strings and are at least 1 (0 for seeds and indices); reals are not bools or
-strings, are finite, and are nonnegative or positive. Whatever is accepted
-serialises as strict JSON."""
+strings, are at least 1 (0 for seeds and indices) and, where a range ends,
+at most its end; reals are not bools or strings, are finite, and are
+nonnegative or positive. Whatever is accepted serialises as strict JSON."""
 
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -85,8 +86,24 @@ CASES = [
         for name in ("num_blocks", "block_width", "sparsity")
     ],
     ("epsilon", _proof_instance("epsilon"), REAL_REFUSED + (-1.0,)),
-    ("points", lambda v: open_delta_grid(0.5, v), INT_REFUSED + (0, 1)),
+    ("points", lambda v: open_delta_grid(0.5, v), INT_REFUSED + (0, 1, 2**56 + 1, 10**400)),
     ("budget", lambda v: exact_block_rip(_A, 2, budget=v), INT_REFUSED + (-1,)),
+    # the upper ends of integer ranges, past 2^64 named by bit length
+    # K <= min(M, m // d): 6 at (m, M, d) = (24, 6, 2), and 2 at m = 5
+    ("K", _config("K"), (7, 2**70)),
+    ("K", lambda v: ExperimentConfig(**{**_CFG, "m": 5, "K": v}), (3,)),
+    ("sparsity", _proof_instance("sparsity"), (6, 7)),  # one of 6 blocks is the probe
+    ("block index", lambda v: BlockLayout(4, 2).block_slice(v), INT_REFUSED + (0, 5)),
+    (
+        "the dictionary size m*M*d",
+        lambda v: ExperimentConfig(m=v, M=2**30, d=1, K=1),
+        (2**26 + 1, 2**40),
+    ),
+    (
+        "the dictionary side d*(K+1)",
+        lambda v: AdversarialParams(d=v, K=3, delta=0.1, epsilon=1.0, t0=1.0),
+        (2**26 + 1, 10**400),
+    ),
 ]
 
 
@@ -95,7 +112,7 @@ CASES = [
 )
 def test_refused_values_raise_a_value_error_naming_the_parameter(name, build, refused):
     for value in refused:
-        with pytest.raises(ValueError, match=f"^{name} must "):
+        with pytest.raises(ValueError, match=f"^{re.escape(name)} must "):
             build(value)
 
 
